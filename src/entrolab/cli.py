@@ -9,8 +9,9 @@ report.json (schema-versioned, tagged with the sha256 of the canonical
 config) and, for table-producing tasks, table.csv plus plot data; identical
 configs produce byte-identical reports.
 
-Exit codes: 0 success, 2 validation error, 3 numerical non-convergence or
-saturation, 4 uncertified result under --require-certified.
+Exit codes: 0 success, 2 validation error, 3 numerical non-convergence
+(including orbits that leave the floating-point range) or saturation,
+4 uncertified result under --require-certified.
 """
 
 from __future__ import annotations

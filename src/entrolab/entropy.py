@@ -27,8 +27,8 @@ from .errors import (
     UncertifiedSpectrumError,
     ValidationError,
 )
-from .operators import Operator, SpectralData, batch_apply, orbit_block
-from .spaces import SpaceSpec, Vector, distance, norm_block
+from .operators import Operator, SpectralData, batch_apply, orbit_block, require_finite
+from .spaces import SpaceSpec, Vector, norm_block
 
 SATURATION_FRACTION = 0.95  # s >= 95% of |K| counts as saturated
 EXACT_SAMPLE_CAP = 24
@@ -138,6 +138,7 @@ class _OrbitCache:
             ext[:, :have, :] = self.orbits
             for i in range(have, steps):
                 ext[:, i, :] = batch_apply(self.T, ext[:, i - 1, :])
+            require_finite(ext[:, have:, :])
             self.orbits = ext
             self._view = None
         return self.orbits[:, :steps, :]

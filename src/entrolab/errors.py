@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all modules.
 
 Exit-code mapping used by the CLI: ValidationError and subclasses map to 2,
-ConvergenceError and SaturationError to 3, uncertified results (a report
-flag, not an exception) to 4 when --require-certified is set.
+ConvergenceError (NonFiniteOrbitError included) and SaturationError to 3,
+uncertified results (a report flag, not an exception) to 4 when
+--require-certified is set.
 """
 
 
@@ -56,6 +57,10 @@ class UncertifiedSpectrumError(ValidationError):
 
 class ConvergenceError(EntropyLabError):
     """Iterative numerical procedure failed to converge within its budget."""
+
+
+class NonFiniteOrbitError(ConvergenceError):
+    """An orbit left the floating-point range (inf or nan coordinates)."""
 
 
 class SaturationError(EntropyLabError):

@@ -16,7 +16,6 @@ modulus.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -28,6 +27,7 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     HeadroomError,
+    NonFiniteOrbitError,
     SingularMatrixError,
     UnsupportedOperatorError,
     ValidationError,
@@ -217,7 +217,21 @@ def orbit_block(T: Operator, block: np.ndarray, steps: int) -> np.ndarray:
     out[:, 0, :] = block
     for i in range(1, steps):
         out[:, i, :] = batch_apply(T, out[:, i - 1, :])
+    require_finite(out)
     return out
+
+
+def require_finite(orbits: np.ndarray) -> None:
+    """Refuse orbit arrays that left the floating-point range.
+
+    An inf or nan coordinate makes every later distance meaningless (nan
+    compares false both ways), so it is an error, checked once per grown
+    block rather than per step.
+    """
+    if not np.isfinite(orbits).all():
+        raise NonFiniteOrbitError(
+            "orbit left the floating-point range (inf or nan coordinates)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -470,19 +484,12 @@ def _dense_spectrum(A: np.ndarray) -> SpectralData:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigenvalue iteration failed: {exc}") from exc
     scale = float(np.linalg.norm(A, 2)) if d else 0.0
-    if d <= 6:
-        residuals = tuple(float(abs(np.linalg.det(A - v * np.eye(d)))) for v in vals)
-    else:
-        residuals = []
-        for j, v in enumerate(vals):
-            vec = vecs[:, j]
-            r = float(np.linalg.norm(A @ vec - v * vec))
-            if r >= EIG_RESIDUAL_TOL * max(1.0, scale):
-                raise ConvergenceError(
-                    f"eigenpair residual {r:.3e} exceeds {EIG_RESIDUAL_TOL:.0e}"
-                )
-            residuals.append(r)
-        residuals = tuple(residuals)
+    residuals = tuple(float(r) for r in np.linalg.norm(A @ vecs - vecs * vals, axis=0))
+    worst = max(residuals, default=0.0)
+    if not worst < EIG_RESIDUAL_TOL * max(1.0, scale):
+        raise ConvergenceError(
+            f"eigenpair residual {worst:.3e} exceeds {EIG_RESIDUAL_TOL:.0e}"
+        )
     clustered = _cluster_eigenvalues(vals, scale)
     return SpectralData(
         eigenvalues=tuple(clustered),

@@ -107,18 +107,6 @@ def sup_abs(rule: Rule) -> float:
     return max(abs(v) for v in rule.values)
 
 
-def decays_to_zero(rule: Rule) -> bool:
-    """Whether |x_n| -> 0, the compactness requirement for diagonal rules.
-
-    Explicit lists count as finite-rank (trivially compact).
-    """
-    if isinstance(rule, ConstRule):
-        return rule.value == 0
-    if isinstance(rule, GeometricRule):
-        return abs(rule.ratio) < 1.0 or rule.start == 0
-    return True  # harmonic decays; explicit is finite rank
-
-
 def check_nonvanishing(rule: Rule, window: int = 64) -> None:
     """Weight sequences must have no zero entry (checked on a window for
     generators, exactly for explicit lists)."""

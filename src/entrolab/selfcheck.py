@@ -12,7 +12,6 @@ import numpy as np
 
 from . import rules as rl
 from .entropy import (
-    dyn_distance,
     entropy_estimate,
     greedy_separated,
     grid_sample,
@@ -36,7 +35,7 @@ from .operators import (
     rotation_matrix,
     spectrum,
 )
-from .spaces import FAggregate, Lp, Vector, distance, norm, project, vector, zero_vector
+from .spaces import FAggregate, Lp, Vector, norm, project, vector, zero_vector
 from .specification import (
     SegmentSchedule,
     fixed_vector,

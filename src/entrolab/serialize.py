@@ -192,8 +192,3 @@ def schedule_from_json(obj, space_id: str = "") -> SegmentSchedule:
             raise ValidationError(f"malformed segment {seg!r}") from exc
         segs.append((a, b, y))
     return SegmentSchedule(tuple(segs), int(obj["gap"]))
-
-
-def canonical_json(obj) -> str:
-    """Deterministic serialisation used for reports and config hashing."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"

@@ -54,10 +54,6 @@ class FAggregate:
 SpaceSpec = Lp | FAggregate
 
 
-def l2() -> Lp:
-    return Lp(2.0)
-
-
 def faggregate_l2() -> FAggregate:
     return FAggregate(Lp(2.0))
 

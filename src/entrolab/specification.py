@@ -10,20 +10,31 @@ with the target orbit on at least the first N coordinates, so the aggregated
 metric deviation is at most 2^{-N} - 2^{-dim}; adding the exact truncation
 tail 2^{-dim} certifies the strict bound 2^{-N} < eps.
 
-Stacking single-time segments at times k*i*(N+1) over all target tuples in
-anchors^n builds the m^n-point separated families behind the log(m)/(k(N+1))
-entropy lower bounds.
+Stacking single-time segments at times t_i = k*i*(N+1) over all target
+tuples in anchors^n builds the m^n-point separated families behind the
+log(m)/(k(N+1)) entropy lower bounds.  The family is built in one batch.
+Segment i copies coordinates t_i+1 .. t_i+N of its anchor; these ranges
+are pairwise disjoint, and so are their periodic images, which move by
+multiples of the period.  Periodisation is linear, so the shadow of a tuple
+(c_0, .., c_{n-1}) is the sum over i of the periodised piece of anchor c_i
+at segment i.  Every coordinate of that sum has at most one nonzero addend,
+so it involves no rounding and equals the shadow built from the tuple's own
+pattern bit for bit.  Only the m*n pieces are periodised, and one stream of
+B_w over the family block, keeping one time slice at a time, yields every
+periodicity check and every deviation; `shadow_point` runs the same
+periodise-and-deviate path on a single schedule.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rules as rl
-from .entropy import CompactSample, dyn_distance
+from .entropy import CompactSample
 from .errors import SampleSizeError, ScheduleError, ValidationError
 from .operators import (
     BackwardShift,
@@ -31,13 +42,12 @@ from .operators import (
     ForwardShift,
     Operator,
     OperatorPower,
-    apply,
     batch_apply,
     orbit_block,
+    require_finite,
 )
 from .spaces import (
     FAggregate,
-    Lp,
     SpaceSpec,
     Vector,
     faggregate_l2,
@@ -121,20 +131,65 @@ def _pattern(sched: SegmentSchedule, dim: int) -> np.ndarray:
 
 
 def _periodize(B: BackwardShift, z: np.ndarray, period: int) -> np.ndarray:
-    """xi = sum_k F_w^{k*period} z by explicit iterated forward shifts."""
+    """Rows xi = sum_k F_w^{k*period} z of a (rows, dim) pattern block, by
+    explicit iterated forward shifts."""
     F = ForwardShift(B.weights)
-    dim = len(z)
     xi = z.copy()
-    image = z[np.newaxis, :].copy()
-    reps = dim // period + 1
+    image = z.copy()
+    reps = z.shape[-1] // period + 1
     for _ in range(reps):
         for _ in range(period):
             image[:, -1] = 0.0  # truncation headroom: top coordinate falls away
             image = batch_apply(F, image)
         if not np.any(image):
             break
-        xi = xi + image[0]
+        xi = xi + image
+    require_finite(xi)
     return xi
+
+
+def _aggregated_space(epsilon: float, space: SpaceSpec | None) -> FAggregate:
+    if not (0 < epsilon <= 1):
+        raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon}")
+    space = faggregate_l2() if space is None else space
+    if not isinstance(space, FAggregate):
+        raise ValidationError("deviations are measured in the aggregated metric")
+    return space
+
+
+def _shadow_deviations(
+    B_w: BackwardShift,
+    xi: np.ndarray,
+    period: int,
+    windows: list[tuple[int, int]],
+    target_orbits: np.ndarray,
+    choice: np.ndarray,
+    space: SpaceSpec,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Periodicity flags and per-segment deviations of a block of shadows.
+
+    Streams B_w over the (rows, dim) block `xi` up to `period`, keeping one
+    time slice at a time.  Row r's segment s, over the time window
+    windows[s] = (a, b), is compared with the target orbit
+    target_orbits[choice[r, s]] (shape (targets, b_last + 1, dim)); its
+    deviation is the largest aggregated distance over the window.  A row is
+    periodic when B_w^period reproduces it on the representable window.
+    Returns (periodic, shape (rows,)) and (deviations, shape (rows, segments)).
+    """
+    dev = np.zeros((xi.shape[0], len(windows)))
+    orbit = xi
+    for t in range(period + 1):
+        if t:
+            orbit = batch_apply(B_w, orbit)
+        for s, (a, b) in enumerate(windows):
+            if a <= t <= b:
+                require_finite(orbit)
+                d = norm_block(orbit - target_orbits[choice[:, s], t], space)
+                dev[:, s] = np.maximum(dev[:, s], d)
+    require_finite(orbit)
+    window = xi.shape[1] - period
+    periodic = (orbit[:, :window] == xi[:, :window]).all(axis=1)
+    return periodic, dev
 
 
 def shadow_point(
@@ -153,15 +208,9 @@ def shadow_point(
     """
     if not isinstance(B_w, BackwardShift):
         raise ValidationError("shadowing is built for weighted backward shifts")
-    if not (0 < epsilon <= 1):
-        raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon}")
-    space = faggregate_l2() if space is None else space
-    if not isinstance(space, FAggregate):
-        raise ValidationError("deviations are measured in the aggregated metric")
+    space = _aggregated_space(epsilon, space)
     period = sched.period
-    min_dim = 2 * period
-    for _, _, y in sched.segments:
-        min_dim = max(min_dim, y.dim)
+    min_dim = max([2 * period] + [y.dim for _, _, y in sched.segments])
     dim = min_dim if dim is None else dim
     if dim < min_dim:
         raise ValidationError(
@@ -169,32 +218,25 @@ def shadow_point(
         )
 
     admissible = rl.weight_admissibility(B_w.weights).admissible
-    z = _pattern(sched, dim)
-    xi = _periodize(B_w, z, period)
+    xi = _periodize(B_w, _pattern(sched, dim)[np.newaxis, :], period)
+    targets = _padded([y for _, _, y in sched.segments], dim)
+    target_orbits = orbit_block(B_w, targets, sched.b_last + 1)
+    windows = [(a, b) for a, b, _ in sched.segments]
+    choice = np.arange(len(windows))[np.newaxis, :]
+    periodic, dev = _shadow_deviations(B_w, xi, period, windows, target_orbits, choice, space)
 
-    # exact periodicity on the window the truncation can represent
-    orbit_xi = orbit_block(B_w, xi[np.newaxis, :], period + 1)[0]
-    window = dim - period
-    periodicity_exact = bool(np.array_equal(orbit_xi[period][:window], xi[:window]))
-
-    space_id = xi_space_id = sched.segments[0][2].space_id
     tail = norm_tail_bound(dim, space)
-    steps = sched.b_last + 1
-    deviations = []
-    certified = periodicity_exact and admissible
-    for idx, (a, b, y) in enumerate(sched.segments):
-        ypad = np.zeros(dim, dtype=complex)
-        ypad[: y.dim] = y.coords
-        orbit_y = orbit_block(B_w, ypad[np.newaxis, :], steps)[0]
-        diffs = orbit_xi[a : b + 1] - orbit_y[a : b + 1]
-        dev = float(norm_block(diffs, space).max())
-        deviations.append((idx, dev))
-        if not (dev + tail < epsilon):
-            certified = False
+    deviations = tuple((idx, float(d)) for idx, d in enumerate(dev[0]))
+    periodicity_exact = bool(periodic[0])
+    certified = (
+        periodicity_exact
+        and admissible
+        and all(d + tail < epsilon for _, d in deviations)
+    )
     return ShadowReport(
-        xi=Vector(xi, xi_space_id),
+        xi=Vector(xi[0], sched.segments[0][2].space_id),
         period=period,
-        deviations=tuple(deviations),
+        deviations=deviations,
         tail_bound=tail,
         epsilon=epsilon,
         periodicity_exact=periodicity_exact,
@@ -263,6 +305,46 @@ def _direct_min_pairwise(
     return best
 
 
+def _family_shadows(
+    B_w: BackwardShift,
+    anchor_block: np.ndarray,
+    times: tuple[int, ...],
+    gap: int,
+    epsilon: float,
+    space: FAggregate,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Shadows of every tuple in anchors^n, in itertools.product order.
+
+    Segment i of a tuple is the single time t_i.  Only the m*n pieces (anchor
+    c's coordinates t_i+1 .. t_i+gap) are periodised; each shadow is the
+    exact sum of its n pieces, because the pieces and their periodic images
+    have disjoint supports (see the module docstring).  Returns the tuples
+    (F, n), the shadows (F, dim), their deviations (F, n) and their
+    certification flags (F,): the values `shadow_point` gives for each
+    tuple's own schedule.
+    """
+    m, dim = anchor_block.shape
+    n = len(times)
+    period = times[-1] + gap
+    pieces = np.zeros((n, m, dim), dtype=complex)
+    for i, t in enumerate(times):
+        pieces[i, :, t : t + gap] = anchor_block[:, t : t + gap]
+    periodised = _periodize(B_w, pieces.reshape(n * m, dim), period).reshape(n, m, dim)
+
+    combos = np.array(list(itertools.product(range(m), repeat=n)), dtype=np.intp)
+    xi = np.zeros((combos.shape[0], dim), dtype=complex)
+    for i in range(n):
+        xi += periodised[i, combos[:, i]]
+
+    anchor_orbits = orbit_block(B_w, anchor_block, times[-1] + 1)
+    windows = [(t, t) for t in times]
+    periodic, dev = _shadow_deviations(B_w, xi, period, windows, anchor_orbits, combos, space)
+    admissible = rl.weight_admissibility(B_w.weights).admissible
+    tail = norm_tail_bound(dim, space)
+    certified = periodic & (dev + tail < epsilon).all(axis=1) & admissible
+    return combos, xi, dev, certified
+
+
 def sp_separated_family(
     B_w: Operator,
     anchors,
@@ -275,11 +357,17 @@ def sp_separated_family(
     the resulting family is pairwise separated at scale epsilon.
 
     Anchors must be pairwise at least 3*epsilon apart in the aggregated
-    metric and fixed under B_w^k on the truncation interior.  The returned
-    sample is the family together with the anchors (duplicates collapsed).
-    Verification computes pairwise dynamical distances directly up to a size
-    cap; above it, certified triangle-inequality lower bounds stand in and
-    any pair failing the bound is re-checked directly.
+    metric and fixed under B_w^k on the truncation interior.  The shadows
+    are built in one batch (`_family_shadows`): the m*n single-segment
+    pieces are periodised once and summed per tuple, which is exact because
+    the pieces and their periodic images have disjoint supports, and one
+    stream of B_w over the family certifies every shadow.  A tuple whose
+    shadow fails certification is named, the first in product order.  The
+    returned sample is the family together with the anchors (duplicates
+    collapsed).  Verification computes pairwise dynamical distances
+    directly up to a size cap; above it, certified triangle-inequality
+    lower bounds stand in and any pair failing the bound is re-checked
+    directly.
     """
     if not isinstance(B_w, BackwardShift):
         raise ValidationError("families are built over weighted backward shifts")
@@ -294,35 +382,24 @@ def sp_separated_family(
         raise SampleSizeError(f"family size {m}**{n} exceeds {FAMILY_CAP}")
     N = sp_constant(epsilon)
     times = tuple(k * i * (N + 1) for i in range(n))
-    b_last = times[-1]
-    period = b_last + N
-    dim = max(2 * period, max(a.dim for a in anchors))
+    dim = max(2 * (times[-1] + N), max(a.dim for a in anchors))
 
-    if m > 1:
-        anchor_block = _padded(anchors, dim)
-        for i in range(m):
-            d = norm_block(anchor_block[i + 1 :] - anchor_block[i], space)
-            if i + 1 < m and float(d.min()) < 3 * epsilon:
-                raise ValidationError(
-                    "anchors closer than 3*epsilon cannot certify separation"
-                )
-
-    import itertools
-
-    reports = []
-    vectors = []
-    for combo in itertools.product(range(m), repeat=n):
-        segs = tuple((t, t, anchors[c]) for t, c in zip(times, combo))
-        rep = shadow_point(B_w, SegmentSchedule(segs, N), epsilon, space, dim=dim)
-        if not rep.certified:
-            raise ValidationError(
-                f"shadow for tuple {combo} failed certification"
-            )
-        reports.append((combo, rep))
-        vectors.append(rep.xi)
-
-    family_block = np.stack([v.coords for v in vectors])
     anchor_block = _padded(anchors, dim)
+    for i in range(m - 1):
+        d = norm_block(anchor_block[i + 1 :] - anchor_block[i], space)
+        if float(d.min()) < 3 * epsilon:
+            raise ValidationError(
+                "anchors closer than 3*epsilon cannot certify separation"
+            )
+    space = _aggregated_space(epsilon, space)
+
+    combos, family_block, dev, certified = _family_shadows(
+        B_w, anchor_block, times, N, epsilon, space
+    )
+    if not certified.all():
+        combo = tuple(int(c) for c in combos[np.argmin(certified)])
+        raise ValidationError(f"shadow for tuple {combo} failed certification")
+
     all_rows = np.concatenate([family_block, anchor_block], axis=0)
     # collapse duplicates, first occurrence wins (the all-zero tuple
     # reproduces the zero anchor); row_of maps original index -> kept row
@@ -349,9 +426,9 @@ def sp_separated_family(
                 f"family separation failed: min pairwise distance {min_pair:.6g} <= {epsilon}"
             )
     else:
-        anchor_rows = [row_of[len(vectors) + a] for a in range(m)]
+        anchor_rows = [row_of[len(family_block) + a] for a in range(m)]
         min_pair = _certificate_min_pairwise(
-            T_eff, dedup, anchor_rows, reports, anchors, dim, steps, space, epsilon
+            T_eff, dedup, anchor_rows, float(dev.max()), anchors, dim, steps, space, epsilon
         )
         verification = "certificate"
 
@@ -364,7 +441,7 @@ def sp_separated_family(
     )
     return SeparatedFamily(
         sample=sample,
-        family_size=len(vectors),
+        family_size=len(family_block),
         schedule_times=times,
         gap=N,
         epsilon=epsilon,
@@ -386,7 +463,7 @@ def _certificate_min_pairwise(
     T: Operator,
     dedup: np.ndarray,
     anchor_rows: list[int],
-    reports,
+    dev_max: float,
     anchors,
     dim: int,
     steps: int,
@@ -413,7 +490,6 @@ def _certificate_min_pairwise(
     for a in range(m - 1):
         d = norm_block(anchor_block[a + 1 :] - anchor_block[a], space)
         d_min_anchor = min(d_min_anchor, float(d.min()))
-    dev_max = max(max(d for _, d in rep.deviations) for _, rep in reports)
     global_bound = d_min_anchor - 2.0 * dev_max - 2.0 * drift_max
     if not (global_bound > epsilon):
         # certificate too weak: fall back to the exact (slow) scan

@@ -18,7 +18,7 @@ from . import rules as rl
 from .entropy import CompactSample
 from .errors import SampleSizeError, ValidationError
 from .operators import BackwardShift, batch_apply
-from .spaces import Lp, SpaceSpec, Vector, norm_block
+from .spaces import Lp, SpaceSpec, Vector
 
 EXHAUSTIVE_CAP = 100_000
 
@@ -181,14 +181,3 @@ def cube_sample(
     return CompactSample(
         points, max(resolution, 1e-300), label=f"cube(N={N},depth={depth})"
     )
-
-
-def cube_pairwise_separations(sample: CompactSample, base: SpaceSpec) -> float:
-    """Smallest pairwise base-norm distance inside an embedded cube (an
-    injectivity witness)."""
-    block = np.stack([p.coords for p in sample.points])
-    best = math.inf
-    for i in range(len(block) - 1):
-        d = norm_block(block[i + 1 :] - block[i], base)
-        best = min(best, float(d.min()))
-    return best

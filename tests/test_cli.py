@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from entrolab.cli import main
@@ -169,3 +170,24 @@ def test_verify_task(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["all_passed"] is True
     assert len(report["checks"]) >= 10
+
+
+def test_overflowed_orbit_exit_code(tmp_path):
+    config = {
+        "operator": {"kind": "diagonal", "eigenvalues": {"rule": "explicit", "values": [1e300]}},
+        "sample": {"kind": "grid", "shape": [3], "low": 1e10, "high": 3e10},
+        "n_range": {"lo": 1, "hi": 3},
+        "eps_list": [0.1],
+    }
+    code, _, report = run_cli(tmp_path, "estimate-entropy", config)
+    assert code == 3
+    assert report is None
+
+
+def test_bad_eigenpair_exit_code(tmp_path, monkeypatch):
+    wrong = (np.array([2.0, 5.0], dtype=complex), np.eye(2, dtype=complex))
+    monkeypatch.setattr(np.linalg, "eig", lambda a: wrong)
+    config = {"operator": {"kind": "dense", "entries": [[2, 0], [0, 3]]}}
+    code, _, report = run_cli(tmp_path, "spectral-entropy", config)
+    assert code == 3
+    assert report is None

@@ -18,6 +18,7 @@ from entrolab.entropy import (
     spectral_entropy,
 )
 from entrolab.errors import (
+    NonFiniteOrbitError,
     SampleSizeError,
     SaturationError,
     UncertifiedSpectrumError,
@@ -30,6 +31,7 @@ from entrolab.operators import (
     DirectSum,
     Scaled,
     SpectralData,
+    orbit_block,
     rotation_matrix,
     spectrum,
 )
@@ -398,3 +400,17 @@ def test_metric_uniformity_l2_vs_linf():
     s2 = entropy_estimate(sn_table(T, K2, ns, eps, L2)).h_estimate
     sinf = entropy_estimate(sn_table(T, Kinf, ns, eps, LINF)).h_estimate
     assert abs(s2 - sinf) <= 0.10 * max(s2, sinf)
+
+
+def test_overflowed_orbits_raise():
+    # 1e300 * 1e10 overflows at the first step; before the finiteness check
+    # the NaN distances counted as conflicts for n = 2 and as separated for
+    # n = 3, giving counts 3, 1, 3
+    T = Diagonal(ExplicitRule((1e300,)))
+    K = CompactSample(tuple(vector([v]) for v in (1e10, 2e10, 3e10)), 0.1)
+    assert len(greedy_separated(T, K, 1, 0.1, L2)) == 3
+    for n in (2, 3):
+        with pytest.raises(NonFiniteOrbitError):
+            greedy_separated(T, K, n, 0.1, L2)
+    with pytest.raises(NonFiniteOrbitError):
+        orbit_block(T, np.array([[1e10]]), 2)

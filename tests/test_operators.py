@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from entrolab.errors import (
     AmbiguousSpectrumError,
+    ConvergenceError,
     HeadroomError,
     SingularMatrixError,
     UnsupportedOperatorError,
@@ -409,3 +410,12 @@ def test_rolewicz_eigenvector_zero_lambda():
 def test_rolewicz_eigenvector_boundary_rejected():
     with pytest.raises(ValidationError):
         rolewicz_eigenvector(2.0, 2.0, 4)
+
+
+def test_bad_small_eigenpair_refused(monkeypatch):
+    # a wrong 2x2 eigenpair (5 is not an eigenvalue of diag(2, 3)) fails the
+    # residual gate, which applies at every dimension
+    wrong = (np.array([2.0, 5.0], dtype=complex), np.eye(2, dtype=complex))
+    monkeypatch.setattr(np.linalg, "eig", lambda a: wrong)
+    with pytest.raises(ConvergenceError, match="eigenpair residual"):
+        spectrum(DenseMatrix(np.diag([2.0, 3.0])))

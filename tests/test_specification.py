@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrolab.entropy import dyn_distance, sn_table
-from entrolab.errors import ScheduleError, ValidationError
+from entrolab.errors import NonFiniteOrbitError, ScheduleError, ValidationError
 from entrolab.operators import BackwardShift, apply, diagonal_matrix, rotation_matrix
 from entrolab.rules import ConstRule
 from entrolab.spaces import FAggregate, Lp, Vector, vector, zero_vector
@@ -20,6 +21,7 @@ from entrolab.specification import (
     sp_entropy_lower_bound,
     sp_separated_family,
 )
+from entrolab.specification import _family_shadows, _padded
 
 B2 = BackwardShift(ConstRule(2))
 FA = FAggregate(Lp(2.0))
@@ -141,6 +143,13 @@ def test_shadow_random_dyadic_schedules_certified(seed):
         assert dev + rep.tail_bound < eps
 
 
+def test_shadow_periodisation_overflow_raises():
+    # the forward shift divides by the weights: 1e-300 overflows in one step
+    sched = SegmentSchedule(((0, 0, vector([1.0])),), sp_constant(0.1))
+    with pytest.raises(NonFiniteOrbitError):
+        shadow_point(BackwardShift(ConstRule(1e-300)), sched, 0.1)
+
+
 # ---------------------------------------------------------------- families
 
 
@@ -201,6 +210,52 @@ def test_family_slope_dominates_lower_bound(m, n):
     est = entropy_estimate(table)
     bound = sp_entropy_lower_bound(m, fam.gap, 1)
     assert bound <= est.h_estimate * 1.10 + 1e-12
+
+
+def _anchor_family(B, m, n, k, eps=0.1):
+    N = sp_constant(eps)
+    times = tuple(k * i * (N + 1) for i in range(n))
+    dim = max(64, 4 * (times[-1] + N))
+    x1 = fixed_vector(B, dim)
+    anchors = [zero_vector(dim)] + [Vector(j * x1.coords) for j in range(1, m)]
+    return anchors, times, N, dim
+
+
+def _tuple_shadows(B, anchors, times, N, eps, dim):
+    for combo in itertools.product(range(len(anchors)), repeat=len(times)):
+        segs = tuple((t, t, anchors[c]) for t, c in zip(times, combo))
+        yield combo, shadow_point(B, SegmentSchedule(segs, N), eps, dim=dim)
+
+
+@pytest.mark.parametrize("weight", [2, 3])
+@pytest.mark.parametrize("m,n,k", [(2, 3, 1), (3, 2, 2), (4, 3, 1)])
+def test_family_batch_matches_tuple_shadows(m, n, k, weight):
+    # the batched family is the per-tuple shadows stacked, byte for byte;
+    # weight 3 is not dyadic, so most of its shadows fail certification
+    B = BackwardShift(ConstRule(weight))
+    eps = 0.1
+    anchors, times, N, dim = _anchor_family(B, m, n, k, eps)
+    combos, xi, dev, certified = _family_shadows(B, _padded(anchors, dim), times, N, eps, FA)
+    expected = list(_tuple_shadows(B, anchors, times, N, eps, dim))
+    assert [tuple(c) for c in combos] == [combo for combo, _ in expected]
+    assert xi.tobytes() == np.stack([rep.xi.coords for _, rep in expected]).tobytes()
+    assert dev.tolist() == [[d for _, d in rep.deviations] for _, rep in expected]
+    assert certified.tolist() == [rep.certified for _, rep in expected]
+
+
+def test_family_refuses_lp_space():
+    x1 = fixed_vector(B2, 64)
+    with pytest.raises(ValidationError, match="deviations are measured in the aggregated metric"):
+        sp_separated_family(B2, [zero_vector(64), x1], 2, 0.1, space=Lp(2.0))
+
+
+def test_family_names_first_uncertified_tuple():
+    B3 = BackwardShift(ConstRule(3))
+    anchors, times, N, dim = _anchor_family(B3, 3, 3, 1)
+    first = next(c for c, rep in _tuple_shadows(B3, anchors, times, N, 0.1, dim) if not rep.certified)
+    assert first == (0, 0, 1)
+    with pytest.raises(ValidationError, match=r"shadow for tuple \(0, 0, 1\) failed certification"):
+        sp_separated_family(B3, anchors, 3, 0.1)
 
 
 # ---------------------------------------------------------------- lower bound
