@@ -13,6 +13,7 @@ from .entropy import (
     greedy_separated,
     grid_sample,
     max_separated_exact,
+    near_pairs,
     sn_table,
     spectral_entropy,
 )

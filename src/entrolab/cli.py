@@ -10,7 +10,8 @@ config) and, for table-producing tasks, table.csv plus plot data; identical
 configs produce byte-identical reports.
 
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence
-(including orbits that leave the floating-point range) or saturation,
+(including orbits that leave the floating-point range and forward shifts
+that would underflow a nonzero coordinate) or saturation,
 4 uncertified result under --require-certified.
 """
 

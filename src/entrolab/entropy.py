@@ -8,6 +8,21 @@ only).  A table of counts over an (n, eps) grid feeds a least-squares slope
 of log s_n before saturation; the eps -> 0 limit stays represented by the
 full per-eps slope list, never a single collapsed number.
 
+Every pairwise question goes through one exact near-pair kernel,
+`near_pairs`: the pairs within a radius r, with their Bowen distances.
+Rows are hashed into cells on one or two (time, coordinate) keys whose
+differences bound the Bowen distance from below (|Re D_c(t)| in l^p,
+min(1, |D_c(t)|)(2^{1-c} - 2^{-dim}) under the aggregated norm), with cells
+r(1 + 1e-9) wide so rounding never splits a close pair across non-adjacent
+cells; only pairs in the same or adjacent cells get an exact distance,
+taken with the same `norm_block` arithmetic as a direct evaluation.  The
+greedy count of a whole (n, eps) table is one sweep per n over those
+pairs for every eps at once (`_sweep`); it keeps exactly the rows the
+per-eps scan keeps.  When the keys prune too little (more than
+PAIRS_PER_ROW predicted candidates per row and n, as on symbolic cubes whose
+coordinates take a few values) the table falls back to the witness scan
+`_greedy_indices`, whose eps columns may run on a thread pool.
+
 Spectral side: sum of multiplicity * log|lambda| over eigenvalues of
 modulus > 1 (zero if none), and the n*log(r) lower bound carried by n
 independent eigenvectors on a common modulus circle.
@@ -28,11 +43,18 @@ from .errors import (
     ValidationError,
 )
 from .operators import Operator, SpectralData, batch_apply, orbit_block, require_finite
-from .spaces import SpaceSpec, Vector, norm_block
+from .spaces import Lp, SpaceSpec, Vector, norm_block
 
 SATURATION_FRACTION = 0.95  # s >= 95% of |K| counts as saturated
 EXACT_SAMPLE_CAP = 24
 UNIT_CIRCLE_TOL = 1e-12  # moduli this close to 1 contribute no log+ term
+PAIR_BLOCK = 4096  # candidate pairs per exact-distance evaluation
+BLOCK_ELEMS = 2**16  # and at most this many coordinates (pairs * n * dim)
+KEY_MARGIN = 1e-9  # relative widening of every key window (see _key_cells)
+KEY_QUOTIENT_CAP = 2.0**21  # largest |key value| / cell width of a usable key
+JOINT_ROWS = 1024  # rows sampled to score keys
+PAIRS_PER_ROW = 256  # pair sweep up to this many predicted candidates per row and n
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -151,8 +173,234 @@ class _OrbitCache:
         return self._view[:, :steps, :]
 
 
+def bowen_distances(
+    orbits: np.ndarray, I: np.ndarray, J: np.ndarray, n: int, s: SpaceSpec
+) -> np.ndarray:
+    """Bowen distances max_{t<n} d(x_i(t), x_j(t)) of the row pairs (I, J)."""
+    return norm_block(orbits[I, :n] - orbits[J, :n], s).max(axis=1)
+
+
+def _key_cells(orbits: np.ndarray, r: float, s: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Cell indices (count, steps * keys per step, shifted to start at 0) of
+    the (time t, coordinate c) keys for the radius r, ordered by t, and
+    which of them are usable.
+
+    A key's value is Re x_c(t).  Its difference over a pair bounds the
+    pair's distance at time t from below: |Re D_c| <= d_t in l^p, and
+    min(1, |D_c|)(2^{1-c} - 2^{-dim}) <= d_t under the aggregated norm (the
+    partial norms of index i >= c all reach |D_c|), which bounds |D_c| only
+    while r < 2^{1-c} - 2^{-dim}.  Past that, coordinate 1 still bounds
+    every r below the saturated value U (the norm of a row whose partial
+    norms all reach 1): |D_1(t)| >= 1 makes d_t = U.  Cells are windows of
+    width r(1 + KEY_MARGIN), divided by the coefficient under the aggregated
+    norm (1 + KEY_MARGIN for the saturated key), so a pair at distance <= r
+    lies in the same or adjacent cells: the margin absorbs the relative
+    rounding of every norm (below 1e-12) and of the cell quotients, which
+    stays below 2^-31 because a key whose values exceed KEY_QUOTIENT_CAP
+    cell widths is void.
+    """
+    count, steps, dim = orbits.shape
+    widths = np.empty(0)
+    if _TINY <= r < math.inf:
+        width = r * (1.0 + KEY_MARGIN)
+        if isinstance(s, Lp):
+            widths = np.full(dim, width)
+        else:
+            coef = 2.0 ** (1 - np.arange(1, dim + 1)) - 2.0**-dim
+            widths = width / coef[width < coef]
+            if widths.size == 0 and r < float(norm_block(np.ones((1, dim)), s)[0]):
+                widths = np.array([1.0 + KEY_MARGIN])
+    cells = np.zeros((count, steps, widths.size), dtype=np.int32)
+    usable = np.zeros((steps, widths.size), dtype=bool)
+    for t in range(steps):  # one time slice at a time keeps the floats small
+        q = np.floor(orbits[:, t, : widths.size].real / widths)
+        lo, hi = q.min(axis=0), q.max(axis=0)
+        usable[t] = (lo >= -KEY_QUOTIENT_CAP) & (hi <= KEY_QUOTIENT_CAP)
+        cells[:, t, usable[t]] = (q - lo)[:, usable[t]]
+    return cells.reshape(count, -1), usable.ravel()
+
+
+def _pair_counts(codes: np.ndarray, offsets=(0,)) -> np.ndarray:
+    """Per column of cell codes, the pairs i < j whose codes differ by an
+    offset, give or take 1."""
+    counts = []
+    for col in codes.T:
+        sc = np.sort(col)
+        near = sum(
+            int(np.searchsorted(sc, sc + o + 1, "right").sum())
+            - int(np.searchsorted(sc, sc + o - 1, "left").sum())
+            for o in offsets
+        )
+        counts.append((near - sc.size) // 2)
+    return np.array(counts, dtype=np.int64)
+
+
+def _codes(cells: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """One sortable code per row for its (one or two) cells, and the code
+    offsets of the neighbouring cell rows: a row's candidates are the codes
+    within 1 of code + offset, for each offset."""
+    c = cells.astype(np.int64)
+    if c.shape[1] == 1:
+        return c[:, 0], (0,)
+    stride = int(c[:, 1].max()) + 3  # a cell's +-1 neighbours never alias
+    return c[:, 0] * stride + c[:, 1], (-stride, 0, stride)
+
+
+def _plan_keys(orbits: np.ndarray, n_values, r: float, s: SpaceSpec) -> list:
+    """Per n, the hashing plan with the fewest predicted candidate pairs, and
+    that prediction.
+
+    A plan is the cells of zero, one or two hashing keys (zero: all pairs)
+    and the cells of the filter keys, which every candidate must also share
+    or neighbour before its exact distance is taken.  The first key (t < n)
+    scores best on its own, the second best jointly with it; keys are scored
+    on every k-th row (at most JOINT_ROWS rows), the chosen plan on all
+    rows, each by counting pairs off sorted cell codes.  Filter keys are
+    every usable key, when they are few enough (at most a quarter of the
+    n * dim coordinates) to cost less than the distances they save.  All
+    pairs are the plan when no key prunes or when they fit one block.
+    """
+    count, _, dim = orbits.shape
+    everything = count * (count - 1) // 2
+    none = np.empty((count, 0), dtype=np.int32)
+    if everything <= PAIR_BLOCK:
+        return [((none, none), everything)] * len(n_values)
+    cells, usable = _key_cells(orbits[:, : max(n_values)], r, s)
+    if not usable.any():
+        return [((none, none), everything)] * len(n_values)
+    per_step = cells.shape[1] // max(n_values)
+    sub = cells[:: -(-count // JOINT_ROWS)].astype(np.int64)
+    stride = int(cells.max()) + 3
+    joint_offsets = (-stride, 0, stride)
+    single = np.where(usable, _pair_counts(sub), everything)
+    plans = []
+    for n in n_values:
+        cols = n * per_step
+        first = int(np.argmin(single[:cols]))
+        fewest = everything
+        if usable[first]:
+            fewest = int(_pair_counts(cells[:, [first]].astype(np.int64))[0])
+        if fewest >= everything:
+            plans.append(((none, none), everything))
+            continue
+        plan = [first]
+        if fewest:
+            joint = _pair_counts(sub[:, [first]] * stride + sub[:, :cols], joint_offsets)
+            second = int(np.argmin(np.where(usable[:cols], joint, everything)))
+            pair = cells[:, [first]].astype(np.int64) * stride + cells[:, [second]]
+            both = int(_pair_counts(pair, joint_offsets)[0])
+            if both < fewest:
+                plan, fewest = [first, second], both
+        keys = cells[:, :cols][:, usable[:cols]]
+        filters = keys if 4 * keys.shape[1] <= n * dim else none
+        plans.append(((cells[:, plan], filters), fewest))
+    return plans
+
+
+def _candidate_blocks(cells: np.ndarray):
+    """Candidate pairs (I, J), i < j, in blocks of consecutive rows i."""
+    count = cells.shape[0]
+    if cells.shape[1] == 0:
+        order = np.arange(count)
+        lo, hi = order[:, None] + 1, np.full((count, 1), count)
+    else:
+        codes, offsets = _codes(cells)
+        order = np.argsort(codes, kind="stable")
+        sc = codes[order]
+        lo = np.stack([np.searchsorted(sc, codes + o - 1, "left") for o in offsets], axis=1)
+        hi = np.stack([np.searchsorted(sc, codes + o + 1, "right") for o in offsets], axis=1)
+    lens = hi - lo
+    ends = np.cumsum(lens.sum(axis=1))
+    row = 0
+    while row < count:
+        done = int(ends[row - 1]) if row else 0
+        stop = max(row + 1, int(np.searchsorted(ends, done + 2 * PAIR_BLOCK, "right")))
+        span = lens[row:stop].ravel()
+        tails = np.cumsum(span)
+        J = order[np.arange(int(tails[-1])) - np.repeat(tails - span - lo[row:stop].ravel(), span)]
+        I = np.repeat(np.arange(row, stop), lens[row:stop].sum(axis=1))
+        pick = J > I
+        yield I[pick], J[pick]
+        row = stop
+
+
+def _near_pairs(orbits: np.ndarray, n: int, r: float, s: SpaceSpec, plan):
+    hashed, filters = plan
+    step = max(1, min(PAIR_BLOCK, BLOCK_ELEMS // (n * orbits.shape[2])))
+    for I, J in _candidate_blocks(hashed):
+        if filters.shape[1]:
+            near = (np.abs(filters[I] - filters[J]) <= 1).all(axis=1)
+            I, J = I[near], J[near]
+        for at in range(0, I.size, step):
+            i, j = I[at : at + step], J[at : at + step]
+            d = bowen_distances(orbits, i, j, n, s)
+            close = d <= r
+            yield i[close], j[close], d[close]
+
+
+def near_pairs(orbits: np.ndarray, n: int, r: float, s: SpaceSpec):
+    """Every row pair i < j of `orbits` (shape (count, steps >= n, dim))
+    whose Bowen distance over t < n is <= r, with that distance.
+
+    Yields blocks (I, J, D): I is nondecreasing over the whole stream, and
+    the j of one i come in cell order.  Candidates come from fixed-radius
+    near-neighbour cell hashing (Bentley, Stanat & Williams, IPL 6(6),
+    1977) on exact lower bounds of the Bowen distance (see `_key_cells` and
+    `_plan_keys`); D is computed by `bowen_distances`, bit for bit the
+    arithmetic of the witness scan, over at most PAIR_BLOCK pairs (and
+    BLOCK_ELEMS coordinates) at a time.
+    """
+    (plan, _), = _plan_keys(orbits, (n,), r, s)
+    yield from _near_pairs(orbits, n, r, s, plan)
+
+
+def _sweep(orbits: np.ndarray, n: int, eps: np.ndarray, s: SpaceSpec, plan) -> np.ndarray:
+    """Greedy scans for every eps at once: returns marked[eps, row], True
+    where the row is excluded.
+
+    Rows are walked in lexicographic order; a row unmarked for an eps is
+    kept for it and marks its later neighbours within that eps.  Marks only
+    come from earlier rows, so a row's mark is final when it is reached and
+    the kept rows are exactly those of the witness scan.
+    """
+    marked = np.zeros((eps.size, orbits.shape[0]), dtype=bool)
+    limit = eps[:, np.newaxis]
+    none_kept, all_kept = b"\x01" * eps.size, b"\x00" * eps.size
+    for I, J, D in _near_pairs(orbits, n, float(eps.max()), s, plan):
+        hits = D <= limit
+        starts = np.flatnonzero(np.diff(I, prepend=-1))
+        ends = np.append(starts[1:], I.size).tolist()
+        for i, a, b in zip(I[starts].tolist(), starts.tolist(), ends):
+            state = marked[:, i].tobytes()
+            if state == all_kept:
+                marked[:, J[a:b]] |= hits[:, a:b]
+            elif state != none_kept:
+                marked[:, J[a:b]] |= hits[:, a:b] & ~marked[:, i, np.newaxis]
+    return marked
+
+
+def _pair_plans(orbits: np.ndarray, n_values, r: float, s: SpaceSpec):
+    """Per-n key cells for the pair sweep, or None when the witness scan is
+    the cheaper path.
+
+    The sweep pays per candidate pair, the scan per row and eps.  Measured
+    on the N=3, depth-7 cube under l^inf (2 cores, numpy 2.4.6), the sweep
+    costs about 0.45 us per candidate and the scan about 215 us per row and
+    n: a break-even near 480 candidates per row and n, where that cube
+    predicts 685 (sweep 5.4 s, scan 3.8 s).  The N=4, depth-5 cube predicts
+    220 and already gains (0.48 s against 0.72 s); the c1 and benchmark
+    grids predict 25 to 121.  PAIRS_PER_ROW = 256 leaves margin for scans
+    that cost less per row.
+    """
+    plans = _plan_keys(orbits, n_values, r, s)
+    if sum(pred for _, pred in plans) > PAIRS_PER_ROW * orbits.shape[0] * len(n_values):
+        return None
+    return [plan for plan, _ in plans]
+
+
 def _greedy_indices(orbits: np.ndarray, eps: float, s: SpaceSpec) -> list[int]:
-    """Greedy maximal separated subset of the ordered sample.
+    """Greedy maximal separated subset of the ordered sample, by a witness
+    scan: the fallback of the pair sweep when no key prunes.
 
     orbits has shape (count, steps, dim).  A candidate is kept when its
     dynamical distance to every kept point exceeds eps.  Distances at the
@@ -200,24 +448,31 @@ def greedy_separated(
     Points are scanned in lexicographic coordinate order and kept when
     separated from everything kept so far; the result is deterministic and
     maximal (every excluded point violates separation with a kept one).
+    This is the one-cell case of `sn_table`: the pair sweep, or the witness
+    scan when the sample's keys do not prune.
     """
     if eps <= 0:
         raise ValidationError("separation scale eps must be positive")
     cache = _OrbitCache(T, K)
-    idx = _greedy_indices(cache.view(n), eps, s)
+    orbits = cache.view(n)
+    plans = _pair_plans(orbits, (n,), eps, s)
+    if plans is None:
+        idx = _greedy_indices(orbits, eps, s)
+    else:
+        idx = np.flatnonzero(~_sweep(orbits, n, np.array([eps]), s, plans[0])[0]).tolist()
     return [cache.points[i] for i in idx]
 
 
 def _conflict_masks(orbits: np.ndarray, eps: float, s: SpaceSpec) -> list[int]:
-    count = orbits.shape[0]
+    """Conflict graph (distance <= eps) as one bitmask per row, from one
+    all-pairs distance evaluation."""
+    count, n = orbits.shape[:2]
     masks = [0] * count
-    for i in range(count):
-        d = norm_block(orbits[i + 1 :] - orbits[i], s).max(axis=1)
-        for off, val in enumerate(d):
-            if val <= eps:
-                j = i + 1 + off
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
+    I, J = np.triu_indices(count, 1)
+    close = bowen_distances(orbits, I, J, n, s) <= eps
+    for i, j in zip(I[close].tolist(), J[close].tolist()):
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
     return masks
 
 
@@ -318,6 +573,28 @@ def _column_counts(
     return out
 
 
+def _swept_counts(
+    cache: _OrbitCache,
+    n_values: tuple[int, ...],
+    eps_values: tuple[float, ...],
+    s: SpaceSpec,
+    plans: list,
+) -> dict[float, dict[int, int]]:
+    """Greedy counts of every (n, eps) cell, one pair sweep per n.  Once no
+    pair lies within max(eps), every later n keeps every point (Bowen
+    distances only grow with n)."""
+    size = len(cache.points)
+    cols: dict[float, dict[int, int]] = {eps: {} for eps in eps_values}
+    eps = np.array(eps_values)
+    marked = None
+    for n, plan in zip(n_values, plans):
+        if marked is None or marked.any():
+            marked = _sweep(cache.view(n), n, eps, s, plan)
+        for e, cnt in zip(eps_values, (size - marked.sum(axis=1)).tolist()):
+            cols[e][n] = cnt
+    return cols
+
+
 def sn_table(
     T: Operator,
     K: CompactSample,
@@ -330,9 +607,18 @@ def sn_table(
 ) -> EntropyTable:
     """Fill the (n, eps) grid of separated-set counts.
 
-    Greedy counts can violate the monotonicity laws (nondecreasing in n,
-    nonincreasing in eps) in pathological scan orders; violations are
-    repaired by running maxima and flagged.
+    Greedy counts come from one pair sweep per n for every eps at once,
+    over the near pairs within max(eps) (`near_pairs`, `_sweep`): rows are
+    walked in lexicographic order, a row unmarked for an eps is kept and
+    marks its later neighbours within that eps.  Marks only come from
+    earlier rows, so each kept set is the one the per-eps scan keeps.  When
+    the sample's keys predict more than PAIRS_PER_ROW candidates per row
+    and n, the witness scan `_greedy_indices` runs instead, per eps column;
+    `threads` > 1 spreads those columns (and the exact method's) over a
+    thread pool and changes nothing else.  Greedy counts can violate the
+    monotonicity laws (nondecreasing in n, nonincreasing in eps) in
+    pathological scan orders; violations are repaired by running maxima and
+    flagged.
     """
     n_values = tuple(sorted(set(int(n) for n in n_range)))
     eps_values = tuple(sorted(set(float(e) for e in eps_list), reverse=True))
@@ -351,11 +637,16 @@ def sn_table(
 
     cache = _OrbitCache(T, K)
     cache.up_to(max(n_values))  # grow once; columns then share read-only orbits
+    plans = None
+    if method == "greedy":
+        plans = _pair_plans(cache.view(max(n_values)), n_values, eps_values[0], s)
 
     def column(eps: float) -> dict[int, int]:
         return _column_counts(cache, method, T, K, n_values, eps, s)
 
-    if threads > 1:
+    if plans is not None:
+        cols = _swept_counts(cache, n_values, eps_values, s, plans)
+    elif threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 Exit-code mapping used by the CLI: ValidationError and subclasses map to 2,
-ConvergenceError (NonFiniteOrbitError included) and SaturationError to 3,
+ConvergenceError (NonFiniteOrbitError and UnderflowError included) and
+SaturationError to 3,
 uncertified results (a report flag, not an exception) to 4 when
 --require-certified is set.
 """
@@ -61,6 +62,11 @@ class ConvergenceError(EntropyLabError):
 
 class NonFiniteOrbitError(ConvergenceError):
     """An orbit left the floating-point range (inf or nan coordinates)."""
+
+
+class UnderflowError(ConvergenceError):
+    """A nonzero coordinate would round into the subnormal range or to zero,
+    so an exact inverse (B_w F_w = I) could no longer be guaranteed."""
 
 
 class SaturationError(EntropyLabError):

@@ -29,6 +29,7 @@ from .errors import (
     HeadroomError,
     NonFiniteOrbitError,
     SingularMatrixError,
+    UnderflowError,
     UnsupportedOperatorError,
     ValidationError,
 )
@@ -57,7 +58,13 @@ class BackwardShift(Operator):
 
 @dataclass(frozen=True, eq=False)
 class ForwardShift(Operator):
-    """(F_w x)_{n+1} = x_n / w_{n+1}, first coordinate zero, so B_w F_w = I."""
+    """(F_w x)_{n+1} = x_n / w_{n+1}, first coordinate zero, so B_w F_w = I.
+
+    The identity is exact on the shift's domain: every nonzero coordinate
+    must keep a normal image.  An image that would round into the subnormal
+    range or flush to zero cannot be undone exactly, so it raises
+    UnderflowError instead.
+    """
 
     weights: rl.Rule
 
@@ -169,6 +176,7 @@ def batch_apply(T: Operator, block: np.ndarray) -> np.ndarray:
         w = rl.values(T.weights, dim + 1)
         out = np.zeros_like(block)
         out[..., 1:] = block[..., :-1] / w[1:dim]
+        _require_normal_images(block[..., :-1], out[..., 1:])
         return out
     if isinstance(T, Diagonal):
         L = rl.explicit_length(T.eigenvalues)
@@ -201,6 +209,16 @@ def batch_apply(T: Operator, block: np.ndarray) -> np.ndarray:
             block = batch_apply(T.base, block)
         return block
     raise ValidationError(f"unknown operator kind {type(T).__name__}")
+
+
+def _require_normal_images(src: np.ndarray, img: np.ndarray) -> None:
+    tiny = np.finfo(float).tiny
+    for part in (np.real, np.imag):
+        if np.any((part(src) != 0) & (np.abs(part(img)) < tiny)):
+            raise UnderflowError(
+                "forward shift would round a nonzero coordinate into the "
+                "subnormal range or to zero"
+            )
 
 
 def apply(T: Operator, x: Vector) -> Vector:

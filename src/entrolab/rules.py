@@ -107,9 +107,9 @@ def sup_abs(rule: Rule) -> float:
     return max(abs(v) for v in rule.values)
 
 
-def check_nonvanishing(rule: Rule, window: int = 64) -> None:
-    """Weight sequences must have no zero entry (checked on a window for
-    generators, exactly for explicit lists)."""
+def check_nonvanishing(rule: Rule) -> None:
+    """Weight sequences must have no zero entry (decided exactly for every
+    rule kind)."""
     if isinstance(rule, ExplicitRule):
         if any(v == 0 for v in rule.values):
             raise ValidationError("weight sequence contains a zero")

@@ -26,6 +26,8 @@ import numpy as np
 
 from .errors import SpaceMismatchError, ValidationError
 
+_TINY = np.finfo(float).tiny  # smallest normal double
+
 
 @dataclass(frozen=True)
 class Lp:
@@ -123,7 +125,11 @@ def norm_block(block: np.ndarray, space: SpaceSpec) -> np.ndarray:
 
     This is the vectorised workhorse behind `norm` and the separated-set
     counting loops; for FAggregate it returns the truncated sum over
-    i <= dim (see `norm_tail_bound`).
+    i <= dim (see `norm_tail_bound`).  Power sums are scale-safe by
+    detect-and-redo (Anderson, ACM TOMS 44(1), Algorithm 978): a row whose
+    power sum comes out 0, subnormal or inf while the row is nonzero is
+    recomputed scaled by a power of two; every other row keeps the plain
+    arithmetic bit for bit.  The l^inf and l^1 norms need no scaling.
     """
     a = np.abs(np.asarray(block))
     if isinstance(space, Lp):
@@ -132,20 +138,38 @@ def norm_block(block: np.ndarray, space: SpaceSpec) -> np.ndarray:
             return a.max(axis=-1)
         if p == 1.0:
             return a.sum(axis=-1)
-        if p == 2.0:
-            return np.sqrt((a * a).sum(axis=-1))
-        return (a**p).sum(axis=-1) ** (1.0 / p)
+        return _lp_norms(a, p, cumulative=False)
     p = space.base.p
     if math.isinf(p):
         partial = np.maximum.accumulate(a, axis=-1)
     elif p == 1.0:
         partial = np.cumsum(a, axis=-1)
-    elif p == 2.0:
-        partial = np.sqrt(np.cumsum(a * a, axis=-1))
     else:
-        partial = np.cumsum(a**p, axis=-1) ** (1.0 / p)
+        partial = _lp_norms(a, p, cumulative=True)
     weights = 2.0 ** -np.arange(1, a.shape[-1] + 1, dtype=float)
     return (weights * np.minimum(1.0, partial)).sum(axis=-1)
+
+
+def _power_roots(a: np.ndarray, p: float, cumulative: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(Partial) l^p norms of the rows of a = |block| and the rows' full
+    power sums."""
+    power = a * a if p == 2.0 else a**p
+    sums = np.cumsum(power, axis=-1) if cumulative else power.sum(axis=-1)
+    roots = np.sqrt(sums) if p == 2.0 else sums ** (1.0 / p)
+    return roots, sums[..., -1] if cumulative else sums
+
+
+def _lp_norms(a: np.ndarray, p: float, cumulative: bool) -> np.ndarray:
+    roots, sums = _power_roots(a, p, cumulative)
+    if sums.size and not (sums.min() >= _TINY and sums.max() < math.inf):
+        redo = ~((sums >= _TINY) & (sums < math.inf))
+        redo[redo] = a[redo].max(axis=-1) > 0
+        if redo.any():
+            rows = a[redo]
+            _, e = np.frexp(rows.max(axis=-1, keepdims=True))
+            scaled, _ = _power_roots(np.ldexp(rows, -e), p, cumulative)
+            roots[redo] = np.ldexp(scaled, e if cumulative else e[:, 0])
+    return roots
 
 
 def norm(v: Vector, s: SpaceSpec) -> float:

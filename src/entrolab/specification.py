@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rules as rl
-from .entropy import CompactSample
+from .entropy import CompactSample, bowen_distances, near_pairs
 from .errors import SampleSizeError, ScheduleError, ValidationError
 from .operators import (
     BackwardShift,
@@ -297,11 +297,18 @@ DIRECT_VERIFY_CAP = 2048
 def _direct_min_pairwise(
     T: Operator, block: np.ndarray, steps: int, space: SpaceSpec
 ) -> float:
+    """Exact minimum Bowen distance over all row pairs.
+
+    The first pair's distance bounds the minimum from above; any smaller
+    distance lies among the near pairs strictly inside that radius.
+    """
     orbits = orbit_block(T, block, steps)
-    best = math.inf
-    for i in range(block.shape[0] - 1):
-        d = norm_block(orbits[i + 1 :] - orbits[i], space).max(axis=1)
-        best = min(best, float(d.min()))
+    if block.shape[0] < 2:
+        return math.inf
+    best = float(bowen_distances(orbits, [0], [1], steps, space)[0])
+    for _, _, d in near_pairs(orbits, steps, float(np.nextafter(best, 0.0)), space):
+        if d.size:
+            best = min(best, float(d.min()))
     return best
 
 

@@ -146,6 +146,18 @@ def test_variational_gap_task(tmp_path):
     assert "periodic-orbit" in report["scope_note"]
 
 
+def test_shadow_underflow_exit_code(tmp_path):
+    # periodising a 1e-307 target divides it by 2 per forward step, into the
+    # subnormal range: refused with exit 3 rather than rounded
+    config = {
+        "weights": {"rule": "const", "value": 2},
+        "epsilon": 0.1,
+        "schedule": {"gap": 4, "segments": [{"a": 0, "b": 0, "y": [[1e-307, 0]] * 6}]},
+    }
+    code, _, _ = run_cli(tmp_path, "shadow", config)
+    assert code == 3
+
+
 def test_validation_exit_codes(tmp_path):
     code, _, _ = run_cli(tmp_path, "spectral-entropy", {"operator": {"kind": "mystery"}})
     assert code == 2

@@ -414,3 +414,179 @@ def test_overflowed_orbits_raise():
             greedy_separated(T, K, n, 0.1, L2)
     with pytest.raises(NonFiniteOrbitError):
         orbit_block(T, np.array([[1e10]]), 2)
+
+
+# ---------------------------------------------------------------- near-pair kernel
+
+from entrolab import entropy as en  # noqa: E402
+from entrolab.spaces import FAggregate, norm_block  # noqa: E402
+
+L3 = Lp(3.0)
+KERNEL_SPACES = [L1, L2, L3, LINF, FAggregate(L2), FAggregate(LINF)]
+
+
+def old_conflict_masks(orbits, eps, s):
+    """The per-row conflict graph the all-pairs call replaced."""
+    masks = [0] * orbits.shape[0]
+    for i in range(orbits.shape[0]):
+        d = norm_block(orbits[i + 1 :] - orbits[i], s).max(axis=1)
+        for off, val in enumerate(d):
+            if val <= eps:
+                masks[i] |= 1 << (i + 1 + off)
+                masks[i + 1 + off] |= 1 << i
+    return masks
+
+
+def kernel_sample(seed, dim, count, dyadic, rotate):
+    """Points and an operator: dyadic grids give equal key values and pairs
+    at distances exactly eps; a scaled rotation gives complex orbits."""
+    rng = np.random.default_rng(seed)
+    if dyadic:
+        pts = rng.integers(0, 256, size=(count, dim)) / 32.0
+    else:
+        pts = rng.random((count, dim))
+    if rotate and dim == 2:
+        T = Scaled(1.25, rotation_matrix(float(rng.uniform(0.1, 3.0))))
+    else:
+        T = Diagonal(ExplicitRule(tuple(float(v) for v in rng.choice([0.5, 1.0, 2.0], dim))))
+    pts = np.unique(pts, axis=0)
+    return T, CompactSample(tuple(vector(p) for p in pts), 0.1)
+
+
+def assert_pair_path_matches_scan(T, K, n_values, eps_values, s):
+    """Every cell's count and kept rows from the pair sweep equal the
+    witness scan's."""
+    cache = en._OrbitCache(T, K)
+    orbits = cache.view(max(n_values))
+    plans = [plan for plan, _ in en._plan_keys(orbits, n_values, eps_values[0], s)]
+    swept = en._swept_counts(cache, n_values, eps_values, s, plans)
+    for n, plan in zip(n_values, plans):
+        marked = en._sweep(cache.view(n), n, np.array(eps_values), s, plan)
+        for e, row in zip(eps_values, marked):
+            kept = en._greedy_indices(cache.view(n), e, s)
+            assert np.flatnonzero(~row).tolist() == kept
+            assert swept[e][n] == len(kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(KERNEL_SPACES),
+    st.integers(1, 3),
+    st.sampled_from([20, 140]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_pair_sweep_matches_witness_scan(seed, s, dim, count, dyadic, rotate):
+    T, K = kernel_sample(seed, dim, count, dyadic, rotate)
+    assert_pair_path_matches_scan(T, K, (1, 2, 4), (0.5, 0.25, 0.125), s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(KERNEL_SPACES), st.integers(1, 3), st.booleans())
+def test_near_pairs_are_every_close_pair(seed, s, dim, dyadic):
+    T, K = kernel_sample(seed, dim, 140, dyadic, rotate=True)
+    orbits = en._OrbitCache(T, K).view(3)
+    r = 0.25
+    ref = {}
+    for i in range(orbits.shape[0] - 1):
+        d = norm_block(orbits[i + 1 :] - orbits[i], s).max(axis=1)
+        for off in np.flatnonzero(d <= r):
+            ref[(i, i + 1 + int(off))] = d[off]
+    got = {}
+    last = -1
+    for bi, bj, bd in en.near_pairs(orbits, 3, r, s):
+        assert (bi < bj).all() and (bi >= last).all()
+        last = int(bi.max(initial=last))
+        got.update({(int(a), int(b)): d for a, b, d in zip(bi, bj, bd)})
+    assert got.keys() == ref.keys()
+    assert all(got[k] == ref[k] for k in ref)  # bit for bit
+
+
+def test_pair_sweep_conflict_at_exactly_eps():
+    # neighbours exactly eps apart conflict (d <= eps), so every other
+    # point of the 0.25-spaced line is kept
+    K = sample_of(np.arange(200) * 0.25)
+    kept = greedy_separated(IDENTITY_1D, K, 1, 0.25, L2)
+    assert [float(p.coords[0].real) for p in kept] == (np.arange(100) * 0.5).tolist()
+    assert_pair_path_matches_scan(IDENTITY_1D, K, (1, 2), (0.25,), L2)
+
+
+def test_pair_sweep_equal_keys_and_cell_edges():
+    w = 0.1 * (1 + en.KEY_MARGIN)
+    edges = np.arange(1, 60) * w
+    # equal first coordinates, and second coordinates on both sides of cell
+    # edges, one ulp apart
+    pts = [(0.5, v) for v in np.concatenate([np.nextafter(edges, 0), edges, np.nextafter(edges, 9)])]
+    K = sample_of(pts)
+    T = Diagonal(ExplicitRule((1.0, 1.0)))
+    for s in (L2, LINF, FAggregate(LINF)):
+        assert_pair_path_matches_scan(T, K, (1, 2), (0.1, 0.05), s)
+
+
+def test_faggregate_all_pairs_fallback():
+    # eps at or above every coefficient 2^(1-c) - 2^(-dim) and above the
+    # saturated value: no key bounds anything, so all pairs are evaluated
+    T, K = kernel_sample(3, 3, 140, dyadic=False, rotate=False)
+    s = FAggregate(L2)
+    orbits = en._OrbitCache(T, K).view(2)
+    for r in (1.0, 2.0):
+        _, usable = en._key_cells(orbits, r, s)
+        assert not usable.any()
+        ((hashed, filters), pred), = en._plan_keys(orbits, (2,), r, s)
+        assert hashed.shape[1] == filters.shape[1] == 0
+        assert pred == len(K) * (len(K) - 1) // 2
+    assert_pair_path_matches_scan(T, K, (1, 2), (2.0, 1.0, 0.7), s)
+
+
+def test_faggregate_saturated_key():
+    # below the saturated value U only coordinate 1 bounds the distance
+    # (window 1); rows whose partial norms all reach 1 sit exactly at U
+    s = FAggregate(L2)
+    for dim in (1, 3, 9, 64):
+        U = float(norm_block(np.ones((1, dim)), s)[0])
+        block = np.full((7, 3, dim), 1.5) * np.array([1, -1, 2])[:, None]
+        assert (norm_block(block, s) == U).all()
+        orbits = np.random.default_rng(dim).random((120, 2, dim)) * 3
+        _, usable = en._key_cells(orbits, float(np.nextafter(U, 0)), s)
+        assert usable.tolist() == [True, True]
+        r = float(np.nextafter(U, 0))
+        got = {(int(i), int(j)) for bi, bj, _ in en.near_pairs(orbits, 2, r, s) for i, j in zip(bi, bj)}
+        I, J = np.triu_indices(120, 1)
+        d = en.bowen_distances(orbits, I, J, 2, s)
+        assert got == {(int(i), int(j)) for i, j in zip(I[d <= r], J[d <= r])}
+
+
+def test_witness_fallback_when_keys_do_not_prune():
+    # every pair of 600 points lies within eps = 10: the predicted pairs per
+    # row exceed PAIRS_PER_ROW, so the table comes from the witness scan
+    K = sample_of(np.linspace(0, 1, 600))
+    cache = en._OrbitCache(IDENTITY_1D, K)
+    assert en._pair_plans(cache.view(2), (1, 2), 10.0, L2) is None
+    table = sn_table(IDENTITY_1D, K, [1, 2], [10.0, 0.01], L2)
+    assert table.s(1, 10.0) == 1
+    assert table.s(2, 0.01) == len(greedy_separated(IDENTITY_1D, K, 2, 0.01, L2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(KERNEL_SPACES), st.integers(1, 3), st.booleans())
+def test_conflict_masks_match_per_row_graph(seed, s, dim, rotate):
+    T, K = kernel_sample(seed, dim, 24, dyadic=seed % 2 == 0, rotate=rotate)
+    orbits = en._OrbitCache(T, K).view(3)
+    for eps in (0.125, 0.25, 0.5):
+        assert en._conflict_masks(orbits, eps, s) == old_conflict_masks(orbits, eps, s)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([FAggregate(L2), FAggregate(LINF)]))
+def test_filter_keys_keep_every_close_pair(seed, s):
+    # dim 8 under the aggregated norm: few coordinates give keys, so every
+    # usable key also filters the hashed candidates
+    rng = np.random.default_rng(seed)
+    pts = np.unique(rng.integers(0, 8, size=(150, 8)) / 4.0, axis=0)
+    K = CompactSample(tuple(vector(p) for p in pts), 0.1)
+    B = BackwardShift(ConstRule(2))
+    orbits = en._OrbitCache(B, K).view(3)
+    ((hashed, filters), _), = en._plan_keys(orbits, (3,), 0.3, s)
+    assert hashed.shape[1] >= 1 and filters.shape[1] >= 1
+    assert_pair_path_matches_scan(B, K, (1, 3), (0.3, 0.2), s)

@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrolab.errors import (
@@ -10,6 +11,7 @@ from entrolab.errors import (
     ConvergenceError,
     HeadroomError,
     SingularMatrixError,
+    UnderflowError,
     UnsupportedOperatorError,
     ValidationError,
 )
@@ -34,7 +36,7 @@ from entrolab.operators import (
     spectral_radius,
     spectrum,
 )
-from entrolab.rules import ConstRule, ExplicitRule, GeometricRule
+from entrolab.rules import ConstRule, ExplicitRule, GeometricRule, values
 from entrolab.spaces import Lp, basis_vector, vector
 
 B2 = BackwardShift(ConstRule(2))
@@ -86,6 +88,18 @@ def test_dense_dimension_mismatch():
         apply(DenseMatrix(np.eye(2)), vector([1, 2, 3]))
 
 
+def round_trip(coords, rule):
+    """B_w F_w x, or None where the forward shift correctly refuses x: some
+    nonzero coordinate would land below the normal range."""
+    x = vector(coords)
+    w = [abs(complex(v)) for v in values(rule, len(coords) + 1)[1:]]
+    if any(c != 0 and abs(c) / wc < sys.float_info.min for c, wc in zip(coords, w)):
+        with pytest.raises(UnderflowError):
+            apply(ForwardShift(rule), x)
+        return None
+    return apply(BackwardShift(rule), apply(ForwardShift(rule), x)).coords
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(
@@ -95,11 +109,12 @@ def test_dense_dimension_mismatch():
     ),
     st.sampled_from([ConstRule(2), GeometricRule(2), ConstRule(0.5)]),
 )
+@example(coords=[5e-324, 0.0], rule=ConstRule(2))
 def test_backward_inverts_forward_dyadic_exact(coords, rule):
     coords = coords[:-1] + [0.0]  # headroom for the forward shift
-    x = vector(coords)
-    back = apply(BackwardShift(rule), apply(ForwardShift(rule), x))
-    assert np.array_equal(back.coords, x.coords)
+    back = round_trip(coords, rule)
+    if back is not None:
+        assert np.array_equal(back, vector(coords).coords)
 
 
 @settings(max_examples=50, deadline=None)
@@ -111,11 +126,18 @@ def test_backward_inverts_forward_dyadic_exact(coords, rule):
     ),
     st.sampled_from([ConstRule(3), GeometricRule(1.5), ConstRule(0.7)]),
 )
+@example(coords=[5e-324, 0.0], rule=ConstRule(3))
 def test_backward_inverts_forward_general(coords, rule):
     coords = coords[:-1] + [0.0]
-    x = vector(coords)
-    back = apply(BackwardShift(rule), apply(ForwardShift(rule), x))
-    assert np.allclose(back.coords, x.coords, rtol=1e-14, atol=1e-300)
+    back = round_trip(coords, rule)
+    if back is not None:
+        assert np.allclose(back, vector(coords).coords, rtol=1e-14, atol=1e-300)
+
+
+def test_forward_shift_underflow_raises():
+    with pytest.raises(UnderflowError):
+        apply(ForwardShift(ConstRule(2)), vector([1e-308j, 0]))
+    assert apply(ForwardShift(ConstRule(2)), vector([1e-300, 0])).coords[1] == 5e-301
 
 
 # ---------------------------------------------------------------- power_norm
