@@ -13,7 +13,6 @@ from .entropy import (
     greedy_separated,
     grid_sample,
     max_separated_exact,
-    near_pairs,
     sn_table,
     spectral_entropy,
 )

@@ -19,9 +19,9 @@ taken with the same `norm_block` arithmetic as a direct evaluation.  The
 greedy count of a whole (n, eps) table is one sweep per n over those
 pairs for every eps at once (`_sweep`); it keeps exactly the rows the
 per-eps scan keeps.  When the keys prune too little (more than
-PAIRS_PER_ROW predicted candidates per row and n, as on symbolic cubes whose
-coordinates take a few values) the table falls back to the witness scan
-`_greedy_indices`, whose eps columns may run on a thread pool.
+PAIRS_PER_EPS predicted candidates per row, n and eps, as on symbolic
+cubes whose coordinates take a few values) the table falls back to the
+witness scan `_greedy_indices`, whose eps columns may run on a thread pool.
 
 Spectral side: sum of multiplicity * log|lambda| over eigenvalues of
 modulus > 1 (zero if none), and the n*log(r) lower bound carried by n
@@ -53,7 +53,7 @@ BLOCK_ELEMS = 2**16  # and at most this many coordinates (pairs * n * dim)
 KEY_MARGIN = 1e-9  # relative widening of every key window (see _key_cells)
 KEY_QUOTIENT_CAP = 2.0**21  # largest |key value| / cell width of a usable key
 JOINT_ROWS = 1024  # rows sampled to score keys
-PAIRS_PER_ROW = 256  # pair sweep up to this many predicted candidates per row and n
+PAIRS_PER_EPS = 160  # pair sweep up to this many predicted candidates per row, n and eps
 _TINY = np.finfo(float).tiny
 
 
@@ -235,6 +235,13 @@ def _pair_counts(codes: np.ndarray, offsets=(0,)) -> np.ndarray:
     return np.array(counts, dtype=np.int64)
 
 
+def _joint_codes(first: np.ndarray, second: np.ndarray, stride: int):
+    """Codes first * stride + second of two keys' cells, and the offsets of
+    the neighbouring cell rows.  With every second cell below stride - 2, a
+    cell's +-1 neighbours never alias."""
+    return first * stride + second, (-stride, 0, stride)
+
+
 def _codes(cells: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """One sortable code per row for its (one or two) cells, and the code
     offsets of the neighbouring cell rows: a row's candidates are the codes
@@ -242,8 +249,7 @@ def _codes(cells: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     c = cells.astype(np.int64)
     if c.shape[1] == 1:
         return c[:, 0], (0,)
-    stride = int(c[:, 1].max()) + 3  # a cell's +-1 neighbours never alias
-    return c[:, 0] * stride + c[:, 1], (-stride, 0, stride)
+    return _joint_codes(c[:, 0], c[:, 1], int(c[:, 1].max()) + 3)
 
 
 def _plan_keys(orbits: np.ndarray, n_values, r: float, s: SpaceSpec) -> list:
@@ -259,6 +265,13 @@ def _plan_keys(orbits: np.ndarray, n_values, r: float, s: SpaceSpec) -> list:
     every usable key, when they are few enough (at most a quarter of the
     n * dim coordinates) to cost less than the distances they save.  All
     pairs are the plan when no key prunes or when they fit one block.
+
+    Filters, measured with one thread (2 cores, numpy 2.4.6): they fire in
+    practice only under the aggregated norm, and there cut the `sp-family`
+    workload's task_s from 0.90 to 0.82 s (medians of 10 alternating runs,
+    quartile distance 0.04 s), the c5 family m=5, n=4 build from 3.7 to
+    1.4 s and the m=10, n=4 count from 9.0 to 1.1 s.  Filtering by every
+    key instead, on the l^p grids of `grid-slopes`, cost 25% of task_s.
     """
     count, _, dim = orbits.shape
     everything = count * (count - 1) // 2
@@ -271,7 +284,6 @@ def _plan_keys(orbits: np.ndarray, n_values, r: float, s: SpaceSpec) -> list:
     per_step = cells.shape[1] // max(n_values)
     sub = cells[:: -(-count // JOINT_ROWS)].astype(np.int64)
     stride = int(cells.max()) + 3
-    joint_offsets = (-stride, 0, stride)
     single = np.where(usable, _pair_counts(sub), everything)
     plans = []
     for n in n_values:
@@ -285,10 +297,10 @@ def _plan_keys(orbits: np.ndarray, n_values, r: float, s: SpaceSpec) -> list:
             continue
         plan = [first]
         if fewest:
-            joint = _pair_counts(sub[:, [first]] * stride + sub[:, :cols], joint_offsets)
+            joint = _pair_counts(*_joint_codes(sub[:, [first]], sub[:, :cols], stride))
             second = int(np.argmin(np.where(usable[:cols], joint, everything)))
-            pair = cells[:, [first]].astype(np.int64) * stride + cells[:, [second]]
-            both = int(_pair_counts(pair, joint_offsets)[0])
+            code, offsets = _codes(cells[:, [first, second]])
+            both = int(_pair_counts(code[:, np.newaxis], offsets)[0])
             if both < fewest:
                 plan, fewest = [first, second], both
         keys = cells[:, :cols][:, usable[:cols]]
@@ -379,21 +391,26 @@ def _sweep(orbits: np.ndarray, n: int, eps: np.ndarray, s: SpaceSpec, plan) -> n
     return marked
 
 
-def _pair_plans(orbits: np.ndarray, n_values, r: float, s: SpaceSpec):
+def _pair_plans(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec):
     """Per-n key cells for the pair sweep, or None when the witness scan is
     the cheaper path.
 
-    The sweep pays per candidate pair, the scan per row and eps.  Measured
-    on the N=3, depth-7 cube under l^inf (2 cores, numpy 2.4.6), the sweep
-    costs about 0.45 us per candidate and the scan about 215 us per row and
-    n: a break-even near 480 candidates per row and n, where that cube
-    predicts 685 (sweep 5.4 s, scan 3.8 s).  The N=4, depth-5 cube predicts
-    220 and already gains (0.48 s against 0.72 s); the c1 and benchmark
-    grids predict 25 to 121.  PAIRS_PER_ROW = 256 leaves margin for scans
-    that cost less per row.
+    The sweep pays per candidate pair within max(eps), once for every eps;
+    the scan pays per row, n and eps column.  Measured with one thread on
+    the N=3 (depth 7) and N=4 (depth 5) cubes under l^inf, for eps 0.4,
+    0.2 and 0.1 alone and for all three (2 cores, numpy 2.4.6), the sweep
+    cost 0.2-0.7 us per candidate and the scan 35-97 us per row, n and eps:
+    a break-even between 120 and 240 candidates per row, n and eps.
+    PAIRS_PER_EPS = 160 picks the faster path in all eight tables.  The
+    N=4 cube predicts 220 per row and n: alone, eps 0.4 takes the scan
+    (0.38 s, sweep 0.45 s); with all three eps it takes the sweep (0.49 s,
+    scan 0.79 s).  The c1 and benchmark grids predict 25 to 121.  A thread
+    pool shortens the scan (by 17% with two threads on the depth-7 cube),
+    which this one-thread budget does not count.
     """
-    plans = _plan_keys(orbits, n_values, r, s)
-    if sum(pred for _, pred in plans) > PAIRS_PER_ROW * orbits.shape[0] * len(n_values):
+    plans = _plan_keys(orbits, n_values, max(eps_values), s)
+    budget = PAIRS_PER_EPS * len(eps_values) * orbits.shape[0] * len(n_values)
+    if sum(pred for _, pred in plans) > budget:
         return None
     return [plan for plan, _ in plans]
 
@@ -455,7 +472,7 @@ def greedy_separated(
         raise ValidationError("separation scale eps must be positive")
     cache = _OrbitCache(T, K)
     orbits = cache.view(n)
-    plans = _pair_plans(orbits, (n,), eps, s)
+    plans = _pair_plans(orbits, (n,), (eps,), s)
     if plans is None:
         idx = _greedy_indices(orbits, eps, s)
     else:
@@ -612,10 +629,10 @@ def sn_table(
     walked in lexicographic order, a row unmarked for an eps is kept and
     marks its later neighbours within that eps.  Marks only come from
     earlier rows, so each kept set is the one the per-eps scan keeps.  When
-    the sample's keys predict more than PAIRS_PER_ROW candidates per row
-    and n, the witness scan `_greedy_indices` runs instead, per eps column;
-    `threads` > 1 spreads those columns (and the exact method's) over a
-    thread pool and changes nothing else.  Greedy counts can violate the
+    the sample's keys predict more than PAIRS_PER_EPS candidates per row,
+    n and eps, the witness scan `_greedy_indices` runs instead, per eps
+    column; `threads` > 1 spreads those columns (and the exact method's)
+    over a thread pool and changes nothing else.  Greedy counts can violate the
     monotonicity laws (nondecreasing in n, nonincreasing in eps) in
     pathological scan orders; violations are repaired by running maxima and
     flagged.
@@ -639,7 +656,7 @@ def sn_table(
     cache.up_to(max(n_values))  # grow once; columns then share read-only orbits
     plans = None
     if method == "greedy":
-        plans = _pair_plans(cache.view(max(n_values)), n_values, eps_values[0], s)
+        plans = _pair_plans(cache.view(max(n_values)), n_values, eps_values, s)
 
     def column(eps: float) -> dict[int, int]:
         return _column_counts(cache, method, T, K, n_values, eps, s)

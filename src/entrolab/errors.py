@@ -65,8 +65,8 @@ class NonFiniteOrbitError(ConvergenceError):
 
 
 class UnderflowError(ConvergenceError):
-    """A nonzero coordinate would round into the subnormal range or to zero,
-    so an exact inverse (B_w F_w = I) could no longer be guaranteed."""
+    """A forward shift would give a nonzero coordinate an image of modulus
+    below the normal range, so B_w could not restore it exactly."""
 
 
 class SaturationError(EntropyLabError):

@@ -36,6 +36,7 @@ from .errors import (
 from .spaces import FAggregate, Lp, SpaceSpec, Vector
 
 MAX_DENSE_DIM = 32
+_TINY = np.finfo(float).tiny  # smallest normal float
 
 # window of basis directions probed when a shift/diagonal rule has no
 # closed-form supremum
@@ -60,10 +61,12 @@ class BackwardShift(Operator):
 class ForwardShift(Operator):
     """(F_w x)_{n+1} = x_n / w_{n+1}, first coordinate zero, so B_w F_w = I.
 
-    The identity is exact on the shift's domain: every nonzero coordinate
-    must keep a normal image.  An image that would round into the subnormal
-    range or flush to zero cannot be undone exactly, so it raises
-    UnderflowError instead.
+    Applying it refuses, with UnderflowError, any nonzero coordinate whose
+    image has a modulus below the normal range: such an image has lost
+    bits (or flushed to zero) and B_w cannot restore x.  So for real
+    coordinates and power-of-two weights B_w F_w x = x holds exactly
+    wherever F_w returns.  `forward_shift_block` is the same action
+    without the refusal.
     """
 
     weights: rl.Rule
@@ -169,14 +172,12 @@ def batch_apply(T: Operator, block: np.ndarray) -> np.ndarray:
         out[..., :-1] = block[..., 1:] * w[1:dim]
         return out
     if isinstance(T, ForwardShift):
-        if np.any(block[..., -1] != 0):
-            raise HeadroomError(
-                "forward shift needs a zero last coordinate; extend the truncation"
+        out = forward_shift_block(T.weights, block)
+        if np.any((block[..., :-1] != 0) & (np.abs(out[..., 1:]) < _TINY)):
+            raise UnderflowError(
+                "forward shift would round a nonzero coordinate into the "
+                "subnormal range or to zero"
             )
-        w = rl.values(T.weights, dim + 1)
-        out = np.zeros_like(block)
-        out[..., 1:] = block[..., :-1] / w[1:dim]
-        _require_normal_images(block[..., :-1], out[..., 1:])
         return out
     if isinstance(T, Diagonal):
         L = rl.explicit_length(T.eigenvalues)
@@ -211,14 +212,19 @@ def batch_apply(T: Operator, block: np.ndarray) -> np.ndarray:
     raise ValidationError(f"unknown operator kind {type(T).__name__}")
 
 
-def _require_normal_images(src: np.ndarray, img: np.ndarray) -> None:
-    tiny = np.finfo(float).tiny
-    for part in (np.real, np.imag):
-        if np.any((part(src) != 0) & (np.abs(part(img)) < tiny)):
-            raise UnderflowError(
-                "forward shift would round a nonzero coordinate into the "
-                "subnormal range or to zero"
-            )
+def forward_shift_block(weights: rl.Rule, block: np.ndarray) -> np.ndarray:
+    """F_w on every row of a (count, dim) block, images below the normal
+    range included (they round, and may flush to zero)."""
+    block = np.asarray(block, dtype=complex)
+    dim = block.shape[-1]
+    if np.any(block[..., -1] != 0):
+        raise HeadroomError(
+            "forward shift needs a zero last coordinate; extend the truncation"
+        )
+    w = rl.values(weights, dim + 1)
+    out = np.zeros_like(block)
+    out[..., 1:] = block[..., :-1] / w[1:dim]
+    return out
 
 
 def apply(T: Operator, x: Vector) -> Vector:

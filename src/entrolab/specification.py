@@ -39,10 +39,10 @@ from .errors import SampleSizeError, ScheduleError, ValidationError
 from .operators import (
     BackwardShift,
     DenseMatrix,
-    ForwardShift,
     Operator,
     OperatorPower,
     batch_apply,
+    forward_shift_block,
     orbit_block,
     require_finite,
 )
@@ -132,15 +132,15 @@ def _pattern(sched: SegmentSchedule, dim: int) -> np.ndarray:
 
 def _periodize(B: BackwardShift, z: np.ndarray, period: int) -> np.ndarray:
     """Rows xi = sum_k F_w^{k*period} z of a (rows, dim) pattern block, by
-    explicit iterated forward shifts."""
-    F = ForwardShift(B.weights)
+    explicit iterated forward shifts.  The images only shrink, so a tail
+    that rounds below the normal range, or to zero, is kept as it rounds."""
     xi = z.copy()
     image = z.copy()
     reps = z.shape[-1] // period + 1
     for _ in range(reps):
         for _ in range(period):
             image[:, -1] = 0.0  # truncation headroom: top coordinate falls away
-            image = batch_apply(F, image)
+            image = forward_shift_block(B.weights, image)
         if not np.any(image):
             break
         xi = xi + image

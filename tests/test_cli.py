@@ -146,16 +146,31 @@ def test_variational_gap_task(tmp_path):
     assert "periodic-orbit" in report["scope_note"]
 
 
-def test_shadow_underflow_exit_code(tmp_path):
-    # periodising a 1e-307 target divides it by 2 per forward step, into the
-    # subnormal range: refused with exit 3 rather than rounded
+def test_shadow_complex_weights(tmp_path):
+    # weight 2i maps real coordinates to imaginary ones: the real part of an
+    # image is exactly zero while its modulus stays normal
     config = {
-        "weights": {"rule": "const", "value": 2},
+        "weights": {"rule": "const", "value": [0, 2]},
         "epsilon": 0.1,
-        "schedule": {"gap": 4, "segments": [{"a": 0, "b": 0, "y": [[1e-307, 0]] * 6}]},
+        "random_schedules": {"count": 6, "max_segments": 3},
     }
-    code, _, _ = run_cli(tmp_path, "shadow", config)
-    assert code == 3
+    code, _, report = run_cli(tmp_path, "shadow", config, "--seed", "5")
+    assert code == 0
+    assert report["count"] == 6
+
+
+@pytest.mark.parametrize("weight, gap", [(10, 160), (2, 520)])
+def test_shadow_long_period(tmp_path, weight, gap):
+    # the periodised images shrink by weight^period per period, past the
+    # normal range: their tails round toward zero and the shadow is built
+    config = {
+        "weights": {"rule": "const", "value": weight},
+        "epsilon": 0.1,
+        "schedule": {"gap": gap, "segments": [{"a": 0, "b": 0, "y": [[0.5, 0]] * 3}]},
+    }
+    code, _, report = run_cli(tmp_path, "shadow", config)
+    assert code == 0
+    assert report["reports"][0]["period"] == gap
 
 
 def test_validation_exit_codes(tmp_path):

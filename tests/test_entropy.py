@@ -420,6 +420,7 @@ def test_overflowed_orbits_raise():
 
 from entrolab import entropy as en  # noqa: E402
 from entrolab.spaces import FAggregate, norm_block  # noqa: E402
+from entrolab.symbolic import cube_sample  # noqa: E402
 
 L3 = Lp(3.0)
 KERNEL_SPACES = [L1, L2, L3, LINF, FAggregate(L2), FAggregate(LINF)]
@@ -558,14 +559,25 @@ def test_faggregate_saturated_key():
 
 
 def test_witness_fallback_when_keys_do_not_prune():
-    # every pair of 600 points lies within eps = 10: the predicted pairs per
-    # row exceed PAIRS_PER_ROW, so the table comes from the witness scan
-    K = sample_of(np.linspace(0, 1, 600))
+    # every pair of 800 points lies within eps = 10: the 399.5 predicted
+    # pairs per row and n exceed PAIRS_PER_EPS for each of the two eps, so
+    # the table comes from the witness scan
+    K = sample_of(np.linspace(0, 1, 800))
     cache = en._OrbitCache(IDENTITY_1D, K)
-    assert en._pair_plans(cache.view(2), (1, 2), 10.0, L2) is None
+    assert en._pair_plans(cache.view(2), (1, 2), (10.0, 0.01), L2) is None
     table = sn_table(IDENTITY_1D, K, [1, 2], [10.0, 0.01], L2)
     assert table.s(1, 10.0) == 1
     assert table.s(2, 0.01) == len(greedy_separated(IDENTITY_1D, K, 2, 0.01, L2))
+
+
+def test_pair_budget_scales_with_eps_count():
+    # the N=4, depth-5 cube predicts about 220 candidates per row and n at
+    # eps 0.4: above the budget of one eps column, within that of three
+    K = cube_sample(4, 5, ConstRule(2), base=LINF)
+    orbits = en._OrbitCache(BackwardShift(ConstRule(2)), K).view(6)
+    n_values = tuple(range(1, 7))
+    assert en._pair_plans(orbits, n_values, (0.4,), LINF) is None
+    assert en._pair_plans(orbits, n_values, (0.4, 0.2, 0.1), LINF) is not None
 
 
 @settings(max_examples=30, deadline=None)

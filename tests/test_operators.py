@@ -140,6 +140,14 @@ def test_forward_shift_underflow_raises():
     assert apply(ForwardShift(ConstRule(2)), vector([1e-300, 0])).coords[1] == 5e-301
 
 
+def test_forward_shift_complex_weight_normal_image():
+    # the image -0.5i has a zero real part but a normal modulus
+    image = apply(ForwardShift(ConstRule(2j)), vector([1, 0])).coords
+    assert np.array_equal(image, [0, -0.5j])
+    back = apply(BackwardShift(ConstRule(2j)), vector(image))
+    assert np.array_equal(back.coords, [1, 0])
+
+
 # ---------------------------------------------------------------- power_norm
 
 
