@@ -42,8 +42,8 @@ from .errors import (
     UncertifiedSpectrumError,
     ValidationError,
 )
-from .operators import Operator, SpectralData, batch_apply, orbit_block, require_finite
-from .spaces import Lp, SpaceSpec, Vector, norm_block
+from .operators import Operator, SpectralData, orbit_block
+from .spaces import Lp, SpaceSpec, Vector, norm_block, padded_block
 
 SATURATION_FRACTION = 0.95  # s >= 95% of |K| counts as saturated
 EXACT_SAMPLE_CAP = 24
@@ -111,12 +111,8 @@ def dyn_distance(T: Operator, x: Vector, y: Vector, n: int, s: SpaceSpec) -> flo
         raise ValidationError(f"dynamical distance needs n >= 1, got {n}")
     if x.space_id != y.space_id:
         raise SpaceMismatchError("points live in different spaces")
-    dim = max(x.dim, y.dim)
-    block = np.zeros((2, dim), dtype=complex)
-    block[0, : x.dim] = x.coords
-    block[1, : y.dim] = y.coords
-    orbits = orbit_block(T, block, n)
-    return float(norm_block(orbits[0] - orbits[1], s).max())
+    orbits = orbit_block(T, padded_block((x, y)), n)
+    return float(bowen_distances(orbits, [0], [1], n, s)[0])
 
 
 def _lex_order(points: tuple[Vector, ...]) -> list[int]:
@@ -127,50 +123,17 @@ def _lex_order(points: tuple[Vector, ...]) -> list[int]:
     return sorted(range(len(points)), key=key)
 
 
-def _padded_block(points: tuple[Vector, ...]) -> np.ndarray:
-    dim = max(p.dim for p in points)
-    block = np.zeros((len(points), dim), dtype=complex)
-    for i, p in enumerate(points):
-        block[i, : p.dim] = p.coords
-    return block
+def _sample_orbits(T: Operator, K: CompactSample, steps: int) -> tuple[list[Vector], np.ndarray]:
+    """The sample's points in lexicographic order and their orbits, shape
+    (count, steps, dim).
 
-
-class _OrbitCache:
-    """Orbits of the lexicographically ordered sample, grown on demand.
-
-    Real-valued samples under real operators are handed out as float arrays;
-    the norm machinery only sees magnitudes, so the counts are unchanged and
-    the arithmetic is twice as fast.
+    Real-valued orbits are handed out as a float array; the norm machinery
+    only sees magnitudes, so the counts are unchanged and the arithmetic is
+    twice as fast.
     """
-
-    def __init__(self, T: Operator, sample: CompactSample):
-        self.T = T
-        self.order = _lex_order(sample.points)
-        self.points = [sample.points[i] for i in self.order]
-        self.base = _padded_block(tuple(self.points))
-        self.orbits = self.base[:, np.newaxis, :]  # (count, steps, dim)
-        self._view: np.ndarray | None = None
-
-    def up_to(self, steps: int) -> np.ndarray:
-        have = self.orbits.shape[1]
-        if steps > have:
-            ext = np.empty(
-                (self.base.shape[0], steps, self.base.shape[1]), dtype=complex
-            )
-            ext[:, :have, :] = self.orbits
-            for i in range(have, steps):
-                ext[:, i, :] = batch_apply(self.T, ext[:, i - 1, :])
-            require_finite(ext[:, have:, :])
-            self.orbits = ext
-            self._view = None
-        return self.orbits[:, :steps, :]
-
-    def view(self, steps: int) -> np.ndarray:
-        self.up_to(steps)
-        if self._view is None:
-            arr = self.orbits
-            self._view = arr.real.copy() if not np.any(arr.imag) else arr
-        return self._view[:, :steps, :]
+    points = [K.points[i] for i in _lex_order(K.points)]
+    orbits = orbit_block(T, padded_block(points), steps)
+    return points, orbits if np.any(orbits.imag) else orbits.real.copy()
 
 
 def bowen_distances(
@@ -303,8 +266,9 @@ def _plan_keys(orbits: np.ndarray, n_values, r: float, s: SpaceSpec) -> list:
             both = int(_pair_counts(code[:, np.newaxis], offsets)[0])
             if both < fewest:
                 plan, fewest = [first, second], both
-        keys = cells[:, :cols][:, usable[:cols]]
-        filters = keys if 4 * keys.shape[1] <= n * dim else none
+        filters = none
+        if 4 * int(usable[:cols].sum()) <= n * dim:
+            filters = cells[:, :cols][:, usable[:cols]]
         plans.append(((cells[:, plan], filters), fewest))
     return plans
 
@@ -470,14 +434,13 @@ def greedy_separated(
     """
     if eps <= 0:
         raise ValidationError("separation scale eps must be positive")
-    cache = _OrbitCache(T, K)
-    orbits = cache.view(n)
+    points, orbits = _sample_orbits(T, K, n)
     plans = _pair_plans(orbits, (n,), (eps,), s)
     if plans is None:
         idx = _greedy_indices(orbits, eps, s)
     else:
         idx = np.flatnonzero(~_sweep(orbits, n, np.array([eps]), s, plans[0])[0]).tolist()
-    return [cache.points[i] for i in idx]
+    return [points[i] for i in idx]
 
 
 def _conflict_masks(orbits: np.ndarray, eps: float, s: SpaceSpec) -> list[int]:
@@ -525,10 +488,9 @@ def max_separated_exact(
         )
     if eps <= 0:
         raise ValidationError("separation scale eps must be positive")
-    cache = _OrbitCache(T, K)
-    masks = _conflict_masks(cache.view(n), eps, s)
-    best = _max_independent_set(masks)
-    return [cache.points[i] for i in range(len(K)) if best >> i & 1]
+    points, orbits = _sample_orbits(T, K, n)
+    best = _max_independent_set(_conflict_masks(orbits, eps, s))
+    return [points[i] for i in range(len(K)) if best >> i & 1]
 
 
 @dataclass(frozen=True)
@@ -560,10 +522,8 @@ class EntropyTable:
 
 
 def _column_counts(
-    cache: _OrbitCache,
+    orbits: np.ndarray,
     method: str,
-    T: Operator,
-    K: CompactSample,
     n_values: tuple[int, ...],
     eps: float,
     s: SpaceSpec,
@@ -572,17 +532,17 @@ def _column_counts(
     kept (separation only improves with n, so the count stays |K|)."""
     out: dict[int, int] = {}
     all_kept_from: int | None = None
-    size = len(K)
+    size = orbits.shape[0]
     for n in n_values:
         if all_kept_from is not None:
             out[n] = size
             continue
         if method == "greedy":
-            cnt = len(_greedy_indices(cache.view(n), eps, s))
+            cnt = len(_greedy_indices(orbits[:, :n], eps, s))
             if cnt == size:
                 all_kept_from = n
         else:
-            masks = _conflict_masks(cache.view(n), eps, s)
+            masks = _conflict_masks(orbits[:, :n], eps, s)
             cnt = _max_independent_set(masks).bit_count()
             if cnt == size:
                 all_kept_from = n
@@ -591,7 +551,7 @@ def _column_counts(
 
 
 def _swept_counts(
-    cache: _OrbitCache,
+    orbits: np.ndarray,
     n_values: tuple[int, ...],
     eps_values: tuple[float, ...],
     s: SpaceSpec,
@@ -600,13 +560,13 @@ def _swept_counts(
     """Greedy counts of every (n, eps) cell, one pair sweep per n.  Once no
     pair lies within max(eps), every later n keeps every point (Bowen
     distances only grow with n)."""
-    size = len(cache.points)
+    size = orbits.shape[0]
     cols: dict[float, dict[int, int]] = {eps: {} for eps in eps_values}
     eps = np.array(eps_values)
     marked = None
     for n, plan in zip(n_values, plans):
         if marked is None or marked.any():
-            marked = _sweep(cache.view(n), n, eps, s, plan)
+            marked = _sweep(orbits, n, eps, s, plan)
         for e, cnt in zip(eps_values, (size - marked.sum(axis=1)).tolist()):
             cols[e][n] = cnt
     return cols
@@ -652,17 +612,16 @@ def sn_table(
             f"exact method is capped at {EXACT_SAMPLE_CAP} points, got {len(K)}"
         )
 
-    cache = _OrbitCache(T, K)
-    cache.up_to(max(n_values))  # grow once; columns then share read-only orbits
+    _, orbits = _sample_orbits(T, K, max(n_values))  # columns share read-only orbits
     plans = None
     if method == "greedy":
-        plans = _pair_plans(cache.view(max(n_values)), n_values, eps_values, s)
+        plans = _pair_plans(orbits, n_values, eps_values, s)
 
     def column(eps: float) -> dict[int, int]:
-        return _column_counts(cache, method, T, K, n_values, eps, s)
+        return _column_counts(orbits, method, n_values, eps, s)
 
     if plans is not None:
-        cols = _swept_counts(cache, n_values, eps_values, s, plans)
+        cols = _swept_counts(orbits, n_values, eps_values, s, plans)
     elif threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 

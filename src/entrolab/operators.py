@@ -7,11 +7,11 @@ shortens support by one step, the forward shift needs one coordinate of
 headroom.
 
 Spectral machinery: operator-power norms on l^p (exact sliding-window
-products for shifts, singular values for dense blocks), Gelfand-style
+products for shifts, LAPACK singular values for dense blocks), Gelfand-style
 spectral-radius certificates, eigenvalue multisets, the mini-norm
-m(A) = inf{|Ax| : |x| = 1} = 1/|A^{-1}|, and the Riesz-style splitting of a
-matrix into unstable / center / stable invariant subspaces by eigenvalue
-modulus.
+m(A) = inf{|Ax| : |x| = 1} = 1/|A^{-1}| (LAPACK's smallest singular value),
+and the Riesz-style splitting of a matrix into unstable / center / stable
+invariant subspaces by eigenvalue modulus.
 """
 
 from __future__ import annotations
@@ -286,38 +286,12 @@ def _sup_window_product(weights: np.ndarray, n: int) -> float:
     return best
 
 
-def _sigma_max(A: np.ndarray, tol: float = 1e-12, max_iter: int = 200_000) -> float:
-    """Largest singular value by power iteration on A^H A."""
-    d = A.shape[0]
-    B = A.conj().T @ A
-    scale = float(np.abs(B).sum())
-    if scale == 0.0:
-        return 0.0
-    v = np.ones(d, dtype=complex) + np.linspace(0.0, 0.25, d)
-    v /= np.linalg.norm(v)
-    lam_prev = math.inf
-    for _ in range(max_iter):
-        w = B @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # started inside the nullspace; perturb deterministically
-            v = v + np.linspace(0.1, 0.9, d)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / nw
-        lam = float(np.real(np.vdot(v, B @ v)))
-        if abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
-            return math.sqrt(max(lam, 0.0))
-        lam_prev = lam
-    raise ConvergenceError("power iteration on A^H A did not converge")
-
-
 def power_norm(T: Operator, n: int, s: SpaceSpec | None = None, window: int = DEFAULT_WINDOW) -> float:
     """Operator norm of T^n.
 
     Shift and diagonal branches are the exact l^p closed forms evaluated over
     a representable window of basis directions; dense blocks use the largest
-    singular value of A^n in the Euclidean norm.
+    singular value of A^n in the Euclidean norm, from LAPACK's SVD.
     """
     if n < 1:
         raise ValidationError(f"power norm needs n >= 1, got {n}")
@@ -343,7 +317,7 @@ def power_norm(T: Operator, n: int, s: SpaceSpec | None = None, window: int = DE
             raise UnsupportedOperatorError("diagonal rule is unbounded")
         return sup**n
     if isinstance(T, DenseMatrix):
-        return _sigma_max(np.linalg.matrix_power(T.entries, n))
+        return float(np.linalg.norm(np.linalg.matrix_power(T.entries, n), 2))
     if isinstance(T, Scaled):
         return abs(T.alpha) ** n * power_norm(T.inner, n, s, window)
     if isinstance(T, DirectSum):
@@ -595,14 +569,11 @@ MINI_NORM_FLOOR = 1e-12
 
 
 def mini_norm(A: DenseMatrix) -> float:
-    """inf{|Ax| : |x| = 1} = smallest singular value = 1/|A^{-1}|."""
+    """inf{|Ax| : |x| = 1} = smallest singular value = 1/|A^{-1}|, taken
+    from LAPACK's SVD of A (no inverse is formed)."""
     if not isinstance(A, DenseMatrix):
         raise ValidationError("mini-norm is defined for dense matrices")
-    try:
-        inv = np.linalg.inv(A.entries)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"matrix is singular: {exc}") from exc
-    m = 1.0 / _sigma_max(inv)
+    m = float(np.linalg.svd(A.entries, compute_uv=False)[-1])
     if m <= MINI_NORM_FLOOR:
         raise SingularMatrixError(
             f"smallest singular value {m:.3e} is below the invertibility floor"
@@ -659,9 +630,11 @@ _NULLSPACE_RTOL = 1e-10
 
 
 def _nullspace(M: np.ndarray, rtol: float = _NULLSPACE_RTOL) -> np.ndarray:
-    """Orthonormal nullspace basis; threshold relative to the matrix scale."""
+    """Orthonormal nullspace basis: the singular values at most rtol times
+    max(|M|, 1) count as zero, so a matrix of norm below 1 is judged on the
+    absolute floor rtol."""
     _, sv, vh = np.linalg.svd(M)
-    scale = sv[0] if sv.size and sv[0] > 0 else 1.0
+    scale = max(float(sv[0]) if sv.size else 0.0, 1.0)
     rank = int(np.sum(sv > rtol * scale))
     return vh[rank:].conj().T
 

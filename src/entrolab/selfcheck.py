@@ -84,8 +84,9 @@ def _check_shift_inverse() -> bool:
 
 def _check_power_norm_submultiplicative() -> bool:
     rng = np.random.default_rng(2)
-    for _ in range(10):
-        A = DenseMatrix(rng.normal(size=(3, 3)))
+    mats = [DenseMatrix(rng.normal(size=(3, 3))) for _ in range(10)]
+    mats.append(diagonal_matrix(1, 1 - 1e-6))  # nearly equal top singular values
+    for A in mats:
         for m, n in ((1, 2), (2, 2), (1, 3)):
             if power_norm(A, m + n) > power_norm(A, m) * power_norm(A, n) * (1 + 1e-9):
                 return False
@@ -104,6 +105,8 @@ def _check_spectrum_rules() -> bool:
 def _check_mini_norm() -> bool:
     got = mini_norm(diagonal_matrix(2, 3))
     if abs(got - 2.0) > 1e-9:
+        return False
+    if abs(mini_norm(diagonal_matrix(1, 1 - 1e-6)) - (1 - 1e-6)) > 1e-12:
         return False
     inv_norm = float(np.linalg.svd(np.linalg.inv(diagonal_matrix(2, 3).entries), compute_uv=False)[0])
     return abs(got * inv_norm - 1.0) < 1e-10

@@ -128,8 +128,10 @@ def norm_block(block: np.ndarray, space: SpaceSpec) -> np.ndarray:
     i <= dim (see `norm_tail_bound`).  Power sums are scale-safe by
     detect-and-redo (Anderson, ACM TOMS 44(1), Algorithm 978): a row whose
     power sum comes out 0, subnormal or inf while the row is nonzero is
-    recomputed scaled by a power of two; every other row keeps the plain
-    arithmetic bit for bit.  The l^inf and l^1 norms need no scaling.
+    recomputed scaled by a power of two; under the aggregated norm the same
+    holds for every partial sum, each redone at its own prefix's scale.
+    Every other row keeps the plain arithmetic bit for bit.  The l^inf and
+    l^1 norms need no scaling.
     """
     a = np.abs(np.asarray(block))
     if isinstance(space, Lp):
@@ -151,24 +153,39 @@ def norm_block(block: np.ndarray, space: SpaceSpec) -> np.ndarray:
 
 
 def _power_roots(a: np.ndarray, p: float, cumulative: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(Partial) l^p norms of the rows of a = |block| and the rows' full
+    """(Partial) l^p norms of the rows of a = |block| and their (partial)
     power sums."""
     power = a * a if p == 2.0 else a**p
     sums = np.cumsum(power, axis=-1) if cumulative else power.sum(axis=-1)
     roots = np.sqrt(sums) if p == 2.0 else sums ** (1.0 / p)
-    return roots, sums[..., -1] if cumulative else sums
+    return roots, sums
 
 
 def _lp_norms(a: np.ndarray, p: float, cumulative: bool) -> np.ndarray:
     roots, sums = _power_roots(a, p, cumulative)
-    if sums.size and not (sums.min() >= _TINY and sums.max() < math.inf):
+    if not sums.size:
+        return roots
+    if cumulative:
+        # a partial sum below the normal range at a nonzero coordinate needs
+        # that coordinate's power below it too, so only coordinates under
+        # 2 tiny^(1/p) can flag a row
+        redo = sums[..., -1] == math.inf
+        small = (a > 0) & (a < 2.0 * _TINY ** (1.0 / p))
+        if small.any():
+            redo |= (small & (sums < _TINY)).any(axis=-1)
+        if redo.any():
+            rows = a[redo]
+            prefixes = [_lp_norms(rows[:, :k], p, False) for k in range(1, a.shape[-1] + 1)]
+            roots[redo] = np.stack(prefixes, axis=-1)
+        return roots
+    if not (sums.min() >= _TINY and sums.max() < math.inf):
         redo = ~((sums >= _TINY) & (sums < math.inf))
         redo[redo] = a[redo].max(axis=-1) > 0
         if redo.any():
             rows = a[redo]
             _, e = np.frexp(rows.max(axis=-1, keepdims=True))
-            scaled, _ = _power_roots(np.ldexp(rows, -e), p, cumulative)
-            roots[redo] = np.ldexp(scaled, e if cumulative else e[:, 0])
+            scaled, _ = _power_roots(np.ldexp(rows, -e), p, False)
+            roots[redo] = np.ldexp(scaled, e[:, 0])
     return roots
 
 
@@ -188,22 +205,28 @@ def norm_tail_bound(dim: int, s: SpaceSpec) -> float:
     return 2.0 ** -dim
 
 
-def _padded_difference(x: Vector, y: Vector) -> np.ndarray:
-    if x.space_id != y.space_id:
-        raise SpaceMismatchError(
-            f"vectors live in different spaces: {x.space_id!r} vs {y.space_id!r}"
-        )
-    d = max(x.dim, y.dim)
-    a = np.zeros(d, dtype=complex)
-    a[: x.dim] = x.coords
-    a[: y.dim] -= y.coords
-    return a
+def padded_block(vectors, dim: int | None = None) -> np.ndarray:
+    """Coordinates of the vectors as the rows of a (count, dim) complex block,
+    zero-padded to `dim` (default: the longest vector's dimension)."""
+    vectors = tuple(vectors)
+    dim = max(v.dim for v in vectors) if dim is None else dim
+    block = np.zeros((len(vectors), dim), dtype=complex)
+    for i, v in enumerate(vectors):
+        if v.dim > dim:
+            raise ValidationError("vector longer than the working truncation")
+        block[i, : v.dim] = v.coords
+    return block
 
 
 def distance(x: Vector, y: Vector, s: SpaceSpec) -> float:
     """Translation-invariant metric d(x, y) = |x - y|; shorter vector is
     zero-padded."""
-    return float(norm_block(_padded_difference(x, y)[np.newaxis, :], s)[0])
+    if x.space_id != y.space_id:
+        raise SpaceMismatchError(
+            f"vectors live in different spaces: {x.space_id!r} vs {y.space_id!r}"
+        )
+    block = padded_block((x, y))
+    return float(norm_block(block[:1] - block[1:], s)[0])
 
 
 def project(v: Vector, i: int) -> Vector:

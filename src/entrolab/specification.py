@@ -41,6 +41,7 @@ from .operators import (
     DenseMatrix,
     Operator,
     OperatorPower,
+    _nullspace,
     batch_apply,
     forward_shift_block,
     orbit_block,
@@ -53,6 +54,7 @@ from .spaces import (
     faggregate_l2,
     norm_block,
     norm_tail_bound,
+    padded_block,
 )
 
 FAMILY_CAP = 100_000
@@ -219,7 +221,7 @@ def shadow_point(
 
     admissible = rl.weight_admissibility(B_w.weights).admissible
     xi = _periodize(B_w, _pattern(sched, dim)[np.newaxis, :], period)
-    targets = _padded([y for _, _, y in sched.segments], dim)
+    targets = padded_block([y for _, _, y in sched.segments], dim)
     target_orbits = orbit_block(B_w, targets, sched.b_last + 1)
     windows = [(a, b) for a, b, _ in sched.segments]
     choice = np.arange(len(windows))[np.newaxis, :]
@@ -294,17 +296,16 @@ class SeparatedFamily:
 DIRECT_VERIFY_CAP = 2048
 
 
-def _direct_min_pairwise(
-    T: Operator, block: np.ndarray, steps: int, space: SpaceSpec
-) -> float:
-    """Exact minimum Bowen distance over all row pairs.
+def _direct_min_pairwise(space: SpaceSpec, orbits: np.ndarray) -> float:
+    """Exact minimum Bowen distance over all row pairs of the orbits
+    (shape (rows, steps, dim)), over all their steps.
 
     The first pair's distance bounds the minimum from above; any smaller
     distance lies among the near pairs strictly inside that radius.
     """
-    orbits = orbit_block(T, block, steps)
-    if block.shape[0] < 2:
+    if orbits.shape[0] < 2:
         return math.inf
+    steps = orbits.shape[1]
     best = float(bowen_distances(orbits, [0], [1], steps, space)[0])
     for _, _, d in near_pairs(orbits, steps, float(np.nextafter(best, 0.0)), space):
         if d.size:
@@ -391,13 +392,13 @@ def sp_separated_family(
     times = tuple(k * i * (N + 1) for i in range(n))
     dim = max(2 * (times[-1] + N), max(a.dim for a in anchors))
 
-    anchor_block = _padded(anchors, dim)
-    for i in range(m - 1):
-        d = norm_block(anchor_block[i + 1 :] - anchor_block[i], space)
-        if float(d.min()) < 3 * epsilon:
-            raise ValidationError(
-                "anchors closer than 3*epsilon cannot certify separation"
-            )
+    anchor_block = padded_block(anchors, dim)
+    d_min_anchor = min(
+        (float(norm_block(anchor_block[i + 1 :] - anchor_block[i], space).min()) for i in range(m - 1)),
+        default=math.inf,
+    )
+    if d_min_anchor < 3 * epsilon:
+        raise ValidationError("anchors closer than 3*epsilon cannot certify separation")
     space = _aggregated_space(epsilon, space)
 
     combos, family_block, dev, certified = _family_shadows(
@@ -426,7 +427,7 @@ def sp_separated_family(
     T_eff: Operator = B_w if k == 1 else OperatorPower(B_w, k)
     steps = (n - 1) * (N + 1) + 1  # Bowen window in T^k steps
     if dedup.shape[0] <= DIRECT_VERIFY_CAP:
-        min_pair = _direct_min_pairwise(T_eff, dedup, steps, space)
+        min_pair = _direct_min_pairwise(space, orbit_block(T_eff, dedup, steps))
         verification = "direct"
         if not (min_pair > epsilon):
             raise ValidationError(
@@ -435,7 +436,7 @@ def sp_separated_family(
     else:
         anchor_rows = [row_of[len(family_block) + a] for a in range(m)]
         min_pair = _certificate_min_pairwise(
-            T_eff, dedup, anchor_rows, float(dev.max()), anchors, dim, steps, space, epsilon
+            T_eff, dedup, anchor_rows, float(dev.max()), d_min_anchor, steps, space, epsilon
         )
         verification = "certificate"
 
@@ -457,22 +458,12 @@ def sp_separated_family(
     )
 
 
-def _padded(vectors, dim: int) -> np.ndarray:
-    block = np.zeros((len(vectors), dim), dtype=complex)
-    for i, v in enumerate(vectors):
-        if v.dim > dim:
-            raise ValidationError("vector longer than the working truncation")
-        block[i, : v.dim] = v.coords
-    return block
-
-
 def _certificate_min_pairwise(
     T: Operator,
     dedup: np.ndarray,
     anchor_rows: list[int],
     dev_max: float,
-    anchors,
-    dim: int,
+    d_min_anchor: float,
     steps: int,
     space: SpaceSpec,
     epsilon: float,
@@ -481,26 +472,23 @@ def _certificate_min_pairwise(
 
     Two shadows with tuples differing at schedule position p satisfy, at
     that time, d >= d(anchor, anchor') - dev - dev' - drift - drift', every
-    term a computed number.  The family-wide bound uses the worst of each
-    term; anchor-vs-family pairs are checked directly (linear cost).  Falls
-    back to the full direct scan when the global bound fails.
+    term a computed number (d_min_anchor is the smallest anchor distance).
+    The family-wide bound uses the worst of each term; anchor-vs-family
+    pairs are checked directly (linear cost).  Falls back to the full
+    direct scan when the global bound fails.  The anchors' orbits are rows
+    `anchor_rows` of the family's, grown once.
     """
-    m = len(anchors)
-    anchor_block = _padded(anchors, dim)
-    orbits_a = orbit_block(T, anchor_block, steps)
+    orbits = orbit_block(T, dedup, steps)
+    orbits_a = orbits[anchor_rows]
     drift_max = 0.0
     for t in range(steps):
         drift_max = max(
-            drift_max, float(norm_block(orbits_a[:, t, :] - anchor_block, space).max())
+            drift_max, float(norm_block(orbits_a[:, t, :] - orbits_a[:, 0, :], space).max())
         )
-    d_min_anchor = math.inf
-    for a in range(m - 1):
-        d = norm_block(anchor_block[a + 1 :] - anchor_block[a], space)
-        d_min_anchor = min(d_min_anchor, float(d.min()))
     global_bound = d_min_anchor - 2.0 * dev_max - 2.0 * drift_max
     if not (global_bound > epsilon):
         # certificate too weak: fall back to the exact (slow) scan
-        direct = _direct_min_pairwise(T, dedup, steps, space)
+        direct = _direct_min_pairwise(space, orbits)
         if not (direct > epsilon):
             raise ValidationError(
                 f"family separation failed: min pairwise distance {direct:.6g} <= {epsilon}"
@@ -508,10 +496,9 @@ def _certificate_min_pairwise(
         return direct
 
     # anchors against everything, directly
-    orbits_all = orbit_block(T, dedup, steps)
     best_direct = math.inf
     for r in anchor_rows:
-        d = norm_block(orbits_all - orbits_all[r], space).max(axis=1)
+        d = norm_block(orbits - orbits[r], space).max(axis=1)
         d[r] = math.inf
         best_direct = min(best_direct, float(d.min()))
     if not (best_direct > epsilon):
@@ -521,9 +508,6 @@ def _certificate_min_pairwise(
     return min(global_bound, best_direct)
 
 
-NULLSPACE_RTOL = 1e-10
-
-
 def linear_periodic_points(A: DenseMatrix, k: int) -> np.ndarray:
     """Orthonormal basis of N(A^k - I); empty when 0 is the only k-periodic
     point."""
@@ -531,9 +515,4 @@ def linear_periodic_points(A: DenseMatrix, k: int) -> np.ndarray:
         raise ValidationError("period must be >= 1")
     if not isinstance(A, DenseMatrix):
         raise ValidationError("periodic subspaces are computed for dense matrices")
-    d = A.d
-    M = np.linalg.matrix_power(A.entries, k) - np.eye(d)
-    _, sv, vh = np.linalg.svd(M)
-    scale = max(float(sv[0]) if sv.size else 0.0, 1.0)
-    rank = int(np.sum(sv > NULLSPACE_RTOL * scale))
-    return vh[rank:].conj().T
+    return _nullspace(np.linalg.matrix_power(A.entries, k) - np.eye(A.d))

@@ -457,14 +457,13 @@ def kernel_sample(seed, dim, count, dyadic, rotate):
 def assert_pair_path_matches_scan(T, K, n_values, eps_values, s):
     """Every cell's count and kept rows from the pair sweep equal the
     witness scan's."""
-    cache = en._OrbitCache(T, K)
-    orbits = cache.view(max(n_values))
+    _, orbits = en._sample_orbits(T, K, max(n_values))
     plans = [plan for plan, _ in en._plan_keys(orbits, n_values, eps_values[0], s)]
-    swept = en._swept_counts(cache, n_values, eps_values, s, plans)
+    swept = en._swept_counts(orbits, n_values, eps_values, s, plans)
     for n, plan in zip(n_values, plans):
-        marked = en._sweep(cache.view(n), n, np.array(eps_values), s, plan)
+        marked = en._sweep(orbits[:, :n], n, np.array(eps_values), s, plan)
         for e, row in zip(eps_values, marked):
-            kept = en._greedy_indices(cache.view(n), e, s)
+            kept = en._greedy_indices(orbits[:, :n], e, s)
             assert np.flatnonzero(~row).tolist() == kept
             assert swept[e][n] == len(kept)
 
@@ -487,7 +486,7 @@ def test_pair_sweep_matches_witness_scan(seed, s, dim, count, dyadic, rotate):
 @given(st.integers(0, 10_000), st.sampled_from(KERNEL_SPACES), st.integers(1, 3), st.booleans())
 def test_near_pairs_are_every_close_pair(seed, s, dim, dyadic):
     T, K = kernel_sample(seed, dim, 140, dyadic, rotate=True)
-    orbits = en._OrbitCache(T, K).view(3)
+    _, orbits = en._sample_orbits(T, K, 3)
     r = 0.25
     ref = {}
     for i in range(orbits.shape[0] - 1):
@@ -530,7 +529,7 @@ def test_faggregate_all_pairs_fallback():
     # saturated value: no key bounds anything, so all pairs are evaluated
     T, K = kernel_sample(3, 3, 140, dyadic=False, rotate=False)
     s = FAggregate(L2)
-    orbits = en._OrbitCache(T, K).view(2)
+    _, orbits = en._sample_orbits(T, K, 2)
     for r in (1.0, 2.0):
         _, usable = en._key_cells(orbits, r, s)
         assert not usable.any()
@@ -563,8 +562,8 @@ def test_witness_fallback_when_keys_do_not_prune():
     # pairs per row and n exceed PAIRS_PER_EPS for each of the two eps, so
     # the table comes from the witness scan
     K = sample_of(np.linspace(0, 1, 800))
-    cache = en._OrbitCache(IDENTITY_1D, K)
-    assert en._pair_plans(cache.view(2), (1, 2), (10.0, 0.01), L2) is None
+    _, orbits = en._sample_orbits(IDENTITY_1D, K, 2)
+    assert en._pair_plans(orbits, (1, 2), (10.0, 0.01), L2) is None
     table = sn_table(IDENTITY_1D, K, [1, 2], [10.0, 0.01], L2)
     assert table.s(1, 10.0) == 1
     assert table.s(2, 0.01) == len(greedy_separated(IDENTITY_1D, K, 2, 0.01, L2))
@@ -574,7 +573,7 @@ def test_pair_budget_scales_with_eps_count():
     # the N=4, depth-5 cube predicts about 220 candidates per row and n at
     # eps 0.4: above the budget of one eps column, within that of three
     K = cube_sample(4, 5, ConstRule(2), base=LINF)
-    orbits = en._OrbitCache(BackwardShift(ConstRule(2)), K).view(6)
+    _, orbits = en._sample_orbits(BackwardShift(ConstRule(2)), K, 6)
     n_values = tuple(range(1, 7))
     assert en._pair_plans(orbits, n_values, (0.4,), LINF) is None
     assert en._pair_plans(orbits, n_values, (0.4, 0.2, 0.1), LINF) is not None
@@ -584,7 +583,7 @@ def test_pair_budget_scales_with_eps_count():
 @given(st.integers(0, 10_000), st.sampled_from(KERNEL_SPACES), st.integers(1, 3), st.booleans())
 def test_conflict_masks_match_per_row_graph(seed, s, dim, rotate):
     T, K = kernel_sample(seed, dim, 24, dyadic=seed % 2 == 0, rotate=rotate)
-    orbits = en._OrbitCache(T, K).view(3)
+    _, orbits = en._sample_orbits(T, K, 3)
     for eps in (0.125, 0.25, 0.5):
         assert en._conflict_masks(orbits, eps, s) == old_conflict_masks(orbits, eps, s)
 
@@ -598,7 +597,7 @@ def test_filter_keys_keep_every_close_pair(seed, s):
     pts = np.unique(rng.integers(0, 8, size=(150, 8)) / 4.0, axis=0)
     K = CompactSample(tuple(vector(p) for p in pts), 0.1)
     B = BackwardShift(ConstRule(2))
-    orbits = en._OrbitCache(B, K).view(3)
+    _, orbits = en._sample_orbits(B, K, 3)
     ((hashed, filters), _), = en._plan_keys(orbits, (3,), 0.3, s)
     assert hashed.shape[1] >= 1 and filters.shape[1] >= 1
     assert_pair_path_matches_scan(B, K, (1, 3), (0.3, 0.2), s)

@@ -176,6 +176,21 @@ def test_power_norm_dense_2x2():
     assert 10.0 < got < 10.1
 
 
+# nearly equal singular values at the top or the bottom of the spectrum
+NEAR_DEGENERATE = {
+    "diag-1e-6": np.diag([1.0, 1.0 - 1e-6]),
+    "swap-1e-6": np.array([[0.0, 1.0], [1.0 - 1e-6, 0.0]]),
+    "diag2-1e-7": np.diag([2.0, 2.0 * (1.0 - 1e-7)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_DEGENERATE))
+def test_power_norm_dense_near_degenerate(name):
+    A = NEAR_DEGENERATE[name]
+    want = float(np.linalg.svd(A, compute_uv=False)[0])
+    assert power_norm(DenseMatrix(A), 1) == pytest.approx(want, rel=1e-12)
+
+
 def test_power_norm_rejects_zero():
     with pytest.raises(ValidationError):
         power_norm(B2, 0)
@@ -318,6 +333,13 @@ def test_mini_norm_closed_form_2x2():
     assert mini_norm(DenseMatrix(A)) == pytest.approx(lo, rel=1e-10)
 
 
+@pytest.mark.parametrize("name", sorted(NEAR_DEGENERATE))
+def test_mini_norm_near_degenerate(name):
+    A = NEAR_DEGENERATE[name]
+    want = float(np.linalg.svd(A, compute_uv=False)[-1])
+    assert mini_norm(DenseMatrix(A)) == pytest.approx(want, rel=1e-12)
+
+
 def test_mini_norm_singular_rejected():
     with pytest.raises(SingularMatrixError):
         mini_norm(DenseMatrix(np.array([[1.0, 2.0], [2.0, 4.0]])))
@@ -350,6 +372,10 @@ def test_contraction_power_transient_growth():
             break
     rep = contraction_power(DenseMatrix(A))
     assert rep.n == expected is not None
+
+
+def test_contraction_power_near_degenerate():
+    assert contraction_power(diagonal_matrix(0.999, 0.999 * (1 - 1e-6))).n == 1
 
 
 def test_contraction_power_expanding():

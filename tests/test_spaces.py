@@ -59,6 +59,8 @@ def test_norm_block_scale_safe():
     assert norm(vector([1e-200]), Lp(3.0)) == pytest.approx(1e-200, rel=1e-15)
     assert norm(vector([1e-200]), FAggregate(Lp(3.0))) == pytest.approx(5e-201, rel=1e-15)
     assert norm(vector([1e-160, 1e-160]), L2) == pytest.approx(math.sqrt(2) * 1e-160, rel=1e-15)
+    # the first partial norm underflows although the full power sum does not
+    assert norm(vector([1e-4, 0.5]), FAggregate(Lp(100.0))) == pytest.approx(0.12505, rel=1e-15)
 
 
 def test_norm_block_in_range_rows_unchanged():

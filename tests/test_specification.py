@@ -10,7 +10,7 @@ from entrolab.entropy import dyn_distance, sn_table
 from entrolab.errors import NonFiniteOrbitError, ScheduleError, ValidationError
 from entrolab.operators import BackwardShift, apply, diagonal_matrix, rotation_matrix
 from entrolab.rules import ConstRule
-from entrolab.spaces import FAggregate, Lp, Vector, vector, zero_vector
+from entrolab.spaces import FAggregate, Lp, Vector, padded_block, vector, zero_vector
 from entrolab.specification import (
     SegmentSchedule,
     fixed_vector,
@@ -21,7 +21,7 @@ from entrolab.specification import (
     sp_entropy_lower_bound,
     sp_separated_family,
 )
-from entrolab.specification import _family_shadows, _padded
+from entrolab.specification import _family_shadows
 
 B2 = BackwardShift(ConstRule(2))
 FA = FAggregate(Lp(2.0))
@@ -235,7 +235,7 @@ def test_family_batch_matches_tuple_shadows(m, n, k, weight):
     B = BackwardShift(ConstRule(weight))
     eps = 0.1
     anchors, times, N, dim = _anchor_family(B, m, n, k, eps)
-    combos, xi, dev, certified = _family_shadows(B, _padded(anchors, dim), times, N, eps, FA)
+    combos, xi, dev, certified = _family_shadows(B, padded_block(anchors, dim), times, N, eps, FA)
     expected = list(_tuple_shadows(B, anchors, times, N, eps, dim))
     assert [tuple(c) for c in combos] == [combo for combo, _ in expected]
     assert xi.tobytes() == np.stack([rep.xi.coords for _, rep in expected]).tobytes()
@@ -289,6 +289,12 @@ def test_periodic_points_rotation_full():
     A = rotation_matrix(2 * math.pi / 5)
     assert linear_periodic_points(A, 5).shape[1] == 2
     assert linear_periodic_points(A, 3).shape[1] == 0
+
+
+def test_periodic_points_absolute_floor():
+    # A - I has norm 1e-12: below the absolute floor, so both directions
+    # count as periodic, not just the one the relative threshold keeps
+    assert linear_periodic_points(diagonal_matrix(1, 1 + 1e-12), 1).shape[1] == 2
 
 
 def test_periodic_points_partial():
