@@ -16,12 +16,15 @@ min(1, |D_c(t)|)(2^{1-c} - 2^{-dim}) under the aggregated norm), with cells
 r(1 + 1e-9) wide so rounding never splits a close pair across non-adjacent
 cells; only pairs in the same or adjacent cells get an exact distance,
 taken with the same `norm_block` arithmetic as a direct evaluation.  The
-greedy count of a whole (n, eps) table is one sweep per n over those
-pairs for every eps at once (`_sweep`); it keeps exactly the rows the
-per-eps scan keeps.  When the keys prune too little (more than
-PAIRS_PER_EPS predicted candidates per row, n and eps, as on symbolic
-cubes whose coordinates take a few values) the table falls back to the
-witness scan `_greedy_indices`, whose eps columns may run on a thread pool.
+greedy count of a whole (n, eps) table is one carried pass
+(`_carried_marks`): the pairs within max(eps) at the smallest n are found
+once, each block of them is carried through the later n by extending its
+running maximum one time slice at a time and dropping the pairs that leave
+max(eps), and every (n, eps) cell is swept from the survivors; it keeps
+exactly the rows the per-cell scan keeps.  When the pairs barely drop and
+barely prune (more than SCAN_ROW_PAIRS pair evaluations per row, n and eps,
+as for an isometry with one large eps) the table falls back to the witness
+scan `_greedy_indices`, decided once before the pass (`_carry_plan`).
 
 Spectral side: sum of multiplicity * log|lambda| over eigenvalues of
 modulus > 1 (zero if none), and the n*log(r) lower bound carried by n
@@ -53,7 +56,7 @@ BLOCK_ELEMS = 2**16  # and at most this many coordinates (pairs * n * dim)
 KEY_MARGIN = 1e-9  # relative widening of every key window (see _key_cells)
 KEY_QUOTIENT_CAP = 2.0**21  # largest |key value| / cell width of a usable key
 JOINT_ROWS = 1024  # rows sampled to score keys
-PAIRS_PER_EPS = 160  # pair sweep up to this many predicted candidates per row, n and eps
+SCAN_ROW_PAIRS = 500  # pair evaluations costing about one witness-scan row per n and eps
 _TINY = np.finfo(float).tiny
 
 
@@ -215,9 +218,9 @@ def _codes(cells: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     return _joint_codes(c[:, 0], c[:, 1], int(c[:, 1].max()) + 3)
 
 
-def _plan_keys(orbits: np.ndarray, n_values, r: float, s: SpaceSpec) -> list:
-    """Per n, the hashing plan with the fewest predicted candidate pairs, and
-    that prediction.
+def _plan_keys(orbits: np.ndarray, n: int, r: float, s: SpaceSpec):
+    """The hashing plan for the pairs within r over t < n with the fewest
+    predicted candidate pairs, and that prediction.
 
     A plan is the cells of zero, one or two hashing keys (zero: all pairs)
     and the cells of the filter keys, which every candidate must also share
@@ -240,37 +243,27 @@ def _plan_keys(orbits: np.ndarray, n_values, r: float, s: SpaceSpec) -> list:
     everything = count * (count - 1) // 2
     none = np.empty((count, 0), dtype=np.int32)
     if everything <= PAIR_BLOCK:
-        return [((none, none), everything)] * len(n_values)
-    cells, usable = _key_cells(orbits[:, : max(n_values)], r, s)
+        return (none, none), everything
+    cells, usable = _key_cells(orbits[:, :n], r, s)
     if not usable.any():
-        return [((none, none), everything)] * len(n_values)
-    per_step = cells.shape[1] // max(n_values)
+        return (none, none), everything
     sub = cells[:: -(-count // JOINT_ROWS)].astype(np.int64)
-    stride = int(cells.max()) + 3
-    single = np.where(usable, _pair_counts(sub), everything)
-    plans = []
-    for n in n_values:
-        cols = n * per_step
-        first = int(np.argmin(single[:cols]))
-        fewest = everything
-        if usable[first]:
-            fewest = int(_pair_counts(cells[:, [first]].astype(np.int64))[0])
-        if fewest >= everything:
-            plans.append(((none, none), everything))
-            continue
-        plan = [first]
-        if fewest:
-            joint = _pair_counts(*_joint_codes(sub[:, [first]], sub[:, :cols], stride))
-            second = int(np.argmin(np.where(usable[:cols], joint, everything)))
-            code, offsets = _codes(cells[:, [first, second]])
-            both = int(_pair_counts(code[:, np.newaxis], offsets)[0])
-            if both < fewest:
-                plan, fewest = [first, second], both
-        filters = none
-        if 4 * int(usable[:cols].sum()) <= n * dim:
-            filters = cells[:, :cols][:, usable[:cols]]
-        plans.append(((cells[:, plan], filters), fewest))
-    return plans
+    first = int(np.argmin(np.where(usable, _pair_counts(sub), everything)))
+    fewest = everything
+    if usable[first]:
+        fewest = int(_pair_counts(cells[:, [first]].astype(np.int64))[0])
+    if fewest >= everything:
+        return (none, none), everything
+    plan = [first]
+    if fewest:
+        joint = _pair_counts(*_joint_codes(sub[:, [first]], sub, int(cells.max()) + 3))
+        second = int(np.argmin(np.where(usable, joint, everything)))
+        code, offsets = _codes(cells[:, [first, second]])
+        both = int(_pair_counts(code[:, np.newaxis], offsets)[0])
+        if both < fewest:
+            plan, fewest = [first, second], both
+    filters = cells[:, usable] if 4 * int(usable.sum()) <= n * dim else none
+    return (cells[:, plan], filters), fewest
 
 
 def _candidate_blocks(cells: np.ndarray):
@@ -326,62 +319,137 @@ def near_pairs(orbits: np.ndarray, n: int, r: float, s: SpaceSpec):
     arithmetic of the witness scan, over at most PAIR_BLOCK pairs (and
     BLOCK_ELEMS coordinates) at a time.
     """
-    (plan, _), = _plan_keys(orbits, (n,), r, s)
+    plan, _ = _plan_keys(orbits, n, r, s)
     yield from _near_pairs(orbits, n, r, s, plan)
 
 
-def _sweep(orbits: np.ndarray, n: int, eps: np.ndarray, s: SpaceSpec, plan) -> np.ndarray:
-    """Greedy scans for every eps at once: returns marked[eps, row], True
-    where the row is excluded.
+def _carried_pairs(orbits: np.ndarray, n_values, r: float, s: SpaceSpec, plan):
+    """The pairs within r at every n of the ascending `n_values`, as blocks
+    (k, I, J, D) with D the Bowen distance over t < n_values[k].
 
-    Rows are walked in lexicographic order; a row unmarked for an eps is
-    kept for it and marks its later neighbours within that eps.  Marks only
-    come from earlier rows, so a row's mark is final when it is reached and
-    the kept rows are exactly those of the witness scan.
+    The pairs within r at n_values[0] are streamed from `_near_pairs`.  The
+    pairs within r at n_values[k - 1] gather into blocks of at most
+    min(PAIR_BLOCK, BLOCK_ELEMS / dim) pairs, and a block is carried to
+    n_values[k] when the next would overfill it or the stream ends: its
+    running maximum D is extended by one time slice at a time (every slice
+    in between when `n_values` skips some) and its pairs beyond r are
+    dropped, since Bowen distances only grow with n.
+    Gathered blocks keep their order, so for every k the blocks come in
+    nondecreasing I.  `norm_block` works row by row and max is exact, so D
+    equals `bowen_distances` bit for bit.  At most one gathering block per
+    n is held.
     """
-    marked = np.zeros((eps.size, orbits.shape[0]), dtype=bool)
+    fill = max(1, min(PAIR_BLOCK, BLOCK_ELEMS // orbits.shape[2]))
+    waiting = [[] for _ in n_values]  # per k >= 1: blocks within r at n_values[k - 1]
+    held = [0] * len(n_values)
+
+    def carry(k):
+        I, J, D = (np.concatenate(parts) for parts in zip(*waiting[k]))
+        waiting[k].clear()
+        held[k] = 0
+        for t in range(n_values[k - 1], n_values[k]):
+            D = np.maximum(D, norm_block(orbits[I, t] - orbits[J, t], s))
+        close = D <= r
+        return I[close], J[close], D[close]
+
+    def climb(k, I, J, D):
+        # yield a block at n_values[k], then gather it for the next n; the
+        # pairs gathered before it are carried on first when it would
+        # overfill their block
+        while I.size:
+            yield k, I, J, D
+            k += 1
+            if k == len(n_values):
+                return
+            full = held[k] + I.size > fill
+            if full:
+                carried = carry(k)
+            waiting[k].append((I, J, D))
+            held[k] += I.size
+            if not full:
+                return
+            I, J, D = carried
+
+    for I, J, D in _near_pairs(orbits, n_values[0], r, s, plan):
+        yield from climb(0, I, J, D)
+    for k in range(1, len(n_values)):
+        if waiting[k]:
+            yield from climb(k, *carry(k))
+
+
+def _carried_marks(orbits: np.ndarray, n_values, eps: np.ndarray, s: SpaceSpec, plan) -> np.ndarray:
+    """Greedy scans of every (n, eps) cell in one carried pass: returns
+    marked[n, eps, row], True where the row is excluded.
+
+    For each cell, rows are walked in lexicographic order; a row unmarked
+    for it is kept and marks its later neighbours within that eps.  Marks
+    only come from earlier rows, so a row's mark is final when its pairs
+    arrive and the kept rows are exactly those of the witness scan.
+    """
+    marked = np.zeros((len(n_values), eps.size, orbits.shape[0]), dtype=bool)
     limit = eps[:, np.newaxis]
     none_kept, all_kept = b"\x01" * eps.size, b"\x00" * eps.size
-    for I, J, D in _near_pairs(orbits, n, float(eps.max()), s, plan):
+    for k, I, J, D in _carried_pairs(orbits, n_values, float(eps.max()), s, plan):
+        cell = marked[k]
         hits = D <= limit
         starts = np.flatnonzero(np.diff(I, prepend=-1))
         ends = np.append(starts[1:], I.size).tolist()
         for i, a, b in zip(I[starts].tolist(), starts.tolist(), ends):
-            state = marked[:, i].tobytes()
+            state = cell[:, i].tobytes()
             if state == all_kept:
-                marked[:, J[a:b]] |= hits[:, a:b]
+                cell[:, J[a:b]] |= hits[:, a:b]
             elif state != none_kept:
-                marked[:, J[a:b]] |= hits[:, a:b] & ~marked[:, i, np.newaxis]
+                cell[:, J[a:b]] |= hits[:, a:b] & ~cell[:, i, np.newaxis]
     return marked
 
 
-def _pair_plans(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec):
-    """Per-n key cells for the pair sweep, or None when the witness scan is
-    the cheaper path.
+def _carry_plan(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec):
+    """The key plan of the carried pass over the ascending `n_values`, or
+    None when the witness scan is the cheaper path.
 
-    The sweep pays per candidate pair within max(eps), once for every eps;
-    the scan pays per row, n and eps column.  Measured with one thread on
-    the N=3 (depth 7) and N=4 (depth 5) cubes under l^inf, for eps 0.4,
-    0.2 and 0.1 alone and for all three (2 cores, numpy 2.4.6), the sweep
-    cost 0.2-0.7 us per candidate and the scan 35-97 us per row, n and eps:
-    a break-even between 120 and 240 candidates per row, n and eps.
-    PAIRS_PER_EPS = 160 picks the faster path in all eight tables.  The
-    N=4 cube predicts 220 per row and n: alone, eps 0.4 takes the scan
-    (0.38 s, sweep 0.45 s); with all three eps it takes the sweep (0.49 s,
-    scan 0.79 s).  The c1 and benchmark grids predict 25 to 121.  A thread
-    pool shortens the scan (by 17% with two threads on the depth-7 cube),
-    which this one-thread budget does not count.
+    The carried pass pays per pair evaluation: n_values[0] slices for each
+    candidate, then, for each pair still within max(eps), one sweep per n
+    and one slice per step to the next n.  The scan pays per row, n and eps
+    column.  An upper bound on the pass's work uses the predicted
+    candidates for every later pair; when it exceeds the scan's, the pass
+    runs without sweeps on every k-th row (k >= 4, at most JOINT_ROWS rows,
+    so at most a sixteenth of the pass's pair work), its pair work scaled
+    by (count / rows)^2, and stops once the scan is cheaper.
+
+    Measured with one thread on 17 tables (2 cores, numpy 2.4.6): the N=2,
+    3 and 4 cubes, the c1 and benchmark grids, a rotation of a 64x64 grid
+    and two identity lines.  A pair evaluation of the pass cost 9-120 ns
+    and a scan row per n and eps 7-97 us, a break-even between 139 and
+    1,630 evaluations.  SCAN_ROW_PAIRS = 500 picks the faster path on 16
+    tables; on the 4096-point identity line (1,578 evaluations) it takes
+    the scan, 0.73 s against 0.70 s.  The rotation by 0.7 rad with eps 0.5
+    alone needs about 2,000 per scan row, n and eps and takes the scan
+    (0.83 s, pass 2.4 s); with eps 2^-3..2^-7 it needs 37 and takes the
+    pass (0.54 s, scan 4.1 s).  c3's N=3, depth-8 cube needs 189 (pass
+    2.3 s, scan 17 s).  Figures in BENCH_8.json.
     """
-    plans = _plan_keys(orbits, n_values, max(eps_values), s)
-    budget = PAIRS_PER_EPS * len(eps_values) * orbits.shape[0] * len(n_values)
-    if sum(pred for _, pred in plans) > budget:
-        return None
-    return [plan for plan, _ in plans]
+    count = orbits.shape[0]
+    r = max(eps_values)
+    plan, predicted = _plan_keys(orbits, n_values[0], r, s)
+    budget = SCAN_ROW_PAIRS * count * len(n_values) * len(eps_values)
+    steps = [1 + b - a for a, b in zip(n_values, n_values[1:])] + [1]
+    work = predicted * n_values[0]
+    if work + predicted * sum(steps) <= budget:
+        return plan
+    every = max(4, -(-count // JOINT_ROWS))
+    scale = (count / -(-count // every)) ** 2
+    hashed, filters = plan
+    sampled = (hashed[::every], filters[::every])
+    for k, I, _, _ in _carried_pairs(orbits[::every], n_values, r, s, sampled):
+        work += scale * I.size * steps[k]
+        if work > budget:
+            return None
+    return plan
 
 
 def _greedy_indices(orbits: np.ndarray, eps: float, s: SpaceSpec) -> list[int]:
     """Greedy maximal separated subset of the ordered sample, by a witness
-    scan: the fallback of the pair sweep when no key prunes.
+    scan: the fallback of the carried pass when its pairs barely prune.
 
     orbits has shape (count, steps, dim).  A candidate is kept when its
     dynamical distance to every kept point exceeds eps.  Distances at the
@@ -429,17 +497,18 @@ def greedy_separated(
     Points are scanned in lexicographic coordinate order and kept when
     separated from everything kept so far; the result is deterministic and
     maximal (every excluded point violates separation with a kept one).
-    This is the one-cell case of `sn_table`: the pair sweep, or the witness
-    scan when the sample's keys do not prune.
+    This is the one-cell case of `sn_table`: the carried pass at one n, or
+    the witness scan when its pairs barely prune.
     """
     if eps <= 0:
         raise ValidationError("separation scale eps must be positive")
     points, orbits = _sample_orbits(T, K, n)
-    plans = _pair_plans(orbits, (n,), (eps,), s)
-    if plans is None:
+    plan = _carry_plan(orbits, (n,), (eps,), s)
+    if plan is None:
         idx = _greedy_indices(orbits, eps, s)
     else:
-        idx = np.flatnonzero(~_sweep(orbits, n, np.array([eps]), s, plans[0])[0]).tolist()
+        marked = _carried_marks(orbits, (n,), np.array([eps]), s, plan)
+        idx = np.flatnonzero(~marked[0, 0]).tolist()
     return [points[i] for i in idx]
 
 
@@ -550,28 +619,6 @@ def _column_counts(
     return out
 
 
-def _swept_counts(
-    orbits: np.ndarray,
-    n_values: tuple[int, ...],
-    eps_values: tuple[float, ...],
-    s: SpaceSpec,
-    plans: list,
-) -> dict[float, dict[int, int]]:
-    """Greedy counts of every (n, eps) cell, one pair sweep per n.  Once no
-    pair lies within max(eps), every later n keeps every point (Bowen
-    distances only grow with n)."""
-    size = orbits.shape[0]
-    cols: dict[float, dict[int, int]] = {eps: {} for eps in eps_values}
-    eps = np.array(eps_values)
-    marked = None
-    for n, plan in zip(n_values, plans):
-        if marked is None or marked.any():
-            marked = _sweep(orbits, n, eps, s, plan)
-        for e, cnt in zip(eps_values, (size - marked.sum(axis=1)).tolist()):
-            cols[e][n] = cnt
-    return cols
-
-
 def sn_table(
     T: Operator,
     K: CompactSample,
@@ -584,18 +631,21 @@ def sn_table(
 ) -> EntropyTable:
     """Fill the (n, eps) grid of separated-set counts.
 
-    Greedy counts come from one pair sweep per n for every eps at once,
-    over the near pairs within max(eps) (`near_pairs`, `_sweep`): rows are
-    walked in lexicographic order, a row unmarked for an eps is kept and
-    marks its later neighbours within that eps.  Marks only come from
-    earlier rows, so each kept set is the one the per-eps scan keeps.  When
-    the sample's keys predict more than PAIRS_PER_EPS candidates per row,
-    n and eps, the witness scan `_greedy_indices` runs instead, per eps
-    column; `threads` > 1 spreads those columns (and the exact method's)
-    over a thread pool and changes nothing else.  Greedy counts can violate the
-    monotonicity laws (nondecreasing in n, nonincreasing in eps) in
-    pathological scan orders; violations are repaired by running maxima and
-    flagged.
+    Greedy counts come from one carried pass for every cell at once
+    (`_carried_marks`): keys are planned once, at the smallest n with
+    r = max(eps); the near pairs there are streamed in blocks, and each
+    block is carried through the later n, its running maxima extended slice
+    by slice and its pairs beyond max(eps) dropped.  Per cell, rows are
+    walked in lexicographic order, a row unmarked for it is kept and marks
+    its later neighbours within that eps.  Marks only come from earlier
+    rows, so each kept set is the one the per-cell scan keeps.  When the
+    pass would cost more than the witness scan (`_carry_plan`), as for an
+    isometry whose pairs never drop with one large eps, `_greedy_indices`
+    runs instead, per eps column.  `threads` is accepted and ignored: two
+    threads over the scan's eps columns ran no faster than one.  Greedy
+    counts can violate the monotonicity laws (nondecreasing in n,
+    nonincreasing in eps) in pathological scan orders; violations are
+    repaired by running maxima and flagged.
     """
     n_values = tuple(sorted(set(int(n) for n in n_range)))
     eps_values = tuple(sorted(set(float(e) for e in eps_list), reverse=True))
@@ -612,23 +662,14 @@ def sn_table(
             f"exact method is capped at {EXACT_SAMPLE_CAP} points, got {len(K)}"
         )
 
-    _, orbits = _sample_orbits(T, K, max(n_values))  # columns share read-only orbits
-    plans = None
-    if method == "greedy":
-        plans = _pair_plans(orbits, n_values, eps_values, s)
+    _, orbits = _sample_orbits(T, K, max(n_values))
+    plan = _carry_plan(orbits, n_values, eps_values, s) if method == "greedy" else None
 
-    def column(eps: float) -> dict[int, int]:
-        return _column_counts(orbits, method, n_values, eps, s)
-
-    if plans is not None:
-        cols = _swept_counts(orbits, n_values, eps_values, s, plans)
-    elif threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cols = dict(zip(eps_values, pool.map(column, eps_values)))
+    if plan is not None:
+        kept = len(K) - _carried_marks(orbits, n_values, np.array(eps_values), s, plan).sum(axis=2)
+        cols = {e: dict(zip(n_values, kept[:, j].tolist())) for j, e in enumerate(eps_values)}
     else:
-        cols = {eps: column(eps) for eps in eps_values}
+        cols = {eps: _column_counts(orbits, method, n_values, eps, s) for eps in eps_values}
 
     entries: dict[tuple[int, float], int] = {}
     repaired: list[tuple[int, float]] = []

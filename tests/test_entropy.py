@@ -455,17 +455,19 @@ def kernel_sample(seed, dim, count, dyadic, rotate):
 
 
 def assert_pair_path_matches_scan(T, K, n_values, eps_values, s):
-    """Every cell's count and kept rows from the pair sweep equal the
-    witness scan's."""
+    """Every cell's count and kept rows from the carried pass, and from the
+    single-n pass at each n, equal the witness scan's."""
     _, orbits = en._sample_orbits(T, K, max(n_values))
-    plans = [plan for plan, _ in en._plan_keys(orbits, n_values, eps_values[0], s)]
-    swept = en._swept_counts(orbits, n_values, eps_values, s, plans)
-    for n, plan in zip(n_values, plans):
-        marked = en._sweep(orbits[:, :n], n, np.array(eps_values), s, plan)
-        for e, row in zip(eps_values, marked):
+    eps = np.array(eps_values)
+    plan, _ = en._plan_keys(orbits, n_values[0], eps_values[0], s)
+    carried = en._carried_marks(orbits, n_values, eps, s, plan)
+    for n, cell in zip(n_values, carried):
+        plan, _ = en._plan_keys(orbits, n, eps_values[0], s)
+        single = en._carried_marks(orbits[:, :n], (n,), eps, s, plan)[0]
+        for e, row, alone in zip(eps_values, cell, single):
             kept = en._greedy_indices(orbits[:, :n], e, s)
             assert np.flatnonzero(~row).tolist() == kept
-            assert swept[e][n] == len(kept)
+            assert np.flatnonzero(~alone).tolist() == kept
 
 
 @settings(max_examples=60, deadline=None)
@@ -533,7 +535,7 @@ def test_faggregate_all_pairs_fallback():
     for r in (1.0, 2.0):
         _, usable = en._key_cells(orbits, r, s)
         assert not usable.any()
-        ((hashed, filters), pred), = en._plan_keys(orbits, (2,), r, s)
+        (hashed, filters), pred = en._plan_keys(orbits, 2, r, s)
         assert hashed.shape[1] == filters.shape[1] == 0
         assert pred == len(K) * (len(K) - 1) // 2
     assert_pair_path_matches_scan(T, K, (1, 2), (2.0, 1.0, 0.7), s)
@@ -558,25 +560,35 @@ def test_faggregate_saturated_key():
 
 
 def test_witness_fallback_when_keys_do_not_prune():
-    # every pair of 800 points lies within eps = 10: the 399.5 predicted
-    # pairs per row and n exceed PAIRS_PER_EPS for each of the two eps, so
-    # the table comes from the witness scan
+    # every pair of 800 points lies within eps = 10: for n = 1, 2 the
+    # carried pass would make about 1,600 pair evaluations per row (every
+    # pair at n = 1, a sweep, a slice and a sweep), about 800 per row and
+    # (n, eps) cell of one eps column, above SCAN_ROW_PAIRS, so that table
+    # comes from the witness scan
     K = sample_of(np.linspace(0, 1, 800))
     _, orbits = en._sample_orbits(IDENTITY_1D, K, 2)
-    assert en._pair_plans(orbits, (1, 2), (10.0, 0.01), L2) is None
+    assert en._carry_plan(orbits, (1, 2), (10.0,), L2) is None
+    assert sn_table(IDENTITY_1D, K, [1, 2], [10.0], L2).s(1, 10.0) == 1
     table = sn_table(IDENTITY_1D, K, [1, 2], [10.0, 0.01], L2)
     assert table.s(1, 10.0) == 1
     assert table.s(2, 0.01) == len(greedy_separated(IDENTITY_1D, K, 2, 0.01, L2))
 
 
 def test_pair_budget_scales_with_eps_count():
-    # the N=4, depth-5 cube predicts about 220 candidates per row and n at
-    # eps 0.4: above the budget of one eps column, within that of three
+    # the pass's pair work does not depend on the number of eps columns and
+    # the scan's grows with it: the 800-point line within eps = 10 takes the
+    # scan for one column and the carried pass for two.  The N=4, depth-5
+    # cube evaluates about 88 pairs per scan row, n and eps at eps 0.4
+    # alone, so it takes the carried pass with one column or three
+    K = sample_of(np.linspace(0, 1, 800))
+    _, orbits = en._sample_orbits(IDENTITY_1D, K, 2)
+    assert en._carry_plan(orbits, (1, 2), (10.0,), L2) is None
+    assert en._carry_plan(orbits, (1, 2), (10.0, 0.01), L2) is not None
     K = cube_sample(4, 5, ConstRule(2), base=LINF)
     _, orbits = en._sample_orbits(BackwardShift(ConstRule(2)), K, 6)
     n_values = tuple(range(1, 7))
-    assert en._pair_plans(orbits, n_values, (0.4,), LINF) is None
-    assert en._pair_plans(orbits, n_values, (0.4, 0.2, 0.1), LINF) is not None
+    assert en._carry_plan(orbits, n_values, (0.4,), LINF) is not None
+    assert en._carry_plan(orbits, n_values, (0.4, 0.2, 0.1), LINF) is not None
 
 
 @settings(max_examples=30, deadline=None)
@@ -598,6 +610,81 @@ def test_filter_keys_keep_every_close_pair(seed, s):
     K = CompactSample(tuple(vector(p) for p in pts), 0.1)
     B = BackwardShift(ConstRule(2))
     _, orbits = en._sample_orbits(B, K, 3)
-    ((hashed, filters), _), = en._plan_keys(orbits, (3,), 0.3, s)
+    (hashed, filters), _ = en._plan_keys(orbits, 3, 0.3, s)
     assert hashed.shape[1] >= 1 and filters.shape[1] >= 1
     assert_pair_path_matches_scan(B, K, (1, 3), (0.3, 0.2), s)
+
+
+def carried_sample(kind, seed):
+    """Random cubes of 2..4 symbols (about 200 rows, so keys hash), a
+    rotation of the square (an isometry: no pair ever drops), and random
+    points under a diagonal or scaled rotation."""
+    if kind.startswith("cube"):
+        N = int(kind[-1])
+        depth = {2: 9, 3: 6, 4: 5}[N]
+        K = cube_sample(N, depth, ConstRule(2), base=LINF, count=200, seed=seed)
+        return BackwardShift(ConstRule(2)), K, (0.4, 0.2, 0.1)
+    if kind == "rotation":
+        pts = np.unique(np.random.default_rng(seed).random((150, 2)), axis=0)
+        K = CompactSample(tuple(vector(p) for p in pts), 0.1)
+        return rotation_matrix(0.7), K, (0.5, 0.25, 0.125)
+    T, K = kernel_sample(seed, 1 + seed % 3, 140, dyadic=seed % 2 == 0, rotate=True)
+    return T, K, (0.5, 0.25, 0.125)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(KERNEL_SPACES),
+    st.sampled_from(["cube2", "cube3", "cube4", "rotation", "random"]),
+    st.sampled_from([(1, 2, 3, 4), (2, 5, 9), (3, 4, 7)]),
+)
+def test_carried_pass_matches_witness_scan(seed, s, kind, n_values):
+    T, K, eps_values = carried_sample(kind, seed)
+    assert_pair_path_matches_scan(T, K, n_values, eps_values, s)
+
+
+def test_carried_distances_match_bowen_on_redo_rows():
+    # rows that norm_block recomputes scaled: 1e-200 coordinates in l^3
+    # (their cubes underflow) and a 1e-4 first coordinate under
+    # FAggregate(Lp(100)) (its partial power sum underflows)
+    rng = np.random.default_rng(8)
+    cases = [
+        (L3, rng.integers(0, 4, size=(150, 5, 3)) * 1e-200, 2.5e-200),
+        (FAggregate(Lp(100.0)), rng.integers(0, 3, size=(150, 5, 2)) * np.array([1e-4, 0.5]), 0.2),
+    ]
+    n_values = (1, 2, 4, 5)
+    for s, orbits, r in cases:
+        plan, _ = en._plan_keys(orbits, 1, r, s)
+        got = [{} for _ in n_values]
+        for k, bi, bj, bd in en._carried_pairs(orbits, n_values, r, s, plan):
+            got[k].update({(int(i), int(j)): d for i, j, d in zip(bi, bj, bd)})
+        I, J = np.triu_indices(orbits.shape[0], 1)
+        for k, n in enumerate(n_values):
+            d = en.bowen_distances(orbits, I, J, n, s)
+            ref = {(int(i), int(j)): v for i, j, v in zip(I[d <= r], J[d <= r], d[d <= r])}
+            assert got[k].keys() == ref.keys() and len(ref) > 0
+            assert all(got[k][p] == ref[p] for p in ref)  # bit for bit
+    assert float(norm_block(np.array([[1e-4, 0.5]]), FAggregate(Lp(100.0)))[0]) in got[0].values()
+
+
+def test_cubes_take_carried_pass():
+    # the embed-shift benchmark cube (N=3, depth 7) and c3's N=3, depth-8
+    # cube take the carried pass; the rotation of a 64x64 grid with eps 0.5
+    # alone, whose pairs never drop, takes the scan
+    B = BackwardShift(ConstRule(2))
+    for depth in (7, 8):
+        K = cube_sample(3, depth, ConstRule(2), base=LINF)
+        _, orbits = en._sample_orbits(B, K, depth + 1)
+        assert en._carry_plan(orbits, tuple(range(1, depth + 2)), (0.4, 0.2, 0.1), LINF) is not None
+    _, orbits = en._sample_orbits(rotation_matrix(0.7), grid_sample(L2, (64, 64)), 12)
+    assert en._carry_plan(orbits, tuple(range(1, 13)), (0.5,), L2) is None
+
+
+def test_carried_pass_gathers_small_blocks(monkeypatch):
+    # blocks of at most 50 pairs: every n gathers many blocks, carried on
+    # both when they fill and at the end of the stream
+    monkeypatch.setattr(en, "PAIR_BLOCK", 50)
+    for kind, seed, s in (("cube3", 1, LINF), ("rotation", 2, L2), ("random", 3, FAggregate(L2))):
+        T, K, eps_values = carried_sample(kind, seed)
+        assert_pair_path_matches_scan(T, K, (1, 2, 5, 6), eps_values, s)
