@@ -3,6 +3,8 @@
     entrolab <task> --config exp.json --out report/ [--seed S] [--threads T]
              [--require-certified]
 
+`--threads` is accepted for compatibility and ignored (it must be >= 1).
+
 Tasks: spectral-entropy, estimate-entropy, embed-shift, shadow,
 sp-lower-bound, splitting, variational-gap, verify.  Every run writes
 report.json (schema-versioned, tagged with the sha256 of the canonical
@@ -77,7 +79,6 @@ class ExperimentConfig:
     task: str
     params: dict
     seed: int | None
-    threads: int
     require_certified: bool
     out_dir: Path
 
@@ -219,20 +220,23 @@ def _task_estimate_entropy(cfg: ExperimentConfig) -> int:
     if not n_range or not eps_list:
         raise ValidationError("estimate task needs n_range and eps_list")
     if isinstance(n_range, dict):
-        ns = range(int(n_range["lo"]), int(n_range["hi"]) + 1)
+        lo, hi = (ser.number_from_json(n_range.get(k), f"n_range {k}", int) for k in ("lo", "hi"))
+        ns = range(lo, hi + 1)
     else:
-        ns = [int(v) for v in n_range]
+        ns = [ser.number_from_json(v, "n_range entry", int) for v in n_range]
     table = sn_table(
         T,
         K,
         ns,
-        [float(e) for e in eps_list],
+        [ser.number_from_json(e, "eps_list entry") for e in eps_list],
         space,
         method=p.get("method", "greedy"),
-        threads=cfg.threads,
         operator_id=ser.operator_id(T),
     )
-    est = entropy_estimate(table, tuple(p["n_window"]) if "n_window" in p else None)
+    window = p.get("n_window")
+    if window is not None and (not isinstance(window, list) or len(window) != 2):
+        raise ValidationError(f"n_window must be a [lo, hi] pair, got {window!r}")
+    est = entropy_estimate(table, None if window is None else tuple(window))
     _emit_table(cfg, table)
     _write_report(
         cfg,
@@ -247,7 +251,7 @@ def _task_estimate_entropy(cfg: ExperimentConfig) -> int:
 
 def _task_embed_shift(cfg: ExperimentConfig) -> int:
     p = cfg.params
-    N = int(p.get("N", p.get("alphabet", 0)))
+    N = ser.number_from_json(p.get("N", p.get("alphabet", 0)), "N", int)
     depth = int(p.get("depth", 0))
     w = ser.rule_from_json(p.get("weights", {"rule": "const", "value": 2}))
     space = _space_from(p)
@@ -272,7 +276,7 @@ def _task_embed_shift(cfg: ExperimentConfig) -> int:
     B = BackwardShift(w)
     eps_list = [float(e) for e in p.get("eps_list", [0.4, 0.2, 0.1])]
     ns = range(1, int(p.get("n_max", depth + 1)) + 1)
-    table = sn_table(B, K, ns, eps_list, space, threads=cfg.threads, operator_id=ser.operator_id(B))
+    table = sn_table(B, K, ns, eps_list, space, operator_id=ser.operator_id(B))
     est = entropy_estimate(table)
     certified = conj.max_deviation == 0.0
     _emit_table(cfg, table)
@@ -482,7 +486,6 @@ def main(argv=None) -> int:
             task=args.task,
             params=params,
             seed=args.seed if args.seed is not None else params.get("seed"),
-            threads=args.threads,
             require_certified=args.require_certified,
             out_dir=args.out,
         )

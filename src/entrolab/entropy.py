@@ -15,16 +15,19 @@ differences bound the Bowen distance from below (|Re D_c(t)| in l^p,
 min(1, |D_c(t)|)(2^{1-c} - 2^{-dim}) under the aggregated norm), with cells
 r(1 + 1e-9) wide so rounding never splits a close pair across non-adjacent
 cells; only pairs in the same or adjacent cells get an exact distance,
-taken with the same `norm_block` arithmetic as a direct evaluation.  The
-greedy count of a whole (n, eps) table is one carried pass
-(`_carried_marks`): the pairs within max(eps) at the smallest n are found
-once, each block of them is carried through the later n by extending its
-running maximum one time slice at a time and dropping the pairs that leave
-max(eps), and every (n, eps) cell is swept from the survivors; it keeps
-exactly the rows the per-cell scan keeps.  When the pairs barely drop and
-barely prune (more than SCAN_ROW_PAIRS pair evaluations per row, n and eps,
-as for an isometry with one large eps) the table falls back to the witness
-scan `_greedy_indices`, decided once before the pass (`_carry_plan`).
+taken with the same `norm_block` arithmetic as a direct evaluation.  A
+whole (n, eps) table, greedy or exact, is one carried pass
+(`_carried_pairs`): the pairs within max(eps) at the smallest n are found
+once, and each block of them is carried through the later n by extending
+its running maximum one time slice at a time and dropping the pairs that
+leave max(eps).  Greedy cells are swept from the survivors
+(`_carried_marks`), keeping exactly the rows the per-cell scan keeps; exact
+cells are branch-and-bound over the survivors' conflict graphs.  When the
+pairs barely drop and barely prune (more than SCAN_ROW_PAIRS pair
+evaluations per row, n and eps, as for an isometry with one large eps) a
+greedy table falls back to the witness scan `_greedy_indices`, decided
+once before the pass (`_carry_plan`).  `_kept_rows` makes that choice for
+every count.
 
 Spectral side: sum of multiplicity * log|lambda| over eigenvalues of
 modulus > 1 (zero if none), and the n*log(r) lower bound carried by n
@@ -497,32 +500,30 @@ def greedy_separated(
     Points are scanned in lexicographic coordinate order and kept when
     separated from everything kept so far; the result is deterministic and
     maximal (every excluded point violates separation with a kept one).
-    This is the one-cell case of `sn_table`: the carried pass at one n, or
-    the witness scan when its pairs barely prune.
+    This is the one-cell case of `sn_table`.
     """
     if eps <= 0:
         raise ValidationError("separation scale eps must be positive")
     points, orbits = _sample_orbits(T, K, n)
-    plan = _carry_plan(orbits, (n,), (eps,), s)
-    if plan is None:
-        idx = _greedy_indices(orbits, eps, s)
-    else:
-        marked = _carried_marks(orbits, (n,), np.array([eps]), s, plan)
-        idx = np.flatnonzero(~marked[0, 0]).tolist()
-    return [points[i] for i in idx]
+    kept = _kept_rows(orbits, (n,), (eps,), s, "greedy")[0, 0]
+    return [points[i] for i in np.flatnonzero(kept)]
 
 
-def _conflict_masks(orbits: np.ndarray, eps: float, s: SpaceSpec) -> list[int]:
-    """Conflict graph (distance <= eps) as one bitmask per row, from one
-    all-pairs distance evaluation."""
-    count, n = orbits.shape[:2]
-    masks = [0] * count
-    I, J = np.triu_indices(count, 1)
-    close = bowen_distances(orbits, I, J, n, s) <= eps
-    for i, j in zip(I[close].tolist(), J[close].tolist()):
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    return masks
+def _conflict_graphs(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec) -> list:
+    """Conflict graphs (Bowen distance <= eps) of every (n, eps) cell, as
+    graphs[k][j][row], one bitmask of neighbours per row, from one carried
+    pass over the ascending `n_values` at r = max(eps)."""
+    count = orbits.shape[0]
+    graphs = [[[0] * count for _ in eps_values] for _ in n_values]
+    r = max(eps_values)
+    plan, _ = _plan_keys(orbits, n_values[0], r, s)
+    for k, I, J, D in _carried_pairs(orbits, n_values, r, s, plan):
+        for masks, eps in zip(graphs[k], eps_values):
+            close = D <= eps
+            for i, j in zip(I[close].tolist(), J[close].tolist()):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return graphs
 
 
 def _max_independent_set(masks: list[int]) -> int:
@@ -558,8 +559,36 @@ def max_separated_exact(
     if eps <= 0:
         raise ValidationError("separation scale eps must be positive")
     points, orbits = _sample_orbits(T, K, n)
-    best = _max_independent_set(_conflict_masks(orbits, eps, s))
-    return [points[i] for i in range(len(K)) if best >> i & 1]
+    kept = _kept_rows(orbits, (n,), (eps,), s, "exact")[0, 0]
+    return [points[i] for i in np.flatnonzero(kept)]
+
+
+def _kept_rows(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec, method: str) -> np.ndarray:
+    """kept[k, j, row]: the rows of the separated set of the cell
+    (n_values[k], eps_values[j]), for the ascending `n_values`.
+
+    The one place that chooses how a table is counted.  Greedy sets come
+    from the carried pass, or from the witness scan per cell when
+    `_carry_plan` finds the scan cheaper; exact sets are the maximum
+    independent sets of `_conflict_graphs`.  Separation only improves with
+    n, so once a cell keeps every row, so do the later cells of its column.
+    """
+    plan = _carry_plan(orbits, n_values, eps_values, s) if method == "greedy" else None
+    if plan is not None:
+        return ~_carried_marks(orbits, n_values, np.array(eps_values), s, plan)
+    kept = np.zeros((len(n_values), len(eps_values), orbits.shape[0]), dtype=bool)
+    graphs = _conflict_graphs(orbits, n_values, eps_values, s) if method == "exact" else None
+    for j, eps in enumerate(eps_values):
+        for k, n in enumerate(n_values):
+            if k and kept[k - 1, j].all():
+                kept[k:, j] = True
+                break
+            if graphs is None:
+                kept[k, j, _greedy_indices(orbits[:, :n], eps, s)] = True
+            else:
+                best = _max_independent_set(graphs[k][j])
+                kept[k, j] = [best >> i & 1 for i in range(orbits.shape[0])]
+    return kept
 
 
 @dataclass(frozen=True)
@@ -590,35 +619,6 @@ class EntropyTable:
         return "\n".join(lines) + "\n"
 
 
-def _column_counts(
-    orbits: np.ndarray,
-    method: str,
-    n_values: tuple[int, ...],
-    eps: float,
-    s: SpaceSpec,
-) -> dict[int, int]:
-    """Counts for one eps, ascending n, short-circuiting once every point is
-    kept (separation only improves with n, so the count stays |K|)."""
-    out: dict[int, int] = {}
-    all_kept_from: int | None = None
-    size = orbits.shape[0]
-    for n in n_values:
-        if all_kept_from is not None:
-            out[n] = size
-            continue
-        if method == "greedy":
-            cnt = len(_greedy_indices(orbits[:, :n], eps, s))
-            if cnt == size:
-                all_kept_from = n
-        else:
-            masks = _conflict_masks(orbits[:, :n], eps, s)
-            cnt = _max_independent_set(masks).bit_count()
-            if cnt == size:
-                all_kept_from = n
-        out[n] = cnt
-    return out
-
-
 def sn_table(
     T: Operator,
     K: CompactSample,
@@ -626,26 +626,24 @@ def sn_table(
     eps_list,
     s: SpaceSpec,
     method: str = "greedy",
-    threads: int = 1,
     operator_id: str = "",
 ) -> EntropyTable:
     """Fill the (n, eps) grid of separated-set counts.
 
-    Greedy counts come from one carried pass for every cell at once
-    (`_carried_marks`): keys are planned once, at the smallest n with
-    r = max(eps); the near pairs there are streamed in blocks, and each
-    block is carried through the later n, its running maxima extended slice
-    by slice and its pairs beyond max(eps) dropped.  Per cell, rows are
-    walked in lexicographic order, a row unmarked for it is kept and marks
-    its later neighbours within that eps.  Marks only come from earlier
-    rows, so each kept set is the one the per-cell scan keeps.  When the
-    pass would cost more than the witness scan (`_carry_plan`), as for an
-    isometry whose pairs never drop with one large eps, `_greedy_indices`
-    runs instead, per eps column.  `threads` is accepted and ignored: two
-    threads over the scan's eps columns ran no faster than one.  Greedy
-    counts can violate the monotonicity laws (nondecreasing in n,
-    nonincreasing in eps) in pathological scan orders; violations are
-    repaired by running maxima and flagged.
+    Every cell comes from one carried pass (`_carried_pairs`): keys are
+    planned once, at the smallest n with r = max(eps); the near pairs there
+    are streamed in blocks, and each block is carried through the later n,
+    its running maxima extended slice by slice and its pairs beyond max(eps)
+    dropped.  Greedy cells are swept from the survivors (`_carried_marks`):
+    rows are walked in lexicographic order, a row unmarked for the cell is
+    kept and marks its later neighbours within that eps, so each kept set is
+    the one the per-cell scan keeps.  When the pass would cost more than the
+    witness scan (`_carry_plan`), as for an isometry whose pairs never drop
+    with one large eps, `_greedy_indices` runs instead, per cell.  Exact
+    cells are branch-and-bound over the survivors' conflict graphs
+    (`_conflict_graphs`).  Greedy counts can violate the monotonicity laws
+    (nondecreasing in n, nonincreasing in eps) in pathological scan orders;
+    violations are repaired by running maxima and flagged.
     """
     n_values = tuple(sorted(set(int(n) for n in n_range)))
     eps_values = tuple(sorted(set(float(e) for e in eps_list), reverse=True))
@@ -663,19 +661,13 @@ def sn_table(
         )
 
     _, orbits = _sample_orbits(T, K, max(n_values))
-    plan = _carry_plan(orbits, n_values, eps_values, s) if method == "greedy" else None
-
-    if plan is not None:
-        kept = len(K) - _carried_marks(orbits, n_values, np.array(eps_values), s, plan).sum(axis=2)
-        cols = {e: dict(zip(n_values, kept[:, j].tolist())) for j, e in enumerate(eps_values)}
-    else:
-        cols = {eps: _column_counts(orbits, method, n_values, eps, s) for eps in eps_values}
+    counts = _kept_rows(orbits, n_values, eps_values, s, method).sum(axis=2).tolist()
 
     entries: dict[tuple[int, float], int] = {}
     repaired: list[tuple[int, float]] = []
     for j, eps in enumerate(eps_values):
         for i, n in enumerate(n_values):
-            v = cols[eps][n]
+            v = counts[i][j]
             lo = v
             if i > 0:
                 lo = max(lo, entries[(n_values[i - 1], eps)])

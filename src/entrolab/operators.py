@@ -273,17 +273,15 @@ def _require_lp(s: SpaceSpec, what: str) -> Lp:
 def _sup_window_product(weights: np.ndarray, n: int) -> float:
     """sup over start positions c >= 1 of prod_{l=c+1}^{c+n} |w_l|.
 
-    Uses plain products (not logs) so dyadic weights stay exact.
+    Uses plain products (not logs) so dyadic weights stay exact.  Every
+    window multiplies its factors left to right, one vector product per
+    offset; a nan window (an inf factor times a zero product) is skipped.
     """
-    a = np.abs(weights)
-    best = 0.0
-    for c in range(len(a) - n):
-        prod = 1.0
-        for l in range(c + 1, c + 1 + n):  # 0-based slot l is weight w_{l+1}
-            prod *= a[l]
-        if prod > best:
-            best = prod
-    return best
+    a = np.abs(weights)  # 0-based slot l is weight w_{l+1}
+    prods = np.ones(len(a) - n)
+    for l in range(1, n + 1):
+        prods *= a[l : l + prods.size]
+    return np.fmax.reduce(prods, initial=0.0)
 
 
 def power_norm(T: Operator, n: int, s: SpaceSpec | None = None, window: int = DEFAULT_WINDOW) -> float:
@@ -296,20 +294,14 @@ def power_norm(T: Operator, n: int, s: SpaceSpec | None = None, window: int = DE
     if n < 1:
         raise ValidationError(f"power norm needs n >= 1, got {n}")
     s = Lp(2.0) if s is None else s
-    if isinstance(T, BackwardShift):
+    if isinstance(T, (BackwardShift, ForwardShift)):
         _require_lp(s, "shift power norm")
         L = rl.explicit_length(T.weights)
         probe = min(window + n, L) if L is not None else window + n
         if probe <= n:
             raise ValidationError("weight list too short for the requested power")
-        return _sup_window_product(rl.values(T.weights, probe), n)
-    if isinstance(T, ForwardShift):
-        _require_lp(s, "shift power norm")
-        L = rl.explicit_length(T.weights)
-        probe = min(window + n, L) if L is not None else window + n
-        if probe <= n:
-            raise ValidationError("weight list too short for the requested power")
-        return _sup_window_product(1.0 / rl.values(T.weights, probe), n)
+        w = rl.values(T.weights, probe)
+        return _sup_window_product(w if isinstance(T, BackwardShift) else 1.0 / w, n)
     if isinstance(T, Diagonal):
         _require_lp(s, "diagonal power norm")
         sup = rl.sup_abs(T.eigenvalues)
@@ -500,6 +492,21 @@ def _dense_spectrum(A: np.ndarray) -> SpectralData:
     )
 
 
+def _mapped_spectrum(inner, value, modulus) -> SpectralData | SpectrumDisc:
+    """The spectrum of aT or T^m from that of T: eigenvalues mapped by
+    `value`, radii and the tail bound by `modulus`."""
+    if isinstance(inner, SpectrumDisc):
+        return SpectrumDisc(radius=modulus(inner.radius))
+    return SpectralData(
+        eigenvalues=tuple((value(v), mult) for v, mult in inner.eigenvalues),
+        provenance=inner.provenance,
+        spectral_radius=modulus(inner.spectral_radius),
+        includes_zero=inner.includes_zero,
+        tail_sup=modulus(inner.tail_sup),
+        residual_tol=inner.residual_tol,
+    )
+
+
 def spectrum(T: Operator) -> SpectralData | SpectrumDisc:
     """Eigenvalue data for list-like kinds, a disc description for
     constant-weight shifts."""
@@ -507,43 +514,18 @@ def spectrum(T: Operator) -> SpectralData | SpectrumDisc:
         return _diagonal_spectrum(T.eigenvalues)
     if isinstance(T, DenseMatrix):
         return _dense_spectrum(T.entries)
-    if isinstance(T, BackwardShift):
-        if isinstance(T.weights, rl.ConstRule):
-            return SpectrumDisc(radius=abs(T.weights.value))
-        raise UnsupportedOperatorError(
-            "spectrum of a non-constant-weight shift has no closed form here"
-        )
-    if isinstance(T, ForwardShift):
-        if isinstance(T.weights, rl.ConstRule):
-            return SpectrumDisc(radius=1.0 / abs(T.weights.value))
-        raise UnsupportedOperatorError(
-            "spectrum of a non-constant-weight shift has no closed form here"
-        )
+    if isinstance(T, (BackwardShift, ForwardShift)):
+        radius = closed_form_spectral_radius(T)
+        if radius is None:
+            raise UnsupportedOperatorError(
+                "spectrum of a non-constant-weight shift has no closed form here"
+            )
+        return SpectrumDisc(radius=radius)
     if isinstance(T, Scaled):
-        inner = spectrum(T.inner)
         a = complex(T.alpha)
-        if isinstance(inner, SpectrumDisc):
-            return SpectrumDisc(radius=abs(a) * inner.radius)
-        return SpectralData(
-            eigenvalues=tuple((a * v, m) for v, m in inner.eigenvalues),
-            provenance=inner.provenance,
-            spectral_radius=abs(a) * inner.spectral_radius,
-            includes_zero=inner.includes_zero,
-            tail_sup=abs(a) * inner.tail_sup,
-            residual_tol=inner.residual_tol,
-        )
+        return _mapped_spectrum(spectrum(T.inner), lambda v: a * v, lambda r: abs(a) * r)
     if isinstance(T, OperatorPower):
-        inner = spectrum(T.base)
-        if isinstance(inner, SpectrumDisc):
-            return SpectrumDisc(radius=inner.radius**T.m)
-        return SpectralData(
-            eigenvalues=tuple((v**T.m, mult) for v, mult in inner.eigenvalues),
-            provenance=inner.provenance,
-            spectral_radius=inner.spectral_radius**T.m,
-            includes_zero=inner.includes_zero,
-            tail_sup=inner.tail_sup**T.m,
-            residual_tol=inner.residual_tol,
-        )
+        return _mapped_spectrum(spectrum(T.base), lambda v: v**T.m, lambda r: r**T.m)
     if isinstance(T, DirectSum):
         parts = [spectrum(p) for p in T.parts]
         if any(isinstance(p, SpectrumDisc) for p in parts):

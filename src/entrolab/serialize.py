@@ -44,6 +44,20 @@ def complex_from_json(obj) -> complex:
     raise ValidationError(f"expected a number or [re, im] pair, got {obj!r}")
 
 
+def number_from_json(obj, name: str, kind=float):
+    """int(obj) or float(obj), refusing what does not convert."""
+    try:
+        return kind(obj)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a number, got {obj!r}") from exc
+
+
+def _field(obj: dict, key: str):
+    if key not in obj:
+        raise ValidationError(f"missing field {key!r} in {obj!r}")
+    return obj[key]
+
+
 def vector_to_json(v: Vector) -> list[list[float]]:
     return [complex_to_json(c) for c in v.coords]
 
@@ -66,7 +80,7 @@ def space_from_json(obj) -> SpaceSpec:
     kind = obj["kind"]
     if kind == "lp":
         p = obj.get("p", 2)
-        p = math.inf if p == "inf" else float(p)
+        p = math.inf if p == "inf" else number_from_json(p, "p")
         return Lp(p, label=obj.get("label", ""))
     if kind == "faggregate":
         base = space_from_json(obj.get("base", {"kind": "lp", "p": 2}))
@@ -99,11 +113,11 @@ def rule_from_json(obj) -> rl.Rule:
         raise ValidationError(f"sequence rule needs a 'rule' field: {obj!r}")
     name = obj["rule"]
     if name == "const":
-        return rl.ConstRule(complex_from_json(obj["value"]))
+        return rl.ConstRule(complex_from_json(_field(obj, "value")))
     if name == "geometric":
         first = obj.get("first")
         return rl.GeometricRule(
-            ratio=complex_from_json(obj["ratio"]),
+            ratio=complex_from_json(_field(obj, "ratio")),
             first=None if first is None else complex_from_json(first),
         )
     if name == "harmonic":
@@ -144,11 +158,11 @@ def operator_from_json(obj) -> op.Operator:
         raise ValidationError(f"operator spec needs a 'kind' field: {obj!r}")
     kind = obj["kind"]
     if kind == "backward_shift":
-        return op.BackwardShift(rule_from_json(obj["weights"]))
+        return op.BackwardShift(rule_from_json(_field(obj, "weights")))
     if kind == "forward_shift":
-        return op.ForwardShift(rule_from_json(obj["weights"]))
+        return op.ForwardShift(rule_from_json(_field(obj, "weights")))
     if kind == "diagonal":
-        return op.Diagonal(rule_from_json(obj["eigenvalues"]))
+        return op.Diagonal(rule_from_json(_field(obj, "eigenvalues")))
     if kind == "dense":
         entries = obj.get("entries")
         if not entries:
@@ -157,12 +171,13 @@ def operator_from_json(obj) -> op.Operator:
         return op.DenseMatrix(np.array(mat))
     if kind == "scaled":
         return op.Scaled(
-            complex_from_json(obj["alpha"]), operator_from_json(obj["inner"])
+            complex_from_json(_field(obj, "alpha")), operator_from_json(_field(obj, "inner"))
         )
     if kind == "direct_sum":
         return op.DirectSum(tuple(operator_from_json(p) for p in obj.get("parts", [])))
     if kind == "power":
-        return op.OperatorPower(operator_from_json(obj["base"]), int(obj["m"]))
+        m = number_from_json(_field(obj, "m"), "m", int)
+        return op.OperatorPower(operator_from_json(_field(obj, "base")), m)
     raise ValidationError(f"unknown operator kind {kind!r}")
 
 

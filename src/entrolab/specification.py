@@ -381,7 +381,7 @@ def sp_separated_family(
         raise ValidationError("families are built over weighted backward shifts")
     if n < 1 or k < 1:
         raise ValidationError("need n >= 1 and k >= 1")
-    space = faggregate_l2() if space is None else space
+    space = _aggregated_space(epsilon, space)
     anchors = tuple(anchors)
     m = len(anchors)
     if m < 1:
@@ -399,7 +399,6 @@ def sp_separated_family(
     )
     if d_min_anchor < 3 * epsilon:
         raise ValidationError("anchors closer than 3*epsilon cannot certify separation")
-    space = _aggregated_space(epsilon, space)
 
     combos, family_block, dev, certified = _family_shadows(
         B_w, anchor_block, times, N, epsilon, space

@@ -90,8 +90,8 @@ def verify_conjugacy(
     seeded random prefixes; dyadic weights give deviation exactly 0.
     """
     rl.require_admissible(w)
-    if samples < 1 or M < 2:
-        raise ValidationError("need at least one sample and M >= 2")
+    if N < 1 or samples < 1 or M < 2:
+        raise ValidationError("need N >= 1, at least one sample and M >= 2")
     rng = np.random.default_rng(seed)
     B = BackwardShift(w)
     prods = _inverse_products(w, M)

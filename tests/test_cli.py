@@ -178,6 +178,23 @@ def test_validation_exit_codes(tmp_path):
     assert code == 2
     assert main(["spectral-entropy", "--out", str(tmp_path / "x")]) == 2
     assert main(["spectral-entropy", "--config", str(tmp_path / "missing.json")]) == 2
+    # malformed fields are refused where they are read, not by a traceback
+    diag2 = {"kind": "diagonal", "eigenvalues": {"rule": "explicit", "values": [2]}}
+    estimate = {"operator": diag2, "sample": {"kind": "grid", "shape": [9]},
+                "n_range": {"lo": 1, "hi": 4}, "eps_list": [0.1]}
+    malformed = [
+        ("embed-shift", {"N": 0, "depth": 2}),
+        ("embed-shift", {"depth": 2}),
+        ("estimate-entropy", {**estimate, "n_range": {"lo": 1}}),
+        ("estimate-entropy", {**estimate, "n_window": [1]}),
+        ("estimate-entropy", {**estimate, "eps_list": ["x"]}),
+        ("spectral-entropy", {"operator": {"kind": "backward_shift"}}),
+        ("spectral-entropy", {"operator": {"kind": "diagonal", "eigenvalues": {"rule": "geometric"}}}),
+        ("spectral-entropy", {"operator": {"kind": "power", "base": diag2, "m": "x"}}),
+    ]
+    for task, config in malformed:
+        code, _, report = run_cli(tmp_path, task, config)
+        assert (task, config, code, report) == (task, config, 2, None)
 
 
 def test_saturation_exit_code(tmp_path):

@@ -146,8 +146,8 @@ def test_exact_size_cap():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000))
-def test_exact_vs_brute_force_random(seed):
+@given(st.integers(0, 10_000), st.sampled_from([(1, 3), (2, 5), (1, 2, 4)]))
+def test_exact_vs_brute_force_random(seed, n_values):
     rng = np.random.default_rng(seed)
     count = int(rng.integers(2, 9))
     pts = rng.random(count)
@@ -162,6 +162,10 @@ def test_exact_vs_brute_force_random(seed):
     assert exact == brute
     greedy = len(greedy_separated(T, K, n, eps, L2))
     assert greedy <= exact
+    # a whole table over a non-contiguous n list, cell by cell
+    table = sn_table(T, K, n_values, [eps], L2, method="exact")
+    for m in n_values:
+        assert table.s(m, eps) == brute_force_max_separated(T, K.points, m, eps, L2)
 
 
 # ---------------------------------------------------------------- sn_table
@@ -224,14 +228,6 @@ def test_sn_table_csv_shape():
     lines = table.to_csv().strip().splitlines()
     assert lines[0] == "n,epsilon,s,method,saturated"
     assert len(lines) == 3
-
-
-def test_sn_table_threads_identical():
-    K = grid_sample(L2, (65,))
-    kwargs = dict(n_range=range(1, 6), eps_list=[0.25, 0.125, 0.0625], s=L2)
-    a = sn_table(DOUBLING_1D, K, **kwargs)
-    b = sn_table(DOUBLING_1D, K, threads=3, **kwargs)
-    assert a.entries == b.entries
 
 
 # ---------------------------------------------------------------- estimate
@@ -427,7 +423,7 @@ KERNEL_SPACES = [L1, L2, L3, LINF, FAggregate(L2), FAggregate(LINF)]
 
 
 def old_conflict_masks(orbits, eps, s):
-    """The per-row conflict graph the all-pairs call replaced."""
+    """The conflict graph row by row: each row against every later row."""
     masks = [0] * orbits.shape[0]
     for i in range(orbits.shape[0]):
         d = norm_block(orbits[i + 1 :] - orbits[i], s).max(axis=1)
@@ -595,9 +591,13 @@ def test_pair_budget_scales_with_eps_count():
 @given(st.integers(0, 10_000), st.sampled_from(KERNEL_SPACES), st.integers(1, 3), st.booleans())
 def test_conflict_masks_match_per_row_graph(seed, s, dim, rotate):
     T, K = kernel_sample(seed, dim, 24, dyadic=seed % 2 == 0, rotate=rotate)
-    _, orbits = en._sample_orbits(T, K, 3)
-    for eps in (0.125, 0.25, 0.5):
-        assert en._conflict_masks(orbits, eps, s) == old_conflict_masks(orbits, eps, s)
+    _, orbits = en._sample_orbits(T, K, 9)
+    eps_values = (0.125, 0.25, 0.5)
+    for n_values in ((1, 2, 3), (2, 5, 9)):
+        graphs = en._conflict_graphs(orbits, n_values, eps_values, s)
+        for n, cells in zip(n_values, graphs):
+            for eps, masks in zip(eps_values, cells):
+                assert masks == old_conflict_masks(orbits[:, :n], eps, s)
 
 
 @settings(max_examples=20, deadline=None)

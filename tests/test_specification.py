@@ -247,6 +247,10 @@ def test_family_refuses_lp_space():
     x1 = fixed_vector(B2, 64)
     with pytest.raises(ValidationError, match="deviations are measured in the aggregated metric"):
         sp_separated_family(B2, [zero_vector(64), x1], 2, 0.1, space=Lp(2.0))
+    # anchors closer than 3*epsilon: the space is refused before any distance
+    close = Vector(1e-3 * x1.coords)
+    with pytest.raises(ValidationError, match="deviations are measured in the aggregated metric"):
+        sp_separated_family(B2, [zero_vector(64), close], 2, 0.1, space=Lp(2.0))
 
 
 def test_family_names_first_uncertified_tuple():
