@@ -124,19 +124,20 @@ def _sample_from(params: dict, space) -> CompactSample:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValidationError("estimate task needs a sample spec with a 'kind'")
     if spec["kind"] == "grid":
-        shape = tuple(int(v) for v in spec.get("shape", []))
+        shape = tuple(ser.number_from_json(v, "shape entry", int) for v in spec.get("shape", []))
         if not shape:
             raise ValidationError("grid sample needs a nonempty 'shape'")
         return grid_sample(
             space,
             shape,
-            low=float(spec.get("low", 0.0)),
-            high=float(spec.get("high", 1.0)),
+            low=ser.number_from_json(spec.get("low", 0.0), "low"),
+            high=ser.number_from_json(spec.get("high", 1.0), "high"),
             label=spec.get("label", f"grid{shape}"),
         )
     if spec["kind"] == "explicit":
         pts = tuple(ser.vector_from_json(p) for p in spec.get("points", []))
-        return CompactSample(pts, float(spec.get("resolution", 1e-6)), spec.get("label", "explicit"))
+        resolution = ser.number_from_json(spec.get("resolution", 1e-6), "resolution")
+        return CompactSample(pts, resolution, spec.get("label", "explicit"))
     raise ValidationError(f"unknown sample kind {spec['kind']!r}")
 
 
@@ -222,8 +223,10 @@ def _task_estimate_entropy(cfg: ExperimentConfig) -> int:
     if isinstance(n_range, dict):
         lo, hi = (ser.number_from_json(n_range.get(k), f"n_range {k}", int) for k in ("lo", "hi"))
         ns = range(lo, hi + 1)
-    else:
+    elif isinstance(n_range, list):
         ns = [ser.number_from_json(v, "n_range entry", int) for v in n_range]
+    else:
+        raise ValidationError(f"n_range must be a {{lo, hi}} object or a list, got {n_range!r}")
     table = sn_table(
         T,
         K,
@@ -234,9 +237,11 @@ def _task_estimate_entropy(cfg: ExperimentConfig) -> int:
         operator_id=ser.operator_id(T),
     )
     window = p.get("n_window")
-    if window is not None and (not isinstance(window, list) or len(window) != 2):
-        raise ValidationError(f"n_window must be a [lo, hi] pair, got {window!r}")
-    est = entropy_estimate(table, None if window is None else tuple(window))
+    if window is not None:
+        if not isinstance(window, list) or len(window) != 2:
+            raise ValidationError(f"n_window must be a [lo, hi] pair, got {window!r}")
+        window = tuple(ser.number_from_json(v, "n_window entry", int) for v in window)
+    est = entropy_estimate(table, window)
     _emit_table(cfg, table)
     _write_report(
         cfg,
@@ -252,7 +257,7 @@ def _task_estimate_entropy(cfg: ExperimentConfig) -> int:
 def _task_embed_shift(cfg: ExperimentConfig) -> int:
     p = cfg.params
     N = ser.number_from_json(p.get("N", p.get("alphabet", 0)), "N", int)
-    depth = int(p.get("depth", 0))
+    depth = ser.number_from_json(p.get("depth", 0), "depth", int)
     w = ser.rule_from_json(p.get("weights", {"rule": "const", "value": 2}))
     space = _space_from(p)
     mode = p.get("mode", "exhaustive")
@@ -261,8 +266,8 @@ def _task_embed_shift(cfg: ExperimentConfig) -> int:
     conj = verify_conjugacy(
         w,
         N,
-        samples=int(p.get("conjugacy_samples", 1000)),
-        M=int(p.get("conjugacy_dim", 64)),
+        samples=ser.number_from_json(p.get("conjugacy_samples", 1000), "conjugacy_samples", int),
+        M=ser.number_from_json(p.get("conjugacy_dim", 64), "conjugacy_dim", int),
         seed=cfg.seed or 0,
     )
     K = cube_sample(
@@ -270,12 +275,14 @@ def _task_embed_shift(cfg: ExperimentConfig) -> int:
         depth,
         w,
         base=space,
-        count=int(p["count"]) if mode == "random" else None,
+        count=ser.number_from_json(p.get("count"), "count", int) if mode == "random" else None,
         seed=cfg.seed if mode == "random" else None,
     )
     B = BackwardShift(w)
-    eps_list = [float(e) for e in p.get("eps_list", [0.4, 0.2, 0.1])]
-    ns = range(1, int(p.get("n_max", depth + 1)) + 1)
+    eps_list = [
+        ser.number_from_json(e, "eps_list entry") for e in p.get("eps_list", [0.4, 0.2, 0.1])
+    ]
+    ns = range(1, ser.number_from_json(p.get("n_max", depth + 1), "n_max", int) + 1)
     table = sn_table(B, K, ns, eps_list, space, operator_id=ser.operator_id(B))
     est = entropy_estimate(table)
     certified = conj.max_deviation == 0.0
@@ -314,7 +321,7 @@ def _task_shadow(cfg: ExperimentConfig) -> int:
     p = cfg.params
     w = ser.rule_from_json(p.get("weights", {"rule": "const", "value": 2}))
     B = BackwardShift(w)
-    eps = float(p.get("epsilon", 0.1))
+    eps = ser.number_from_json(p.get("epsilon", 0.1), "epsilon")
     space = _space_from(p, default=faggregate_l2())
     reports = []
     if "schedule" in p:
@@ -324,10 +331,9 @@ def _task_shadow(cfg: ExperimentConfig) -> int:
             raise ValidationError("random schedules need a seed")
         spec = p["random_schedules"]
         rng = np.random.default_rng(cfg.seed)
-        schedules = [
-            _random_schedule(rng, eps, int(spec.get("max_segments", 3)))
-            for _ in range(int(spec.get("count", 1)))
-        ]
+        max_segments = ser.number_from_json(spec.get("max_segments", 3), "max_segments", int)
+        count = ser.number_from_json(spec.get("count", 1), "count", int)
+        schedules = [_random_schedule(rng, eps, max_segments) for _ in range(count)]
     else:
         raise ValidationError("shadow task needs a schedule or random_schedules spec")
     all_certified = True
@@ -360,10 +366,11 @@ def _task_shadow(cfg: ExperimentConfig) -> int:
 def _task_sp_lower_bound(cfg: ExperimentConfig) -> int:
     p = cfg.params
     if "epsilon" in p:
-        N = sp_constant(float(p["epsilon"]))
+        N = sp_constant(ser.number_from_json(p["epsilon"], "epsilon"))
     else:
-        N = int(p.get("N", 0))
-    m, k = int(p.get("m", 0)), int(p.get("k", 1))
+        N = ser.number_from_json(p.get("N", 0), "N", int)
+    m = ser.number_from_json(p.get("m", 0), "m", int)
+    k = ser.number_from_json(p.get("k", 1), "k", int)
     bound = sp_entropy_lower_bound(m, N, k)
     payload = {"m": m, "N": N, "k": k, "lower_bound": bound}
     fam_spec = p.get("build_family")
@@ -371,9 +378,10 @@ def _task_sp_lower_bound(cfg: ExperimentConfig) -> int:
     if fam_spec:
         w = ser.rule_from_json(p.get("weights", {"rule": "const", "value": 2}))
         B = BackwardShift(w)
-        eps = float(p.get("epsilon", 2.0 ** -(N + 1) * 1.5))
-        n = int(fam_spec.get("n", 2))
-        dim = int(fam_spec.get("dim", 0)) or max(64, 4 * (k * (n - 1) * (N + 1) + N))
+        eps = ser.number_from_json(p.get("epsilon", 2.0 ** -(N + 1) * 1.5), "epsilon")
+        n = ser.number_from_json(fam_spec.get("n", 2), "build_family n", int)
+        dim = ser.number_from_json(fam_spec.get("dim", 0), "build_family dim", int)
+        dim = dim or max(64, 4 * (k * (n - 1) * (N + 1) + N))
         anchors = [periodic_vector(B, head=(0.0,), dim=dim)] + [
             Vector(j * fixed_vector(B, dim).coords) for j in range(1, m)
         ]
@@ -395,7 +403,7 @@ def _task_splitting(cfg: ExperimentConfig) -> int:
     T = ser.operator_from_json(cfg.params.get("operator", {}))
     if not isinstance(T, DenseMatrix):
         raise ValidationError("splitting task needs a dense operator")
-    split = riesz_split(T, float(cfg.params.get("circle_tol", 1e-6)))
+    split = riesz_split(T, ser.number_from_json(cfg.params.get("circle_tol", 1e-6), "circle_tol"))
 
     def basis_json(part):
         basis, block = part
@@ -421,7 +429,8 @@ def _task_variational_gap(cfg: ExperimentConfig) -> int:
     T = ser.operator_from_json(cfg.params.get("operator", {}))
     if not isinstance(T, DenseMatrix):
         raise ValidationError("variational-gap task needs a dense operator")
-    res = variational_gap(T, int(cfg.params.get("search_periods", 12)))
+    periods = ser.number_from_json(cfg.params.get("search_periods", 12), "search_periods", int)
+    res = variational_gap(T, periods)
     _write_report(cfg, res.to_json_dict())
     return 0
 

@@ -3,10 +3,11 @@
 Empirical side: counts of (n, eps)-separated subsets of a finite sample
 under the dynamical metric max_{0<=i<n} d(T^i x, T^i y), computed either by
 a deterministic greedy scan (maximal set, lexicographic point order) or by
-exact branch-and-bound over the conflict graph (maximum set, small samples
-only).  A table of counts over an (n, eps) grid feeds a least-squares slope
-of log s_n before saturation; the eps -> 0 limit stays represented by the
-full per-eps slope list, never a single collapsed number.
+an exact memoised search over the conflict graph (the lexicographically
+greatest maximum set, small samples only).  A table of counts over an
+(n, eps) grid feeds a least-squares slope of log s_n before saturation; the
+eps -> 0 limit stays represented by the full per-eps slope list, never a
+single collapsed number.
 
 Every pairwise question goes through one exact near-pair kernel,
 `near_pairs`: the pairs within a radius r, with their Bowen distances.
@@ -22,12 +23,12 @@ once, and each block of them is carried through the later n by extending
 its running maximum one time slice at a time and dropping the pairs that
 leave max(eps).  Greedy cells are swept from the survivors
 (`_carried_marks`), keeping exactly the rows the per-cell scan keeps; exact
-cells are branch-and-bound over the survivors' conflict graphs.  When the
-pairs barely drop and barely prune (more than SCAN_ROW_PAIRS pair
-evaluations per row, n and eps, as for an isometry with one large eps) a
-greedy table falls back to the witness scan `_greedy_indices`, decided
-once before the pass (`_carry_plan`).  `_kept_rows` makes that choice for
-every count.
+cells are a memoised maximum-set search over the survivors' conflict
+graphs (`_max_independent_set`).  When the pairs barely drop and barely
+prune (more than SCAN_ROW_PAIRS pair evaluations per row, n and eps, as for
+an isometry with one large eps) a greedy table falls back to the witness
+scan `_greedy_indices`, decided once before the pass (`_carry_plan`).
+`_kept_rows` makes that choice for every count.
 
 Spectral side: sum of multiplicity * log|lambda| over eigenvalues of
 modulus > 1 (zero if none), and the n*log(r) lower bound carried by n
@@ -527,31 +528,50 @@ def _conflict_graphs(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec) -> 
 
 
 def _max_independent_set(masks: list[int]) -> int:
-    """Maximum independent set of a conflict graph as a vertex bitmask."""
-    n = len(masks)
-    best_mask = 0
+    """Maximum independent set of a conflict graph as a vertex bitmask: the
+    lexicographically greatest one, vertex 0 most significant.
 
-    def recurse(cand: int, cur: int, cur_mask: int):
-        nonlocal best_mask
-        if cur + cand.bit_count() <= best_mask.bit_count():
-            return
-        if cand == 0:
-            if cur > best_mask.bit_count():
-                best_mask = cur_mask
-            return
-        v = (cand & -cand).bit_length() - 1
-        recurse(cand & ~masks[v] & ~(1 << v), cur + 1, cur_mask | (1 << v))
-        recurse(cand & ~(1 << v), cur, cur_mask)
+    Memoised search over candidate bitmasks (Tarjan & Trojanowski, SIAM J.
+    Comput. 6(3), 1977): `size(cand)` branches on the lowest vertex v of
+    `cand`, and takes v without branching when it has at most one neighbour
+    in `cand`, since some maximum set then contains v.  The set is rebuilt
+    by walking the vertices in index order and keeping each one that a
+    maximum set of the remaining candidates can contain.
+    """
+    memo = {0: 0}
 
-    recurse((1 << n) - 1, 0, 0)
-    return best_mask
+    def size(cand: int) -> int:
+        if cand not in memo:
+            v = cand & -cand
+            near = masks[v.bit_length() - 1] & cand
+            best = 1 + size(cand & ~near & ~v)
+            if near & (near - 1):
+                best = max(best, size(cand & ~v))
+            memo[cand] = best
+        return memo[cand]
+
+    cand, chosen = (1 << len(masks)) - 1, 0
+    while cand:
+        v = cand & -cand
+        rest = cand & ~masks[v.bit_length() - 1] & ~v
+        if 1 + size(rest) == size(cand):
+            chosen |= v
+            cand = rest
+        else:
+            cand &= ~v
+    return chosen
 
 
 def max_separated_exact(
     T: Operator, K: CompactSample, n: int, eps: float, s: SpaceSpec
 ) -> list[Vector]:
-    """True maximum (n, eps)-separated subset via branch-and-bound over the
-    conflict graph; the oracle against which the greedy scan is judged."""
+    """True maximum (n, eps)-separated subset, by a memoised search over the
+    conflict graph; the oracle against which the greedy scan is judged.
+
+    When several maximum sets tie, the lexicographically greatest in the
+    sample's lexicographic order is returned: its first point is as early
+    as any maximum set allows, then its second, and so on.
+    """
     if len(K) > EXACT_SAMPLE_CAP:
         raise SampleSizeError(
             f"exact separated-set search is capped at {EXACT_SAMPLE_CAP} points, got {len(K)}"
@@ -640,8 +660,10 @@ def sn_table(
     the one the per-cell scan keeps.  When the pass would cost more than the
     witness scan (`_carry_plan`), as for an isometry whose pairs never drop
     with one large eps, `_greedy_indices` runs instead, per cell.  Exact
-    cells are branch-and-bound over the survivors' conflict graphs
-    (`_conflict_graphs`).  Greedy counts can violate the monotonicity laws
+    cells are a memoised maximum-set search (`_max_independent_set`) over
+    the survivors' conflict graphs (`_conflict_graphs`), each the
+    lexicographically greatest maximum set in the sample's lexicographic
+    order.  Greedy counts can violate the monotonicity laws
     (nondecreasing in n, nonincreasing in eps) in pathological scan orders;
     violations are repaired by running maxima and flagged.
     """

@@ -182,6 +182,7 @@ def test_validation_exit_codes(tmp_path):
     diag2 = {"kind": "diagonal", "eigenvalues": {"rule": "explicit", "values": [2]}}
     estimate = {"operator": diag2, "sample": {"kind": "grid", "shape": [9]},
                 "n_range": {"lo": 1, "hi": 4}, "eps_list": [0.1]}
+    schedule = {"gap": 8, "segments": [{"a": 0, "b": 0, "y": [[0.5, 0]]}]}
     malformed = [
         ("embed-shift", {"N": 0, "depth": 2}),
         ("embed-shift", {"depth": 2}),
@@ -191,6 +192,17 @@ def test_validation_exit_codes(tmp_path):
         ("spectral-entropy", {"operator": {"kind": "backward_shift"}}),
         ("spectral-entropy", {"operator": {"kind": "diagonal", "eigenvalues": {"rule": "geometric"}}}),
         ("spectral-entropy", {"operator": {"kind": "power", "base": diag2, "m": "x"}}),
+        ("estimate-entropy", {**estimate, "n_range": 5}),
+        ("estimate-entropy", {**estimate, "n_window": ["a", 3]}),
+        ("estimate-entropy", {**estimate, "sample": {"kind": "grid", "shape": ["x"]}}),
+        ("embed-shift", {"N": 2, "depth": "x"}),
+        ("shadow", {"epsilon": "x", "schedule": schedule}),
+        ("sp-lower-bound", {"epsilon": "x", "m": 2}),
+        ("sp-lower-bound", {"N": "x", "m": 2}),
+        ("sp-lower-bound", {"N": 4, "m": "x"}),
+        ("sp-lower-bound", {"N": 4, "m": 2, "k": "x"}),
+        ("sp-lower-bound", {"N": 4, "m": 2, "build_family": {"n": "x"}}),
+        ("sp-lower-bound", {"N": 4, "m": 2, "build_family": {"n": 2, "dim": "x"}}),
     ]
     for task, config in malformed:
         code, _, report = run_cli(tmp_path, task, config)

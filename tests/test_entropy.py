@@ -145,6 +145,17 @@ def test_exact_size_cap():
         max_separated_exact(IDENTITY_1D, K, 1, 0.1, L2)
 
 
+def test_exact_breaks_ties_lexicographically():
+    # eleven points 0.1 apart at eps 0.25 have many maximum sets of four
+    # ({0, .3, .6, .9}, {0, .3, .6, 1}, {.1, .4, .7, 1}, ...); the oracle
+    # returns the lexicographically greatest in the sorted sample, whatever
+    # order the sample comes in
+    grid = np.linspace(0, 1, 11)
+    for order in (range(11), [5, 10, 0, 3, 8, 1, 9, 2, 7, 4, 6]):
+        got = max_separated_exact(IDENTITY_1D, sample_of(grid[list(order)]), 1, 0.25, L2)
+        assert [float(p.coords[0].real) for p in got] == [grid[0], grid[3], grid[6], grid[9]]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([(1, 3), (2, 5), (1, 2, 4)]))
 def test_exact_vs_brute_force_random(seed, n_values):
@@ -688,3 +699,74 @@ def test_carried_pass_gathers_small_blocks(monkeypatch):
     for kind, seed, s in (("cube3", 1, LINF), ("rotation", 2, L2), ("random", 3, FAggregate(L2))):
         T, K, eps_values = carried_sample(kind, seed)
         assert_pair_path_matches_scan(T, K, (1, 2, 5, 6), eps_values, s)
+
+
+# ---------------------------------------------------------------- maximum independent set
+
+
+def old_max_independent_set(masks):
+    """The include-first branch-and-bound on the lowest vertex, bounded by
+    the current size plus the candidates left."""
+    best_mask = 0
+
+    def recurse(cand, cur, cur_mask):
+        nonlocal best_mask
+        if cur + cand.bit_count() <= best_mask.bit_count():
+            return
+        if cand == 0:
+            if cur > best_mask.bit_count():
+                best_mask = cur_mask
+            return
+        v = (cand & -cand).bit_length() - 1
+        recurse(cand & ~masks[v] & ~(1 << v), cur + 1, cur_mask | (1 << v))
+        recurse(cand & ~(1 << v), cur, cur_mask)
+
+    recurse((1 << len(masks)) - 1, 0, 0)
+    return best_mask
+
+
+def graph_masks(count, edges):
+    masks = [0] * count
+    for i, j in edges:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return masks
+
+
+def brute_force_independent_set(masks):
+    """Every vertex subset: the largest independent one, ties to the
+    lexicographically greatest with vertex 0 first."""
+    count = len(masks)
+    independent = (
+        m for m in range(1 << count)
+        if all(not (masks[v] & m) for v in range(count) if m >> v & 1)
+    )
+    return max(independent, key=lambda m: (m.bit_count(), [m >> v & 1 for v in range(count)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 10_000))
+def test_independent_set_matches_brute_force(count, p, seed):
+    rng = np.random.default_rng(seed)
+    pairs = itertools.combinations(range(count), 2)
+    masks = graph_masks(count, [e for e in pairs if rng.random() < p])
+    got = en._max_independent_set(masks)
+    assert got == brute_force_independent_set(masks) == old_max_independent_set(masks)
+
+
+def test_independent_set_adversarial_graphs():
+    # the shapes that drove the old search deep: perfect matchings, where
+    # every branch ties, and long sparse chains
+    n = 24
+    family = {
+        "matching i, i+12": [(i, i + 12) for i in range(12)],
+        "matching 2i, 2i+1": [(2 * i, 2 * i + 1) for i in range(12)],
+        "path": [(i, i + 1) for i in range(n - 1)],
+        "cycle": [(i, (i + 1) % n) for i in range(n)],
+        "band": [(i, j) for i in range(n) for j in range(i + 1, min(n, i + 4))],
+        "empty": [],
+        "complete": list(itertools.combinations(range(n), 2)),
+    }
+    for name, edges in family.items():
+        masks = graph_masks(n, edges)
+        assert (name, en._max_independent_set(masks)) == (name, old_max_independent_set(masks))
