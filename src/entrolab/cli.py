@@ -124,7 +124,8 @@ def _sample_from(params: dict, space) -> CompactSample:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValidationError("estimate task needs a sample spec with a 'kind'")
     if spec["kind"] == "grid":
-        shape = tuple(ser.number_from_json(v, "shape entry", int) for v in spec.get("shape", []))
+        shape = ser.container_from_json(spec.get("shape", []), "grid shape")
+        shape = tuple(ser.number_from_json(v, "shape entry", int) for v in shape)
         if not shape:
             raise ValidationError("grid sample needs a nonempty 'shape'")
         return grid_sample(
@@ -135,7 +136,8 @@ def _sample_from(params: dict, space) -> CompactSample:
             label=spec.get("label", f"grid{shape}"),
         )
     if spec["kind"] == "explicit":
-        pts = tuple(ser.vector_from_json(p) for p in spec.get("points", []))
+        points = ser.container_from_json(spec.get("points", []), "points")
+        pts = tuple(ser.vector_from_json(p) for p in points)
         resolution = ser.number_from_json(spec.get("resolution", 1e-6), "resolution")
         return CompactSample(pts, resolution, spec.get("label", "explicit"))
     raise ValidationError(f"unknown sample kind {spec['kind']!r}")
@@ -217,7 +219,7 @@ def _task_estimate_entropy(cfg: ExperimentConfig) -> int:
     space = _space_from(p)
     K = _sample_from(p, space)
     n_range = p.get("n_range")
-    eps_list = p.get("eps_list")
+    eps_list = ser.container_from_json(p.get("eps_list") or [], "eps_list")
     if not n_range or not eps_list:
         raise ValidationError("estimate task needs n_range and eps_list")
     if isinstance(n_range, dict):
@@ -279,9 +281,8 @@ def _task_embed_shift(cfg: ExperimentConfig) -> int:
         seed=cfg.seed if mode == "random" else None,
     )
     B = BackwardShift(w)
-    eps_list = [
-        ser.number_from_json(e, "eps_list entry") for e in p.get("eps_list", [0.4, 0.2, 0.1])
-    ]
+    eps_list = ser.container_from_json(p.get("eps_list", [0.4, 0.2, 0.1]), "eps_list")
+    eps_list = [ser.number_from_json(e, "eps_list entry") for e in eps_list]
     ns = range(1, ser.number_from_json(p.get("n_max", depth + 1), "n_max", int) + 1)
     table = sn_table(B, K, ns, eps_list, space, operator_id=ser.operator_id(B))
     est = entropy_estimate(table)
@@ -329,7 +330,7 @@ def _task_shadow(cfg: ExperimentConfig) -> int:
     elif "random_schedules" in p:
         if cfg.seed is None:
             raise ValidationError("random schedules need a seed")
-        spec = p["random_schedules"]
+        spec = ser.container_from_json(p["random_schedules"], "random_schedules", dict)
         rng = np.random.default_rng(cfg.seed)
         max_segments = ser.number_from_json(spec.get("max_segments", 3), "max_segments", int)
         count = ser.number_from_json(spec.get("count", 1), "count", int)
@@ -373,7 +374,7 @@ def _task_sp_lower_bound(cfg: ExperimentConfig) -> int:
     k = ser.number_from_json(p.get("k", 1), "k", int)
     bound = sp_entropy_lower_bound(m, N, k)
     payload = {"m": m, "N": N, "k": k, "lower_bound": bound}
-    fam_spec = p.get("build_family")
+    fam_spec = ser.container_from_json(p.get("build_family") or {}, "build_family", dict)
     certified = True
     if fam_spec:
         w = ser.rule_from_json(p.get("weights", {"rule": "const", "value": 2}))

@@ -4,10 +4,13 @@ Empirical side: counts of (n, eps)-separated subsets of a finite sample
 under the dynamical metric max_{0<=i<n} d(T^i x, T^i y), computed either by
 a deterministic greedy scan (maximal set, lexicographic point order) or by
 an exact memoised search over the conflict graph (the lexicographically
-greatest maximum set, small samples only).  A table of counts over an
-(n, eps) grid feeds a least-squares slope of log s_n before saturation; the
-eps -> 0 limit stays represented by the full per-eps slope list, never a
-single collapsed number.
+greatest maximum set, small samples only).  The order is fixed once, when
+a `CompactSample` is built: its points padded to one block `rows`, sorted
+by the interleaved (Re, Im) coordinates, with equal rows (compared by
+value) refused; nothing sorts or pads a sample afterwards.  A table of
+counts over an (n, eps) grid feeds a least-squares slope of log s_n before
+saturation; the eps -> 0 limit stays represented by the full per-eps slope
+list, never a single collapsed number.
 
 Every pairwise question goes through one exact near-pair kernel,
 `near_pairs`: the pairs within a radius r, with their Bowen distances.
@@ -70,11 +73,19 @@ class CompactSample:
 
     `resolution` is the caller-declared covering radius of the sample inside
     the intended compact set; it is recorded, not verified.
+
+    Built once into canonical form: `rows` holds the points zero-padded to
+    one (count, dim) block in lexicographic order of the interleaved (Re,
+    Im) coordinates, and `points` the caller's Vectors in that order, so
+    mixed dimensions sort by padded row ((1, -1) before (1)).  A point is
+    its padded row compared by value (-0.0 == 0.0, trailing zeros ignored);
+    equal rows are refused.
     """
 
     points: tuple[Vector, ...]
     resolution: float
     label: str = ""
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.points:
@@ -84,9 +95,14 @@ class CompactSample:
         space_ids = {p.space_id for p in self.points}
         if len(space_ids) > 1:
             raise SpaceMismatchError(f"sample mixes spaces: {sorted(space_ids)}")
-        if len(set(self.points)) != len(self.points):
+        block = padded_block(self.points)
+        order = np.lexsort(block.view(float).T[::-1])  # interleaved (Re, Im) columns
+        rows = block[order]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise ValidationError("sample points must be pairwise distinct")
-        object.__setattr__(self, "points", tuple(self.points))
+        rows.flags.writeable = False
+        object.__setattr__(self, "points", tuple(self.points[i] for i in order.tolist()))
+        object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -122,25 +138,15 @@ def dyn_distance(T: Operator, x: Vector, y: Vector, n: int, s: SpaceSpec) -> flo
     return float(bowen_distances(orbits, [0], [1], n, s)[0])
 
 
-def _lex_order(points: tuple[Vector, ...]) -> list[int]:
-    def key(i: int):
-        c = points[i].coords
-        return tuple(v for z in c for v in (z.real, z.imag))
-
-    return sorted(range(len(points)), key=key)
-
-
-def _sample_orbits(T: Operator, K: CompactSample, steps: int) -> tuple[list[Vector], np.ndarray]:
-    """The sample's points in lexicographic order and their orbits, shape
-    (count, steps, dim).
+def _sample_orbits(T: Operator, K: CompactSample, steps: int) -> np.ndarray:
+    """Orbits of the sample's rows, shape (count, steps, dim).
 
     Real-valued orbits are handed out as a float array; the norm machinery
     only sees magnitudes, so the counts are unchanged and the arithmetic is
     twice as fast.
     """
-    points = [K.points[i] for i in _lex_order(K.points)]
-    orbits = orbit_block(T, padded_block(points), steps)
-    return points, orbits if np.any(orbits.imag) else orbits.real.copy()
+    orbits = orbit_block(T, K.rows, steps)
+    return orbits if np.any(orbits.imag) else orbits.real.copy()
 
 
 def bowen_distances(
@@ -505,9 +511,8 @@ def greedy_separated(
     """
     if eps <= 0:
         raise ValidationError("separation scale eps must be positive")
-    points, orbits = _sample_orbits(T, K, n)
-    kept = _kept_rows(orbits, (n,), (eps,), s, "greedy")[0, 0]
-    return [points[i] for i in np.flatnonzero(kept)]
+    kept = _kept_rows(_sample_orbits(T, K, n), (n,), (eps,), s, "greedy")[0, 0]
+    return [K.points[i] for i in np.flatnonzero(kept)]
 
 
 def _conflict_graphs(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec) -> list:
@@ -573,14 +578,11 @@ def max_separated_exact(
     as any maximum set allows, then its second, and so on.
     """
     if len(K) > EXACT_SAMPLE_CAP:
-        raise SampleSizeError(
-            f"exact separated-set search is capped at {EXACT_SAMPLE_CAP} points, got {len(K)}"
-        )
+        raise SampleSizeError(f"exact search is capped at {EXACT_SAMPLE_CAP} points, got {len(K)}")
     if eps <= 0:
         raise ValidationError("separation scale eps must be positive")
-    points, orbits = _sample_orbits(T, K, n)
-    kept = _kept_rows(orbits, (n,), (eps,), s, "exact")[0, 0]
-    return [points[i] for i in np.flatnonzero(kept)]
+    kept = _kept_rows(_sample_orbits(T, K, n), (n,), (eps,), s, "exact")[0, 0]
+    return [K.points[i] for i in np.flatnonzero(kept)]
 
 
 def _kept_rows(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec, method: str) -> np.ndarray:
@@ -650,22 +652,13 @@ def sn_table(
 ) -> EntropyTable:
     """Fill the (n, eps) grid of separated-set counts.
 
-    Every cell comes from one carried pass (`_carried_pairs`): keys are
-    planned once, at the smallest n with r = max(eps); the near pairs there
-    are streamed in blocks, and each block is carried through the later n,
-    its running maxima extended slice by slice and its pairs beyond max(eps)
-    dropped.  Greedy cells are swept from the survivors (`_carried_marks`):
-    rows are walked in lexicographic order, a row unmarked for the cell is
-    kept and marks its later neighbours within that eps, so each kept set is
-    the one the per-cell scan keeps.  When the pass would cost more than the
-    witness scan (`_carry_plan`), as for an isometry whose pairs never drop
-    with one large eps, `_greedy_indices` runs instead, per cell.  Exact
-    cells are a memoised maximum-set search (`_max_independent_set`) over
-    the survivors' conflict graphs (`_conflict_graphs`), each the
-    lexicographically greatest maximum set in the sample's lexicographic
-    order.  Greedy counts can violate the monotonicity laws
-    (nondecreasing in n, nonincreasing in eps) in pathological scan orders;
-    violations are repaired by running maxima and flagged.
+    Every cell comes from `_kept_rows` over the orbits of the sample's rows,
+    in their canonical order: one carried pass, greedy sweeps or exact
+    memoised searches over its survivors, or the witness scan per cell when
+    `_carry_plan` finds that cheaper (see the module docstring).  Greedy
+    counts can violate the monotonicity laws (nondecreasing in n,
+    nonincreasing in eps) in pathological scan orders; violations are
+    repaired by running maxima and flagged.
     """
     n_values = tuple(sorted(set(int(n) for n in n_range)))
     eps_values = tuple(sorted(set(float(e) for e in eps_list), reverse=True))
@@ -678,11 +671,9 @@ def sn_table(
     if method not in ("greedy", "exact"):
         raise ValidationError(f"unknown method {method!r}")
     if method == "exact" and len(K) > EXACT_SAMPLE_CAP:
-        raise SampleSizeError(
-            f"exact method is capped at {EXACT_SAMPLE_CAP} points, got {len(K)}"
-        )
+        raise SampleSizeError(f"exact search is capped at {EXACT_SAMPLE_CAP} points, got {len(K)}")
 
-    _, orbits = _sample_orbits(T, K, max(n_values))
+    orbits = _sample_orbits(T, K, max(n_values))
     counts = _kept_rows(orbits, n_values, eps_values, s, method).sum(axis=2).tolist()
 
     entries: dict[tuple[int, float], int] = {}

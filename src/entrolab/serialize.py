@@ -52,6 +52,12 @@ def number_from_json(obj, name: str, kind=float):
         raise ValidationError(f"{name} must be a number, got {obj!r}") from exc
 
 
+def container_from_json(obj, name: str, kind=list):
+    if not isinstance(obj, kind):
+        raise ValidationError(f"{name} must be a JSON {kind.__name__}, got {obj!r}")
+    return obj
+
+
 def _field(obj: dict, key: str):
     if key not in obj:
         raise ValidationError(f"missing field {key!r} in {obj!r}")

@@ -95,7 +95,8 @@ class Vector:
         )
 
     def __hash__(self) -> int:
-        return hash((self.space_id, self.coords.tobytes()))
+        # + 0.0 folds -0.0 into 0.0 in both parts, as == does
+        return hash((self.space_id, (self.coords + 0.0).tobytes()))
 
     def __repr__(self) -> str:
         head = ", ".join(f"{c:.6g}" for c in self.coords[:4])

@@ -408,13 +408,12 @@ def sp_separated_family(
         raise ValidationError(f"shadow for tuple {combo} failed certification")
 
     all_rows = np.concatenate([family_block, anchor_block], axis=0)
-    # collapse duplicates, first occurrence wins (the all-zero tuple
-    # reproduces the zero anchor); row_of maps original index -> kept row
+    # collapse duplicates by value, first occurrence wins (the all-zero tuple
+    # reproduces a zero anchor); row_of maps original index -> kept row
     seen: dict[bytes, int] = {}
     keep: list[int] = []
     row_of: list[int] = []
-    for idx in range(all_rows.shape[0]):
-        key = all_rows[idx].tobytes()
+    for idx, key in enumerate(map(np.ndarray.tobytes, all_rows + 0.0)):  # + 0.0 folds -0.0
         if key in seen:
             row_of.append(seen[key])
         else:

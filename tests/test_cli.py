@@ -203,10 +203,26 @@ def test_validation_exit_codes(tmp_path):
         ("sp-lower-bound", {"N": 4, "m": 2, "k": "x"}),
         ("sp-lower-bound", {"N": 4, "m": 2, "build_family": {"n": "x"}}),
         ("sp-lower-bound", {"N": 4, "m": 2, "build_family": {"n": 2, "dim": "x"}}),
+        ("estimate-entropy", {**estimate, "eps_list": 0.1}),
+        ("estimate-entropy", {**estimate, "sample": {"kind": "grid", "shape": 9}}),
+        ("estimate-entropy", {**estimate, "sample": {"kind": "explicit", "points": 5}}),
+        ("embed-shift", {"N": 2, "depth": 2, "eps_list": 0.1}),
+        ("shadow", {"random_schedules": 3}, "--seed", "1"),
+        ("sp-lower-bound", {"N": 4, "m": 2, "build_family": 3}),
     ]
-    for task, config in malformed:
-        code, _, report = run_cli(tmp_path, task, config)
+    for task, config, *extra in malformed:
+        code, _, report = run_cli(tmp_path, task, config, *extra)
         assert (task, config, code, report) == (task, config, 2, None)
+
+
+def test_sample_with_points_equal_by_value_exit_code(tmp_path):
+    base = {"operator": {"kind": "diagonal", "eigenvalues": {"rule": "explicit", "values": [2, 2]}},
+            "n_range": {"lo": 1, "hi": 4}, "eps_list": [0.1]}
+    # -0.0 == 0.0, and coordinates beyond a vector's dim are exactly zero
+    for points in ([[-0.0], [0.0]], [[1.0], [1.0, 0.0]]):
+        config = {**base, "sample": {"kind": "explicit", "points": points}}
+        code, _, report = run_cli(tmp_path, "estimate-entropy", config)
+        assert (points, code, report) == (points, 2, None)
 
 
 def test_saturation_exit_code(tmp_path):

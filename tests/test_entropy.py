@@ -120,6 +120,40 @@ def test_greedy_deterministic_under_input_order():
     assert a == b
 
 
+def test_sample_refuses_points_equal_by_value():
+    # -0.0 == 0.0, and coordinates beyond a vector's dim are exactly zero
+    for pair in ((vector([0.0]), vector([-0.0])), (vector([1.0]), vector([1.0, 0.0]))):
+        with pytest.raises(ValidationError):
+            CompactSample(pair, 0.1)
+
+
+def test_sample_order_matches_tuple_key_sort():
+    # reference: the per-point sort on interleaved (Re, Im) tuples, where
+    # -0.0 and 0.0 tie, over same-dimension complex samples with signed zeros
+    def key(v):
+        return tuple(x for z in v.coords for x in (z.real, z.imag))
+
+    rng = np.random.default_rng(0)
+    values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+    for _ in range(50):
+        raw = np.empty((12, 2), dtype=complex)
+        raw.real, raw.imag = rng.choice(values, size=(2, 12, 2))
+        by_value = {(row + 0.0).tobytes(): row for row in raw}
+        pts = [vector(row) for row in by_value.values()]
+        K = CompactSample(tuple(pts), 0.1)
+        assert [id(p) for p in K.points] == [id(p) for p in sorted(pts, key=key)]
+        assert K.rows.tobytes() == np.stack([p.coords for p in K.points]).tobytes()
+
+
+def test_sample_orders_mixed_dimensions_by_padded_rows():
+    short, long = vector([1.0]), vector([1.0, -1.0])
+    K = CompactSample((short, long), 0.1)
+    kept = greedy_separated(Diagonal(ExplicitRule((1.0, 1.0))), K, 1, 0.5, L2)
+    assert kept[0] is long and kept[1] is short
+    assert K.points[0] is long and K.points[1] is short
+    assert K.rows.tolist() == [[1.0, -1.0], [1.0, 0.0]]
+
+
 # ---------------------------------------------------------------- exact
 
 
@@ -464,7 +498,7 @@ def kernel_sample(seed, dim, count, dyadic, rotate):
 def assert_pair_path_matches_scan(T, K, n_values, eps_values, s):
     """Every cell's count and kept rows from the carried pass, and from the
     single-n pass at each n, equal the witness scan's."""
-    _, orbits = en._sample_orbits(T, K, max(n_values))
+    orbits = en._sample_orbits(T, K, max(n_values))
     eps = np.array(eps_values)
     plan, _ = en._plan_keys(orbits, n_values[0], eps_values[0], s)
     carried = en._carried_marks(orbits, n_values, eps, s, plan)
@@ -495,7 +529,7 @@ def test_pair_sweep_matches_witness_scan(seed, s, dim, count, dyadic, rotate):
 @given(st.integers(0, 10_000), st.sampled_from(KERNEL_SPACES), st.integers(1, 3), st.booleans())
 def test_near_pairs_are_every_close_pair(seed, s, dim, dyadic):
     T, K = kernel_sample(seed, dim, 140, dyadic, rotate=True)
-    _, orbits = en._sample_orbits(T, K, 3)
+    orbits = en._sample_orbits(T, K, 3)
     r = 0.25
     ref = {}
     for i in range(orbits.shape[0] - 1):
@@ -538,7 +572,7 @@ def test_faggregate_all_pairs_fallback():
     # saturated value: no key bounds anything, so all pairs are evaluated
     T, K = kernel_sample(3, 3, 140, dyadic=False, rotate=False)
     s = FAggregate(L2)
-    _, orbits = en._sample_orbits(T, K, 2)
+    orbits = en._sample_orbits(T, K, 2)
     for r in (1.0, 2.0):
         _, usable = en._key_cells(orbits, r, s)
         assert not usable.any()
@@ -573,7 +607,7 @@ def test_witness_fallback_when_keys_do_not_prune():
     # (n, eps) cell of one eps column, above SCAN_ROW_PAIRS, so that table
     # comes from the witness scan
     K = sample_of(np.linspace(0, 1, 800))
-    _, orbits = en._sample_orbits(IDENTITY_1D, K, 2)
+    orbits = en._sample_orbits(IDENTITY_1D, K, 2)
     assert en._carry_plan(orbits, (1, 2), (10.0,), L2) is None
     assert sn_table(IDENTITY_1D, K, [1, 2], [10.0], L2).s(1, 10.0) == 1
     table = sn_table(IDENTITY_1D, K, [1, 2], [10.0, 0.01], L2)
@@ -588,11 +622,11 @@ def test_pair_budget_scales_with_eps_count():
     # cube evaluates about 88 pairs per scan row, n and eps at eps 0.4
     # alone, so it takes the carried pass with one column or three
     K = sample_of(np.linspace(0, 1, 800))
-    _, orbits = en._sample_orbits(IDENTITY_1D, K, 2)
+    orbits = en._sample_orbits(IDENTITY_1D, K, 2)
     assert en._carry_plan(orbits, (1, 2), (10.0,), L2) is None
     assert en._carry_plan(orbits, (1, 2), (10.0, 0.01), L2) is not None
     K = cube_sample(4, 5, ConstRule(2), base=LINF)
-    _, orbits = en._sample_orbits(BackwardShift(ConstRule(2)), K, 6)
+    orbits = en._sample_orbits(BackwardShift(ConstRule(2)), K, 6)
     n_values = tuple(range(1, 7))
     assert en._carry_plan(orbits, n_values, (0.4,), LINF) is not None
     assert en._carry_plan(orbits, n_values, (0.4, 0.2, 0.1), LINF) is not None
@@ -602,7 +636,7 @@ def test_pair_budget_scales_with_eps_count():
 @given(st.integers(0, 10_000), st.sampled_from(KERNEL_SPACES), st.integers(1, 3), st.booleans())
 def test_conflict_masks_match_per_row_graph(seed, s, dim, rotate):
     T, K = kernel_sample(seed, dim, 24, dyadic=seed % 2 == 0, rotate=rotate)
-    _, orbits = en._sample_orbits(T, K, 9)
+    orbits = en._sample_orbits(T, K, 9)
     eps_values = (0.125, 0.25, 0.5)
     for n_values in ((1, 2, 3), (2, 5, 9)):
         graphs = en._conflict_graphs(orbits, n_values, eps_values, s)
@@ -620,7 +654,7 @@ def test_filter_keys_keep_every_close_pair(seed, s):
     pts = np.unique(rng.integers(0, 8, size=(150, 8)) / 4.0, axis=0)
     K = CompactSample(tuple(vector(p) for p in pts), 0.1)
     B = BackwardShift(ConstRule(2))
-    _, orbits = en._sample_orbits(B, K, 3)
+    orbits = en._sample_orbits(B, K, 3)
     (hashed, filters), _ = en._plan_keys(orbits, 3, 0.3, s)
     assert hashed.shape[1] >= 1 and filters.shape[1] >= 1
     assert_pair_path_matches_scan(B, K, (1, 3), (0.3, 0.2), s)
@@ -686,9 +720,9 @@ def test_cubes_take_carried_pass():
     B = BackwardShift(ConstRule(2))
     for depth in (7, 8):
         K = cube_sample(3, depth, ConstRule(2), base=LINF)
-        _, orbits = en._sample_orbits(B, K, depth + 1)
+        orbits = en._sample_orbits(B, K, depth + 1)
         assert en._carry_plan(orbits, tuple(range(1, depth + 2)), (0.4, 0.2, 0.1), LINF) is not None
-    _, orbits = en._sample_orbits(rotation_matrix(0.7), grid_sample(L2, (64, 64)), 12)
+    orbits = en._sample_orbits(rotation_matrix(0.7), grid_sample(L2, (64, 64)), 12)
     assert en._carry_plan(orbits, tuple(range(1, 13)), (0.5,), L2) is None
 
 

@@ -116,6 +116,12 @@ def test_lp_requires_p_at_least_one():
         Lp(0.5)
 
 
+def test_hash_agrees_with_eq_on_signed_zeros():
+    for a, b in ((vector([0.0]), vector([-0.0])), (vector([1j]), vector([complex(-0.0, 1.0)])),
+                 (vector([1.0]), vector([complex(1.0, -0.0)]))):
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
 def test_distance_identity():
     e3 = basis_vector(3, 4)
     assert distance(e3, e3, L2) == 0.0

@@ -179,6 +179,18 @@ def test_family_three_anchors_pairwise_verified():
             assert dyn_distance(B2, pts[i], pts[j], steps, FA) > 0.1
 
 
+def test_family_collapses_anchor_equal_by_value():
+    # the all-zero tuple's shadow is the zero anchor, whatever the sign of
+    # its zeros
+    x1 = fixed_vector(B2, 48)
+    plain = sp_separated_family(B2, [zero_vector(48), x1], 2, 0.1)
+    signed = sp_separated_family(B2, [Vector(np.full(48, -0.0)), x1], 2, 0.1)
+    assert (plain.family_size, len(plain.sample)) == (4, 5)
+    assert signed.sample.rows.tobytes() == plain.sample.rows.tobytes()
+    assert (signed.family_size, signed.min_pairwise, signed.verification) == (
+        plain.family_size, plain.min_pairwise, plain.verification)
+
+
 def test_family_close_anchors_rejected():
     x1 = fixed_vector(B2, 64)
     near = Vector(x1.coords * 1.0001)
