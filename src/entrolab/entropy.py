@@ -4,10 +4,11 @@ Empirical side: counts of (n, eps)-separated subsets of a finite sample
 under the dynamical metric max_{0<=i<n} d(T^i x, T^i y), computed either by
 a deterministic greedy scan (maximal set, lexicographic point order) or by
 an exact memoised search over the conflict graph (the lexicographically
-greatest maximum set, small samples only).  The order is fixed once, when
-a `CompactSample` is built: its points padded to one block `rows`, sorted
-by the interleaved (Re, Im) coordinates, with equal rows (compared by
-value) refused; nothing sorts or pads a sample afterwards.  A table of
+greatest maximum set, small samples only).  A point is its zero-padded
+coordinate row compared by value, and a `CompactSample` is the block `rows`
+of its points, padded and sorted by the interleaved (Re, Im) coordinates
+once, when it is built, with equal rows refused; nothing sorts or pads a
+sample afterwards.  A table of
 counts over an (n, eps) grid feeds a least-squares slope of log s_n before
 saturation; the eps -> 0 limit stays represented by the full per-eps slope
 list, never a single collapsed number.
@@ -42,13 +43,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     SampleSizeError,
     SaturationError,
-    SpaceMismatchError,
     UncertifiedSpectrumError,
     ValidationError,
 )
@@ -67,45 +68,44 @@ SCAN_ROW_PAIRS = 500  # pair evaluations costing about one witness-scan row per 
 _TINY = np.finfo(float).tiny
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CompactSample:
     """Finite sample standing in for a compact set.
 
     `resolution` is the caller-declared covering radius of the sample inside
     the intended compact set; it is recorded, not verified.
 
-    Built once into canonical form: `rows` holds the points zero-padded to
-    one (count, dim) block in lexicographic order of the interleaved (Re,
-    Im) coordinates, and `points` the caller's Vectors in that order, so
-    mixed dimensions sort by padded row ((1, -1) before (1)).  A point is
-    its padded row compared by value (-0.0 == 0.0, trailing zeros ignored);
-    equal rows are refused.
+    The sample is its block `rows`: the points (Vectors or 1-D coordinate
+    arrays, so a (count, dim) array will do) zero-padded by `padded_block`
+    and sorted by the interleaved (Re, Im) coordinates, so mixed dimensions
+    sort by padded row ((1, -1) before (1)).  Equal rows are refused.
+    `points` are the rows as Vectors, built on first use and kept.
     """
 
-    points: tuple[Vector, ...]
+    rows: np.ndarray = field(repr=False)
     resolution: float
     label: str = ""
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not self.points:
+    def __init__(self, points, resolution: float, label: str = ""):
+        if len(points) == 0:
             raise ValidationError("sample needs at least one point")
-        if self.resolution <= 0:
+        if resolution <= 0:
             raise ValidationError("declared resolution must be positive")
-        space_ids = {p.space_id for p in self.points}
-        if len(space_ids) > 1:
-            raise SpaceMismatchError(f"sample mixes spaces: {sorted(space_ids)}")
-        block = padded_block(self.points)
-        order = np.lexsort(block.view(float).T[::-1])  # interleaved (Re, Im) columns
-        rows = block[order]
+        block = padded_block(points)
+        rows = block[np.lexsort(block.view(float).T[::-1])]  # interleaved (Re, Im) columns
         if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise ValidationError("sample points must be pairwise distinct")
         rows.flags.writeable = False
-        object.__setattr__(self, "points", tuple(self.points[i] for i in order.tolist()))
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "resolution", resolution)
+        object.__setattr__(self, "label", label)
+
+    @cached_property
+    def points(self) -> tuple[Vector, ...]:
+        return tuple(Vector(row) for row in self.rows)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.rows.shape[0]
 
 
 def grid_sample(
@@ -113,7 +113,6 @@ def grid_sample(
     points_per_axis: tuple[int, ...],
     low: float = 0.0,
     high: float = 1.0,
-    space_id: str = "",
     label: str = "",
 ) -> CompactSample:
     """Uniform product grid on [low, high]^d, endpoints included."""
@@ -124,16 +123,13 @@ def grid_sample(
         [(high - low) / (k - 1) / 2 if k > 1 else (high - low) / 2 for k in points_per_axis]
     )
     resolution = float(norm_block(half_cell[np.newaxis, :], space)[0])
-    pts = tuple(Vector(row, space_id) for row in coords)
-    return CompactSample(pts, max(resolution, 1e-300), label or f"grid{points_per_axis}")
+    return CompactSample(coords, max(resolution, 1e-300), label or f"grid{points_per_axis}")
 
 
 def dyn_distance(T: Operator, x: Vector, y: Vector, n: int, s: SpaceSpec) -> float:
     """Bowen dynamical distance max_{0<=i<n} d(T^i x, T^i y)."""
     if n < 1:
         raise ValidationError(f"dynamical distance needs n >= 1, got {n}")
-    if x.space_id != y.space_id:
-        raise SpaceMismatchError("points live in different spaces")
     orbits = orbit_block(T, padded_block((x, y)), n)
     return float(bowen_distances(orbits, [0], [1], n, s)[0])
 

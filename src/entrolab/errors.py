@@ -24,10 +24,6 @@ class HeadroomError(DimensionError):
     """A forward shift would push support past the truncation length."""
 
 
-class SpaceMismatchError(ValidationError):
-    """Vectors tagged with different spaces were combined."""
-
-
 class ScheduleError(ValidationError):
     """Segment schedule violates the ordering or gap constraints."""
 

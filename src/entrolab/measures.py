@@ -84,7 +84,7 @@ def orbit_measure(A: DenseMatrix, x: Vector, k: int, operator_id: str = "") -> O
     atoms = []
     y = coords
     for _ in range(period):
-        atoms.append((Vector(y, x.space_id), 1.0 / period))
+        atoms.append((Vector(y), 1.0 / period))
         y = A.entries @ y
     return OrbitMeasure(tuple(atoms), period, operator_id)
 
@@ -209,12 +209,12 @@ def variational_gap(
         raise ValidationError("need at least one period to search")
     h_top = spectral_entropy(spectrum(A))
     split = riesz_split(A)
-    measures = [orbit_measure(A, Vector(np.zeros(A.d), ""), 1, operator_id)]
+    measures = [orbit_measure(A, Vector(np.zeros(A.d)), 1, operator_id)]
     center_ok = True
     for k in range(1, search_periods + 1):
         basis = linear_periodic_points(A, k)
         for col in range(basis.shape[1]):
-            x = Vector(basis[:, col], "")
+            x = Vector(basis[:, col])
             mu = orbit_measure(A, x, k, operator_id)
             measures.append(mu)
             if not support_in_center(A, mu, split):

@@ -229,7 +229,7 @@ def forward_shift_block(weights: rl.Rule, block: np.ndarray) -> np.ndarray:
 
 def apply(T: Operator, x: Vector) -> Vector:
     """Exact linear action of T on a truncated vector."""
-    return Vector(batch_apply(T, x.coords[np.newaxis, :])[0], x.space_id)
+    return Vector(batch_apply(T, x.coords[np.newaxis, :])[0])
 
 
 def orbit_block(T: Operator, block: np.ndarray, steps: int) -> np.ndarray:
@@ -356,7 +356,7 @@ class SpectralRadiusCertificate:
         return self.closed_form if self.closed_form is not None else self.upper_bound
 
 
-def spectral_radius(T: Operator, n_max: int = 64, tol: float = 1e-10) -> SpectralRadiusCertificate:
+def spectral_radius(T: Operator, n_max: int = 64) -> SpectralRadiusCertificate:
     if n_max < 8:
         raise ValidationError(f"spectral radius certificate needs n_max >= 8, got {n_max}")
     seq = tuple(power_norm(T, n) ** (1.0 / n) for n in range(1, n_max + 1))
@@ -700,7 +700,7 @@ def riesz_split(A: DenseMatrix, circle_tol: float = 1e-6) -> Splitting:
     )
 
 
-def rolewicz_eigenvector(alpha: complex, lam: complex, M: int, space_id: str = "") -> Vector:
+def rolewicz_eigenvector(alpha: complex, lam: complex, M: int) -> Vector:
     """Eigenvector (lam/alpha)^n of alpha*B, valid only for |lam| < |alpha|."""
     if M < 1:
         raise ValidationError("eigenvector truncation must be >= 1")
@@ -715,4 +715,4 @@ def rolewicz_eigenvector(alpha: complex, lam: complex, M: int, space_id: str = "
     for i in range(M):
         coords[i] = term
         term *= q
-    return Vector(coords, space_id)
+    return Vector(coords)

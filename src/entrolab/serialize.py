@@ -68,10 +68,10 @@ def vector_to_json(v: Vector) -> list[list[float]]:
     return [complex_to_json(c) for c in v.coords]
 
 
-def vector_from_json(obj, space_id: str = "") -> Vector:
+def vector_from_json(obj) -> Vector:
     if not isinstance(obj, (list, tuple)) or not obj:
         raise ValidationError("vector literal must be a nonempty array")
-    return Vector(np.array([complex_from_json(c) for c in obj]), space_id)
+    return Vector(np.array([complex_from_json(c) for c in obj]))
 
 
 def space_to_json(s: SpaceSpec) -> dict:
@@ -201,14 +201,14 @@ def schedule_to_json(s: SegmentSchedule) -> dict:
     }
 
 
-def schedule_from_json(obj, space_id: str = "") -> SegmentSchedule:
+def schedule_from_json(obj) -> SegmentSchedule:
     if not isinstance(obj, dict) or "segments" not in obj or "gap" not in obj:
         raise ValidationError("schedule needs 'gap' and 'segments' fields")
     segs = []
     for seg in obj["segments"]:
         try:
             a, b = int(seg["a"]), int(seg["b"])
-            y = vector_from_json(seg["y"], space_id)
+            y = vector_from_json(seg["y"])
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed segment {seg!r}") from exc
         segs.append((a, b, y))

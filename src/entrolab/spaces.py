@@ -1,8 +1,12 @@
 """Truncated sequence-space vectors and the metrics used by every other module.
 
 A Vector stores the first `dim` coordinates of a complex sequence, indexed
-from 1; everything beyond the truncation is exactly zero.  Two metric
-families are supported:
+from 1; everything beyond the truncation is exactly zero.  A point is its
+zero-padded coordinate row compared by value: trailing zeros do not count
+and -0.0 equals 0.0, so `vector([1.0]) == vector([1.0, -0.0])`, and equal
+vectors hash equal.  A sample (`entropy.CompactSample`) is one block of
+such rows, built by `padded_block` from Vectors or coordinate arrays.  Two
+metric families are supported:
 
 * the l^p norms (1 <= p <= inf), and
 * an aggregated F-norm built over a base l^p norm,
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SpaceMismatchError, ValidationError
+from .errors import ValidationError
 
 _TINY = np.finfo(float).tiny  # smallest normal double
 
@@ -65,7 +69,6 @@ class Vector:
     """Finitely supported coordinate sequence, coordinates indexed from 1."""
 
     coords: np.ndarray = field()
-    space_id: str = ""
 
     def __post_init__(self):
         arr = np.asarray(self.coords, dtype=complex)
@@ -87,16 +90,19 @@ class Vector:
             raise ValidationError("coordinate index starts at 1")
         return complex(self.coords[n - 1]) if n <= self.dim else 0j
 
+    def _value(self) -> bytes:
+        """The coordinates up to the last nonzero one, -0.0 folded into 0.0
+        in both parts (+ 0.0 does that): equal bytes for equal values."""
+        nonzero = np.flatnonzero(self.coords)
+        return (self.coords[: nonzero[-1] + 1 if nonzero.size else 0] + 0.0).tobytes()
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vector):
             return NotImplemented
-        return self.space_id == other.space_id and bool(
-            np.array_equal(self.coords, other.coords)
-        )
+        return self._value() == other._value()
 
     def __hash__(self) -> int:
-        # + 0.0 folds -0.0 into 0.0 in both parts, as == does
-        return hash((self.space_id, (self.coords + 0.0).tobytes()))
+        return hash(self._value())
 
     def __repr__(self) -> str:
         head = ", ".join(f"{c:.6g}" for c in self.coords[:4])
@@ -104,21 +110,21 @@ class Vector:
         return f"Vector([{head}{tail}], dim={self.dim})"
 
 
-def vector(values, space_id: str = "") -> Vector:
-    return Vector(np.asarray(values, dtype=complex), space_id)
+def vector(values) -> Vector:
+    return Vector(np.asarray(values, dtype=complex))
 
 
-def basis_vector(n: int, dim: int, space_id: str = "") -> Vector:
+def basis_vector(n: int, dim: int) -> Vector:
     """e_n truncated to `dim` coordinates."""
     if not (1 <= n <= dim):
         raise ValidationError(f"basis index {n} outside 1..{dim}")
     c = np.zeros(dim, dtype=complex)
     c[n - 1] = 1.0
-    return Vector(c, space_id)
+    return Vector(c)
 
 
-def zero_vector(dim: int, space_id: str = "") -> Vector:
-    return Vector(np.zeros(dim, dtype=complex), space_id)
+def zero_vector(dim: int) -> Vector:
+    return Vector(np.zeros(dim, dtype=complex))
 
 
 def norm_block(block: np.ndarray, space: SpaceSpec) -> np.ndarray:
@@ -163,7 +169,8 @@ def _power_roots(a: np.ndarray, p: float, cumulative: bool) -> tuple[np.ndarray,
 
 
 def _lp_norms(a: np.ndarray, p: float, cumulative: bool) -> np.ndarray:
-    roots, sums = _power_roots(a, p, cumulative)
+    with np.errstate(over="ignore"):  # an overflowed row is redone below
+        roots, sums = _power_roots(a, p, cumulative)
     if not sums.size:
         return roots
     if cumulative:
@@ -206,26 +213,28 @@ def norm_tail_bound(dim: int, s: SpaceSpec) -> float:
     return 2.0 ** -dim
 
 
-def padded_block(vectors, dim: int | None = None) -> np.ndarray:
-    """Coordinates of the vectors as the rows of a (count, dim) complex block,
-    zero-padded to `dim` (default: the longest vector's dimension)."""
-    vectors = tuple(vectors)
-    dim = max(v.dim for v in vectors) if dim is None else dim
-    block = np.zeros((len(vectors), dim), dtype=complex)
-    for i, v in enumerate(vectors):
-        if v.dim > dim:
+def padded_block(points, dim: int | None = None) -> np.ndarray:
+    """The points (Vectors or 1-D coordinate arrays, so a (count, dim)
+    array will do) as the rows of a (count, dim) complex block, zero-padded
+    to `dim` (default: the longest point's dimension).  Validated once, as
+    a whole: every point 1-D and nonempty, every coordinate finite."""
+    rows = [p.coords if isinstance(p, Vector) else np.asarray(p) for p in points]
+    if any(r.ndim != 1 or r.size == 0 for r in rows):
+        raise ValidationError("a point needs a one-dimensional, nonempty coordinate list")
+    dim = max(r.size for r in rows) if dim is None else dim
+    block = np.zeros((len(rows), dim), dtype=complex)
+    for i, r in enumerate(rows):
+        if r.size > dim:
             raise ValidationError("vector longer than the working truncation")
-        block[i, : v.dim] = v.coords
+        block[i, : r.size] = r
+    if not np.isfinite(block).all():
+        raise ValidationError("point coordinates must be finite")
     return block
 
 
 def distance(x: Vector, y: Vector, s: SpaceSpec) -> float:
     """Translation-invariant metric d(x, y) = |x - y|; shorter vector is
     zero-padded."""
-    if x.space_id != y.space_id:
-        raise SpaceMismatchError(
-            f"vectors live in different spaces: {x.space_id!r} vs {y.space_id!r}"
-        )
     block = padded_block((x, y))
     return float(norm_block(block[:1] - block[1:], s)[0])
 
@@ -238,4 +247,4 @@ def project(v: Vector, i: int) -> Vector:
         return v
     c = np.array(v.coords)
     c[i:] = 0.0
-    return Vector(c, v.space_id)
+    return Vector(c)

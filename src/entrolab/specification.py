@@ -236,7 +236,7 @@ def shadow_point(
         and all(d + tail < epsilon for _, d in deviations)
     )
     return ShadowReport(
-        xi=Vector(xi[0], sched.segments[0][2].space_id),
+        xi=Vector(xi[0]),
         period=period,
         deviations=deviations,
         tail_bound=tail,
@@ -247,15 +247,13 @@ def shadow_point(
     )
 
 
-def fixed_vector(B_w: BackwardShift, dim: int, scale: complex = 1.0, space_id: str = "") -> Vector:
+def fixed_vector(B_w: BackwardShift, dim: int, scale: complex = 1.0) -> Vector:
     """The fixed-point direction of the shift: x_1 = scale and
     x_{n+1} = x_n / w_{n+1}, exact on coordinates 1..dim-1."""
-    return periodic_vector(B_w, head=(scale,), dim=dim, space_id=space_id)
+    return periodic_vector(B_w, head=(scale,), dim=dim)
 
 
-def periodic_vector(
-    B_w: BackwardShift, head, dim: int, space_id: str = ""
-) -> Vector:
+def periodic_vector(B_w: BackwardShift, head, dim: int) -> Vector:
     """k-periodic point of the shift with prescribed first k coordinates:
     x_{n+k} = x_n / prod_{l=n+1..n+k} w_l, evaluated by sequential division."""
     head = tuple(complex(h) for h in head)
@@ -271,7 +269,7 @@ def periodic_vector(
         for l in range(n - k + 1, n + 1):
             val = val / w[l]  # w[l] is w_{l+1}
         coords[n] = val
-    return Vector(coords, space_id)
+    return Vector(coords)
 
 
 def sp_entropy_lower_bound(m: int, N: int, k: int = 1) -> float:
@@ -371,11 +369,12 @@ def sp_separated_family(
     the pieces and their periodic images have disjoint supports, and one
     stream of B_w over the family certifies every shadow.  A tuple whose
     shadow fails certification is named, the first in product order.  The
-    returned sample is the family together with the anchors (duplicates
-    collapsed).  Verification computes pairwise dynamical distances
-    directly up to a size cap; above it, certified triangle-inequality
-    lower bounds stand in and any pair failing the bound is re-checked
-    directly.
+    returned sample is the family together with the anchors; an anchor
+    equal to a shadow is that shadow's row, and two tuples with equal
+    shadows are refused (`_family_rows`).  Verification computes pairwise
+    dynamical distances directly up to a size cap; above it, certified
+    triangle-inequality lower bounds stand in and any pair failing the
+    bound is re-checked directly.
     """
     if not isinstance(B_w, BackwardShift):
         raise ValidationError("families are built over weighted backward shifts")
@@ -407,41 +406,24 @@ def sp_separated_family(
         combo = tuple(int(c) for c in combos[np.argmin(certified)])
         raise ValidationError(f"shadow for tuple {combo} failed certification")
 
-    all_rows = np.concatenate([family_block, anchor_block], axis=0)
-    # collapse duplicates by value, first occurrence wins (the all-zero tuple
-    # reproduces a zero anchor); row_of maps original index -> kept row
-    seen: dict[bytes, int] = {}
-    keep: list[int] = []
-    row_of: list[int] = []
-    for idx, key in enumerate(map(np.ndarray.tobytes, all_rows + 0.0)):  # + 0.0 folds -0.0
-        if key in seen:
-            row_of.append(seen[key])
-        else:
-            seen[key] = len(keep)
-            row_of.append(len(keep))
-            keep.append(idx)
-    dedup = all_rows[keep]
-
+    rows, anchor_rows = _family_rows(combos, family_block, anchor_block)
     T_eff: Operator = B_w if k == 1 else OperatorPower(B_w, k)
     steps = (n - 1) * (N + 1) + 1  # Bowen window in T^k steps
-    if dedup.shape[0] <= DIRECT_VERIFY_CAP:
-        min_pair = _direct_min_pairwise(space, orbit_block(T_eff, dedup, steps))
+    if rows.shape[0] <= DIRECT_VERIFY_CAP:
+        min_pair = _direct_min_pairwise(space, orbit_block(T_eff, rows, steps))
         verification = "direct"
         if not (min_pair > epsilon):
             raise ValidationError(
                 f"family separation failed: min pairwise distance {min_pair:.6g} <= {epsilon}"
             )
     else:
-        anchor_rows = [row_of[len(family_block) + a] for a in range(m)]
         min_pair = _certificate_min_pairwise(
-            T_eff, dedup, anchor_rows, float(dev.max()), d_min_anchor, steps, space, epsilon
+            T_eff, rows, anchor_rows, float(dev.max()), d_min_anchor, steps, space, epsilon
         )
         verification = "certificate"
 
-    space_id = anchors[0].space_id
-    pts = tuple(Vector(row, space_id) for row in dedup)
     sample = CompactSample(
-        pts,
+        rows,
         resolution=max(epsilon / 2, 1e-300),
         label=f"sp-family(m={m},n={n},N={N},k={k})",
     )
@@ -456,9 +438,31 @@ def sp_separated_family(
     )
 
 
+def _family_rows(
+    combos: np.ndarray, family_block: np.ndarray, anchor_block: np.ndarray
+) -> tuple[np.ndarray, list[int]]:
+    """The family's sample rows and the row of each anchor.
+
+    Rows are compared by value (+ 0.0 folds -0.0 into 0.0).  Only an anchor
+    may collapse into a family row (the all-zero tuple reproduces a zero
+    anchor); the other anchors, pairwise distinct, follow the family.  Two
+    equal family rows would count two tuples as one point and are refused.
+    """
+    row_of: dict[bytes, int] = {}
+    for idx, key in enumerate(map(np.ndarray.tobytes, family_block + 0.0)):
+        first = row_of.setdefault(key, idx)
+        if first != idx:
+            pair = tuple(combos[first].tolist()), tuple(combos[idx].tolist())
+            raise ValidationError(f"tuples {pair[0]} and {pair[1]} give the same shadow")
+    keys = map(np.ndarray.tobytes, anchor_block + 0.0)
+    anchor_rows = [row_of.setdefault(key, len(row_of)) for key in keys]
+    extra = [a for a, row in enumerate(anchor_rows) if row >= len(family_block)]
+    return np.concatenate([family_block, anchor_block[extra]]), anchor_rows
+
+
 def _certificate_min_pairwise(
     T: Operator,
-    dedup: np.ndarray,
+    rows: np.ndarray,
     anchor_rows: list[int],
     dev_max: float,
     d_min_anchor: float,
@@ -476,13 +480,9 @@ def _certificate_min_pairwise(
     direct scan when the global bound fails.  The anchors' orbits are rows
     `anchor_rows` of the family's, grown once.
     """
-    orbits = orbit_block(T, dedup, steps)
+    orbits = orbit_block(T, rows, steps)
     orbits_a = orbits[anchor_rows]
-    drift_max = 0.0
-    for t in range(steps):
-        drift_max = max(
-            drift_max, float(norm_block(orbits_a[:, t, :] - orbits_a[:, 0, :], space).max())
-        )
+    drift_max = float(norm_block(orbits_a - orbits_a[:, :1], space).max())
     global_bound = d_min_anchor - 2.0 * dev_max - 2.0 * drift_max
     if not (global_bound > epsilon):
         # certificate too weak: fall back to the exact (slow) scan

@@ -21,6 +21,7 @@ from .operators import BackwardShift, batch_apply
 from .spaces import Lp, SpaceSpec, Vector
 
 EXHAUSTIVE_CAP = 100_000
+CONJUGACY_BLOCK = 1024  # prefixes checked at once; keeps memory flat in `samples`
 
 
 @dataclass(frozen=True)
@@ -62,14 +63,14 @@ def _inverse_products(w: rl.Rule, count: int) -> np.ndarray:
     return out
 
 
-def phi_N(x: SymbolSequence, w: rl.Rule, M: int, space_id: str = "") -> Vector:
+def phi_N(x: SymbolSequence, w: rl.Rule, M: int) -> Vector:
     """Embed a symbol prefix: coordinate n is x_n * prod_{i<=n} w_i^{-1}."""
     if M < 1 or M > len(x):
         raise ValidationError(f"truncation M = {M} outside 1..{len(x)}")
     rl.require_admissible(w)
     prods = _inverse_products(w, M)
     coords = prods * np.array(x.symbols[:M], dtype=complex)
-    return Vector(coords, space_id)
+    return Vector(coords)
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,7 @@ class ConjugacyReport:
     exact: bool
 
 
-def verify_conjugacy(
-    w: rl.Rule, N: int, samples: int, M: int, tol: float = 1e-12, seed: int = 0
-) -> ConjugacyReport:
+def verify_conjugacy(w: rl.Rule, N: int, samples: int, M: int, seed: int = 0) -> ConjugacyReport:
     """Check that embedding then shifting equals shifting then embedding.
 
     Compares coordinates 1..M-1 of B_w(phi(x)) against phi(shift(x)) on
@@ -96,13 +95,11 @@ def verify_conjugacy(
     B = BackwardShift(w)
     prods = _inverse_products(w, M)
     worst = 0.0
-    for _ in range(samples):
-        sym = rng.integers(0, N, size=M)
-        embedded = prods * sym.astype(complex)
-        lhs = batch_apply(B, embedded[np.newaxis, :])[0][: M - 1]
-        rhs = prods[: M - 1] * sym[1:].astype(complex)
-        dev = float(np.max(np.abs(lhs - rhs))) if M > 1 else 0.0
-        worst = max(worst, dev)
+    for start in range(0, samples, CONJUGACY_BLOCK):
+        rows = min(CONJUGACY_BLOCK, samples - start)
+        sym = rng.integers(0, N, size=(rows, M)).astype(complex)  # one prefix per row
+        lhs = batch_apply(B, prods * sym)[:, : M - 1]
+        worst = max(worst, float(np.max(np.abs(lhs - prods[: M - 1] * sym[:, 1:]))))
     return ConjugacyReport(
         max_deviation=worst, samples=samples, alphabet=N, dim=M, exact=worst == 0.0
     )
@@ -143,7 +140,6 @@ def cube_sample(
     base: SpaceSpec | None = None,
     count: int | None = None,
     seed: int | None = None,
-    space_id: str = "",
 ) -> CompactSample:
     """Embedded sample of the full N-symbol cube.
 
@@ -175,9 +171,7 @@ def cube_sample(
         while len(seen) < min(count, total):
             seen.add(tuple(int(v) for v in rng.integers(0, N, size=depth)))
         rows = np.array(sorted(seen), dtype=complex)
-    coords = rows * prods[np.newaxis, :]
-    points = tuple(Vector(row, space_id) for row in coords)
     resolution = _tail_resolution(N, depth, w, base)
     return CompactSample(
-        points, max(resolution, 1e-300), label=f"cube(N={N},depth={depth})"
+        rows * prods, max(resolution, 1e-300), label=f"cube(N={N},depth={depth})"
     )

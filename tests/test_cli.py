@@ -244,6 +244,9 @@ def test_verify_task(tmp_path):
     assert len(report["checks"]) >= 10
 
 
+# the orbit overflows on purpose and ends in NonFiniteOrbitError
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_overflowed_orbit_exit_code(tmp_path):
     config = {
         "operator": {"kind": "diagonal", "eigenvalues": {"rule": "explicit", "values": [1e300]}},

@@ -127,6 +127,23 @@ def test_sample_refuses_points_equal_by_value():
             CompactSample(pair, 0.1)
 
 
+def test_sample_from_coordinate_array():
+    coords = np.array([[0.5, 1.0], [0.0, 2.0], [0.5, -1.0]])
+    K = CompactSample(coords, 0.1, "arr")
+    assert K.rows.tobytes() == sample_of(coords, 0.1).rows.tobytes()
+    assert K.points == (vector([0, 2]), vector([0.5, -1]), vector([0.5, 1]))
+    assert (len(K), K.resolution, K.label) == (3, 0.1, "arr")
+    assert not K.rows.flags.writeable
+    # the Vectors are built once, and the counts hand out those same objects
+    assert K.points is K.points
+    kept = greedy_separated(IDENTITY_1D, K, 1, 10.0, L2)
+    assert kept[0] is K.points[0]
+    assert max_separated_exact(IDENTITY_1D, K, 1, 0.1, L2)[2] is K.points[2]
+    for bad in (np.zeros((0, 2)), np.array([[1.0, np.nan]]), np.zeros((2, 0)), [[0.0], [-0.0]]):
+        with pytest.raises(ValidationError):
+            CompactSample(bad, 0.1)
+
+
 def test_sample_order_matches_tuple_key_sort():
     # reference: the per-point sort on interleaved (Re, Im) tuples, where
     # -0.0 and 0.0 tie, over same-dimension complex samples with signed zeros
@@ -141,7 +158,7 @@ def test_sample_order_matches_tuple_key_sort():
         by_value = {(row + 0.0).tobytes(): row for row in raw}
         pts = [vector(row) for row in by_value.values()]
         K = CompactSample(tuple(pts), 0.1)
-        assert [id(p) for p in K.points] == [id(p) for p in sorted(pts, key=key)]
+        assert list(K.points) == sorted(pts, key=key)
         assert K.rows.tobytes() == np.stack([p.coords for p in K.points]).tobytes()
 
 
@@ -149,8 +166,8 @@ def test_sample_orders_mixed_dimensions_by_padded_rows():
     short, long = vector([1.0]), vector([1.0, -1.0])
     K = CompactSample((short, long), 0.1)
     kept = greedy_separated(Diagonal(ExplicitRule((1.0, 1.0))), K, 1, 0.5, L2)
-    assert kept[0] is long and kept[1] is short
-    assert K.points[0] is long and K.points[1] is short
+    assert kept == [long, short] and kept[1].dim == 2
+    assert K.points == (long, short)
     assert K.rows.tolist() == [[1.0, -1.0], [1.0, 0.0]]
 
 
@@ -443,6 +460,9 @@ def test_metric_uniformity_l2_vs_linf():
     assert abs(s2 - sinf) <= 0.10 * max(s2, sinf)
 
 
+# the orbit overflows on purpose and ends in NonFiniteOrbitError
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_overflowed_orbits_raise():
     # 1e300 * 1e10 overflows at the first step; before the finiteness check
     # the NaN distances counted as conflicts for n = 2 and as separated for

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entrolab.errors import SpaceMismatchError, ValidationError
+from entrolab.errors import ValidationError
 from entrolab.spaces import (
     FAggregate,
     Lp,
@@ -15,6 +15,7 @@ from entrolab.spaces import (
     norm,
     norm_block,
     norm_tail_bound,
+    padded_block,
     project,
     vector,
     zero_vector,
@@ -122,6 +123,31 @@ def test_hash_agrees_with_eq_on_signed_zeros():
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
 
+def test_vector_is_its_padded_row():
+    # trailing zeros do not count, signed or not; every other coordinate does
+    equal = ((vector([1.0]), vector([1.0, 0.0])), (zero_vector(3), zero_vector(1)),
+             (vector([2j, 0.0]), vector([complex(-0.0, 2.0), -0.0, 0.0])))
+    for a, b in equal:
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert distance(a, b, L2) == 0.0
+    for a, b in ((vector([1.0]), vector([1.0, 1e-300])), (vector([0.0, 1.0]), vector([1.0])),
+                 (vector([1.0]), vector([1j]))):
+        assert a != b and distance(a, b, L2) > 0.0
+    assert vector([1.0]) in [vector([1.0, 0.0])]
+
+
+def test_padded_block_takes_vectors_and_arrays():
+    block = padded_block([vector([1.0]), np.array([2.0, 3.0]), [4j]])
+    assert block.dtype == complex and block.tolist() == [[1, 0], [2, 3], [4j, 0]]
+    rows = np.arange(6.0).reshape(3, 2)
+    assert padded_block(rows, 4).tolist() == [[0, 1, 0, 0], [2, 3, 0, 0], [4, 5, 0, 0]]
+    for bad in ([np.zeros(0)], [np.zeros((1, 2))], [np.array([1.0, np.nan])], [[np.inf]]):
+        with pytest.raises(ValidationError):
+            padded_block(bad)
+    with pytest.raises(ValidationError):
+        padded_block(rows, 1)
+
+
 def test_distance_identity():
     e3 = basis_vector(3, 4)
     assert distance(e3, e3, L2) == 0.0
@@ -137,11 +163,6 @@ def test_distance_translation_invariance():
 
 def test_distance_pads_shorter_vector():
     assert distance(vector([1, 0, 0, 5]), vector([1]), L1) == 5.0
-
-
-def test_distance_space_mismatch():
-    with pytest.raises(SpaceMismatchError):
-        distance(vector([1], space_id="a"), vector([1], space_id="b"), L2)
 
 
 def test_project_definition():

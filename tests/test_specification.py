@@ -21,6 +21,7 @@ from entrolab.specification import (
     sp_entropy_lower_bound,
     sp_separated_family,
 )
+from entrolab import specification as spec
 from entrolab.specification import _family_shadows
 
 B2 = BackwardShift(ConstRule(2))
@@ -143,6 +144,9 @@ def test_shadow_random_dyadic_schedules_certified(seed):
         assert dev + rep.tail_bound < eps
 
 
+# the orbit overflows on purpose and ends in NonFiniteOrbitError
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_shadow_periodisation_overflow_raises():
     # the forward shift divides by the weights: 1e-300 overflows in one step
     sched = SegmentSchedule(((0, 0, vector([1.0])),), sp_constant(0.1))
@@ -189,6 +193,53 @@ def test_family_collapses_anchor_equal_by_value():
     assert signed.sample.rows.tobytes() == plain.sample.rows.tobytes()
     assert (signed.family_size, signed.min_pairwise, signed.verification) == (
         plain.family_size, plain.min_pairwise, plain.verification)
+
+
+def test_family_refuses_tuples_with_equal_shadows():
+    # x1 and x1' differ only on coordinates 1..4, which segment 1 (time
+    # N + 1 = 5, coordinates 6..9) never copies: tuples (c, 1) and (c, 2)
+    # give byte-equal shadows, and collapsing them left s = 8 < 3^2
+    x1 = fixed_vector(B2, 64)
+    head = x1.coords.copy()
+    head[:4] *= 3
+    with pytest.raises(ValidationError, match=r"tuples \(0, 1\) and \(0, 2\)"):
+        sp_separated_family(B2, [zero_vector(64), x1, Vector(head)], 2, 0.1)
+
+
+def _spy_direct(monkeypatch):
+    calls = []
+    direct = spec._direct_min_pairwise
+
+    def spy(space, orbits):
+        calls.append(orbits.shape[0])
+        return direct(space, orbits)
+
+    monkeypatch.setattr(spec, "_direct_min_pairwise", spy)
+    return calls
+
+
+def test_family_certificate_bounds_direct_minimum(monkeypatch):
+    x1 = fixed_vector(B2, 64)
+    anchors = [zero_vector(64), x1, Vector(2 * x1.coords)]
+    direct = sp_separated_family(B2, anchors, 2, 0.1)
+    monkeypatch.setattr(spec, "DIRECT_VERIFY_CAP", 4)
+    calls = _spy_direct(monkeypatch)
+    cert = sp_separated_family(B2, anchors, 2, 0.1)
+    assert (direct.verification, cert.verification, calls) == ("direct", "certificate", [])
+    assert 0.1 < cert.min_pairwise <= direct.min_pairwise
+    assert cert.sample.rows.tobytes() == direct.sample.rows.tobytes()
+
+
+def test_family_certificate_falls_back_when_anchors_move(monkeypatch):
+    # a 2-periodic anchor drifts as far as the anchors are apart, so the
+    # global bound fails and the certificate takes the direct minimum
+    anchors = [zero_vector(64), periodic_vector(B2, (1.0, 0.0), 64)]
+    direct = sp_separated_family(B2, anchors, 2, 0.1)
+    monkeypatch.setattr(spec, "DIRECT_VERIFY_CAP", 4)
+    calls = _spy_direct(monkeypatch)
+    cert = sp_separated_family(B2, anchors, 2, 0.1)
+    assert (direct.verification, cert.verification, calls) == ("direct", "certificate", [5])
+    assert cert.min_pairwise == direct.min_pairwise > 0.1
 
 
 def test_family_close_anchors_rejected():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from entrolab.errors import AdmissibilityError, SampleSizeError, ValidationError
 from entrolab.operators import BackwardShift, apply
 from entrolab.rules import ConstRule, GeometricRule, HarmonicRule
 from entrolab.spaces import Lp, norm_block
+from entrolab import symbolic
 from entrolab.symbolic import (
     SymbolSequence,
     bernoulli_shift,
@@ -81,6 +83,24 @@ def test_conjugacy_dyadic_exact():
 def test_conjugacy_geometric_small_deviation():
     rep = verify_conjugacy(GeometricRule(3.0), 3, samples=100, M=24, seed=5)
     assert rep.max_deviation < 1e-12
+
+
+def test_conjugacy_block_matches_per_sample_loop(monkeypatch):
+    # reference: one seeded prefix at a time, embedded and shifted on its own;
+    # 40 samples span six blocks of 7
+    monkeypatch.setattr(symbolic, "CONJUGACY_BLOCK", 7)
+    for w in (ConstRule(3), GeometricRule(3.0)):
+        B = BackwardShift(w)
+        shapes = ((2, 64), (3, 63), (5, 7), (7, 33), (1, 5))
+        for (N, M), samples in itertools.product(shapes, (1, 40)):
+            rng = np.random.default_rng(4)
+            worst = 0.0
+            for _ in range(samples):
+                x = SymbolSequence(tuple(rng.integers(0, N, size=M)), N)
+                lhs = apply(B, phi_N(x, w, M)).coords[: M - 1]
+                rhs = phi_N(bernoulli_shift(x), w, M - 1).coords
+                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            assert verify_conjugacy(w, N, samples, M, seed=4).max_deviation == worst
 
 
 def test_conjugacy_inadmissible_weights():
