@@ -623,15 +623,20 @@ def _nullspace(M: np.ndarray, rtol: float = _NULLSPACE_RTOL) -> np.ndarray:
 
 def generalized_eigenspace(A: np.ndarray, lam: complex, multiplicity: int) -> np.ndarray:
     """Basis of N((A - lam I)^j) grown until it reaches the algebraic
-    multiplicity, j <= multiplicity."""
+    multiplicity, j <= multiplicity.  A power that is rounding noise at the
+    scale of A^j (A numerically lam*I) is zero: its nullspace is everything,
+    where normalising the noise would make it look full-rank."""
     d = A.shape[0]
     M = A - lam * np.eye(d)
+    ref = max(float(np.linalg.norm(A, 2)), abs(lam), 1.0)
     powered = np.eye(d, dtype=complex)
     basis = np.zeros((d, 0))
-    for _ in range(multiplicity):
+    for j in range(1, multiplicity + 1):
         powered = powered @ M
         scale = np.linalg.norm(powered, 2)
-        basis = _nullspace(powered / scale if scale > 0 else powered)
+        if scale <= _NULLSPACE_RTOL * ref**j:
+            return np.eye(d, dtype=complex)
+        basis = _nullspace(powered / scale)
         if basis.shape[1] >= multiplicity:
             break
     return basis

@@ -442,6 +442,17 @@ def test_riesz_split_blocks_invariant(seed):
     assert split.residual < 1e-9
 
 
+def test_riesz_split_conjugated_scalar_matrix():
+    # Q (lam I) Q^{-1}: A - lam I is rounding noise, not a full-rank matrix
+    rng = np.random.default_rng(423)
+    lam = np.exp(2j * np.pi * 0.3)
+    Q = rng.normal(size=(4, 4))
+    A = Q @ (lam * np.eye(4)) @ np.linalg.inv(Q)
+    split = riesz_split(DenseMatrix(A))
+    assert split.center_dim == 4
+    assert split.residual < 1e-9
+
+
 def test_riesz_split_defective_block():
     # Jordan block at 2 plus a stable direction
     A = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.25]])
