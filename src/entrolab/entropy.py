@@ -299,12 +299,18 @@ def _candidate_blocks(cells: np.ndarray):
         row = stop
 
 
+def _neighbours(filters: np.ndarray, I, J) -> np.ndarray:
+    """Which row pairs (I, J) share or neighbour a cell on every filter key
+    (columns of `_key_cells`): all of them when there is no key."""
+    return (np.abs(filters[I] - filters[J]) <= 1).all(axis=-1)
+
+
 def _near_pairs(orbits: np.ndarray, n: int, r: float, s: SpaceSpec, plan):
     hashed, filters = plan
     step = max(1, min(PAIR_BLOCK, BLOCK_ELEMS // (n * orbits.shape[2])))
     for I, J in _candidate_blocks(hashed):
         if filters.shape[1]:
-            near = (np.abs(filters[I] - filters[J]) <= 1).all(axis=1)
+            near = _neighbours(filters, I, J)
             I, J = I[near], J[near]
         for at in range(0, I.size, step):
             i, j = I[at : at + step], J[at : at + step]

@@ -163,8 +163,14 @@ def finite_dim(T: Operator) -> int | None:
 
 
 def batch_apply(T: Operator, block: np.ndarray) -> np.ndarray:
-    """Apply T to every row of a (count, dim) coordinate block."""
-    block = np.asarray(block, dtype=complex)
+    """Apply T to every row of a (count, dim) coordinate block.  A product
+    that leaves the floating-point range comes out inf or nan without a
+    warning; `require_finite` judges the orbit it lands in."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _batch_apply(T, np.asarray(block, dtype=complex))
+
+
+def _batch_apply(T: Operator, block: np.ndarray) -> np.ndarray:
     dim = block.shape[-1]
     if isinstance(T, BackwardShift):
         w = rl.values(T.weights, dim + 1)  # w_1..w_{dim+1}; w_1 unused
@@ -191,7 +197,7 @@ def batch_apply(T: Operator, block: np.ndarray) -> np.ndarray:
             raise DimensionError(f"matrix is {T.d}x{T.d}, vector has dim {dim}")
         return block @ T.entries.T
     if isinstance(T, Scaled):
-        return complex(T.alpha) * batch_apply(T.inner, block)
+        return complex(T.alpha) * _batch_apply(T.inner, block)
     if isinstance(T, DirectSum):
         dims = [finite_dim(p) for p in T.parts]
         if any(d is None for d in dims):
@@ -202,12 +208,12 @@ def batch_apply(T: Operator, block: np.ndarray) -> np.ndarray:
             )
         pieces, at = [], 0
         for part, d in zip(T.parts, dims):
-            pieces.append(batch_apply(part, block[..., at : at + d]))
+            pieces.append(_batch_apply(part, block[..., at : at + d]))
             at += d
         return np.concatenate(pieces, axis=-1)
     if isinstance(T, OperatorPower):
         for _ in range(T.m):
-            block = batch_apply(T.base, block)
+            block = _batch_apply(T.base, block)
         return block
     raise ValidationError(f"unknown operator kind {type(T).__name__}")
 

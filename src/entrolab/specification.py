@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rules as rl
-from .entropy import CompactSample, bowen_distances, near_pairs
+from .entropy import CompactSample, _key_cells, _neighbours, bowen_distances, near_pairs
 from .errors import SampleSizeError, ScheduleError, ValidationError
 from .operators import (
     BackwardShift,
@@ -135,17 +135,19 @@ def _pattern(sched: SegmentSchedule, dim: int) -> np.ndarray:
 def _periodize(B: BackwardShift, z: np.ndarray, period: int) -> np.ndarray:
     """Rows xi = sum_k F_w^{k*period} z of a (rows, dim) pattern block, by
     explicit iterated forward shifts.  The images only shrink, so a tail
-    that rounds below the normal range, or to zero, is kept as it rounds."""
+    that rounds below the normal range, or to zero, is kept as it rounds;
+    one that leaves the range is refused by `require_finite`."""
     xi = z.copy()
     image = z.copy()
     reps = z.shape[-1] // period + 1
-    for _ in range(reps):
-        for _ in range(period):
-            image[:, -1] = 0.0  # truncation headroom: top coordinate falls away
-            image = forward_shift_block(B.weights, image)
-        if not np.any(image):
-            break
-        xi = xi + image
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(reps):
+            for _ in range(period):
+                image[:, -1] = 0.0  # truncation headroom: top coordinate falls away
+                image = forward_shift_block(B.weights, image)
+            if not np.any(image):
+                break
+            xi = xi + image
     require_finite(xi)
     return xi
 
@@ -372,9 +374,10 @@ def sp_separated_family(
     returned sample is the family together with the anchors; an anchor
     equal to a shadow is that shadow's row, and two tuples with equal
     shadows are refused (`_family_rows`).  Verification computes pairwise
-    dynamical distances directly up to a size cap; above it, certified
-    triangle-inequality lower bounds stand in and any pair failing the
-    bound is re-checked directly.
+    dynamical distances directly up to a size cap; above it, a certified
+    triangle-inequality lower bound stands in for the shadow pairs, and
+    each anchor is checked exactly against the rows that could come closer
+    than that bound (`_certificate_min_pairwise`).
     """
     if not isinstance(B_w, BackwardShift):
         raise ValidationError("families are built over weighted backward shifts")
@@ -475,10 +478,14 @@ def _certificate_min_pairwise(
     Two shadows with tuples differing at schedule position p satisfy, at
     that time, d >= d(anchor, anchor') - dev - dev' - drift - drift', every
     term a computed number (d_min_anchor is the smallest anchor distance).
-    The family-wide bound uses the worst of each term; anchor-vs-family
-    pairs are checked directly (linear cost).  Falls back to the full
-    direct scan when the global bound fails.  The anchors' orbits are rows
-    `anchor_rows` of the family's, grown once.
+    The family-wide bound uses the worst of each term.  Falls back to the
+    full direct scan when the global bound fails.  The anchors' orbits are
+    rows `anchor_rows` of the family's, grown once.
+
+    Anchor pairs are checked exactly where they can lower the result
+    min(global bound, closest anchor pair): a pair within the global bound
+    shares or neighbours a cell on every usable key of `_key_cells`, so
+    only those rows get a Bowen distance, row by row that of a full scan.
     """
     orbits = orbit_block(T, rows, steps)
     orbits_a = orbits[anchor_rows]
@@ -493,12 +500,15 @@ def _certificate_min_pairwise(
             )
         return direct
 
-    # anchors against everything, directly
+    # anchors against the rows that could come closer than global_bound
+    cells, usable = _key_cells(orbits, global_bound, space)
+    filters, every = cells[:, usable], np.arange(orbits.shape[0])
     best_direct = math.inf
     for r in anchor_rows:
-        d = norm_block(orbits - orbits[r], space).max(axis=1)
-        d[r] = math.inf
-        best_direct = min(best_direct, float(d.min()))
+        near = every[_neighbours(filters, every, r) & (every != r)]
+        if near.size:
+            d = bowen_distances(orbits, near, r, steps, space)
+            best_direct = min(best_direct, float(d.min()))
     if not (best_direct > epsilon):
         raise ValidationError(
             f"family separation failed: anchor-related distance {best_direct:.6g}"

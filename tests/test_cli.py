@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entrolab
 from entrolab.cli import main
 
 
@@ -245,8 +250,6 @@ def test_verify_task(tmp_path):
 
 
 # the orbit overflows on purpose and ends in NonFiniteOrbitError
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_overflowed_orbit_exit_code(tmp_path):
     config = {
         "operator": {"kind": "diagonal", "eigenvalues": {"rule": "explicit", "values": [1e300]}},
@@ -257,6 +260,13 @@ def test_overflowed_orbit_exit_code(tmp_path):
     code, _, report = run_cli(tmp_path, "estimate-entropy", config)
     assert code == 3
     assert report is None
+    # a fresh interpreter shows what a user sees: the refusal, no numpy warning
+    env = dict(os.environ, PYTHONPATH=str(Path(entrolab.__file__).parents[1]))
+    argv = ["estimate-entropy", "--config", str(tmp_path / "exp.json"), "--out", str(tmp_path / "o")]
+    run = subprocess.run([sys.executable, "-m", "entrolab.cli", *argv], capture_output=True, text=True, env=env)
+    assert run.returncode == 3
+    assert "numerical failure" in run.stderr
+    assert "RuntimeWarning" not in run.stderr
 
 
 def test_bad_eigenpair_exit_code(tmp_path, monkeypatch):

@@ -461,8 +461,6 @@ def test_metric_uniformity_l2_vs_linf():
 
 
 # the orbit overflows on purpose and ends in NonFiniteOrbitError
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_overflowed_orbits_raise():
     # 1e300 * 1e10 overflows at the first step; before the finiteness check
     # the NaN distances counted as conflicts for n = 2 and as separated for

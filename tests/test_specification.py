@@ -3,14 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from entrolab.entropy import dyn_distance, sn_table
 from entrolab.errors import NonFiniteOrbitError, ScheduleError, ValidationError
-from entrolab.operators import BackwardShift, apply, diagonal_matrix, rotation_matrix
+from entrolab.operators import BackwardShift, apply, diagonal_matrix, orbit_block, rotation_matrix
 from entrolab.rules import ConstRule
-from entrolab.spaces import FAggregate, Lp, Vector, padded_block, vector, zero_vector
+from entrolab.spaces import FAggregate, Lp, Vector, norm_block, padded_block, vector, zero_vector
 from entrolab.specification import (
     SegmentSchedule,
     fixed_vector,
@@ -21,6 +21,7 @@ from entrolab.specification import (
     sp_entropy_lower_bound,
     sp_separated_family,
 )
+from entrolab import entropy as en
 from entrolab import specification as spec
 from entrolab.specification import _family_shadows
 
@@ -145,8 +146,6 @@ def test_shadow_random_dyadic_schedules_certified(seed):
 
 
 # the orbit overflows on purpose and ends in NonFiniteOrbitError
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_shadow_periodisation_overflow_raises():
     # the forward shift divides by the weights: 1e-300 overflows in one step
     sched = SegmentSchedule(((0, 0, vector([1.0])),), sp_constant(0.1))
@@ -240,6 +239,92 @@ def test_family_certificate_falls_back_when_anchors_move(monkeypatch):
     cert = sp_separated_family(B2, anchors, 2, 0.1)
     assert (direct.verification, cert.verification, calls) == ("direct", "certificate", [5])
     assert cert.min_pairwise == direct.min_pairwise > 0.1
+
+
+def _full_scan_certificate(rows, anchor_rows, dev_max, d_min_anchor, steps, eps):
+    """The certificate with its anchors checked against every row, one
+    full norm_block over the orbit cube per anchor: the reference for the
+    bounded anchor query.  Returns (global_bound, anchor minimum, result)."""
+    orbits = orbit_block(B2, rows, steps)
+    orbits_a = orbits[anchor_rows]
+    drift_max = float(norm_block(orbits_a - orbits_a[:, :1], FA).max())
+    global_bound = d_min_anchor - 2.0 * dev_max - 2.0 * drift_max
+    best = math.inf
+    for r in anchor_rows:
+        d = norm_block(orbits - orbits[r], FA).max(axis=1)
+        d[r] = math.inf
+        best = min(best, float(d.min()))
+    return global_bound, best, min(global_bound, best)
+
+
+def _key_regime(rows, steps, r):
+    """Which keys `_key_cells` hashes on at radius r: per-coordinate
+    coefficient keys, the saturated coordinate-1 key only, or none."""
+    dim = rows.shape[1]
+    cells, _ = en._key_cells(orbit_block(B2, rows, steps), r, FA)
+    if cells.shape[1] == 0:
+        return "none"
+    return "coefficient" if r * (1 + en.KEY_MARGIN) < 1 - 2.0**-dim else "saturated"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_certificate_anchor_query_matches_full_scan(data):
+    dim = data.draw(st.integers(3, 6), label="dim")
+    coord = st.integers(-4, 4).map(lambda v: v / 4)
+    rows = np.array(
+        data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=2, max_size=12)),
+        dtype=complex,
+    )
+    anchor_rows = data.draw(
+        st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=len(rows), unique=True)
+    )
+    steps = data.draw(st.integers(1, 3), label="steps")
+    regime = data.draw(st.sampled_from(["coefficient", "saturated", "none"]), label="regime")
+    U = float(norm_block(np.ones((1, dim)), FA)[0])  # the saturated distance
+    target = {
+        "coefficient": lambda: data.draw(st.floats(0.05, 0.8), label="bound"),  # below 1 - 2^-dim
+        "saturated": lambda: U * (1 - 5e-10),  # inside the key's window [U / (1 + KEY_MARGIN), U)
+        "none": lambda: data.draw(st.floats(U * (1 + 1e-9), 1.5), label="bound"),
+    }[regime]()
+    dev_max = data.draw(st.sampled_from([0.0, 0.01, 0.125]), label="dev_max")
+    orbits_a = orbit_block(B2, rows[anchor_rows], steps)
+    drift_max = float(norm_block(orbits_a - orbits_a[:, :1], FA).max())
+    d_min_anchor = target + 2.0 * dev_max + 2.0 * drift_max
+    eps = min(target, 1.0) * data.draw(st.floats(0.05, 0.95), label="eps share")
+
+    global_bound, best, want = _full_scan_certificate(rows, anchor_rows, dev_max, d_min_anchor, steps, eps)
+    assert _key_regime(rows, steps, global_bound) == regime
+    assert global_bound > eps  # the certificate path, not the direct fallback
+    event(f"{regime}: " + ("an anchor pair decides" if best < global_bound else "the global bound decides"))
+    args = (B2, rows, anchor_rows, dev_max, d_min_anchor, steps, FA, eps)
+    if not best > eps:
+        with pytest.raises(ValidationError, match="anchor-related distance"):
+            spec._certificate_min_pairwise(*args)
+    else:
+        assert spec._certificate_min_pairwise(*args).hex() == want.hex()
+
+
+@pytest.mark.parametrize("regime,bound", [("coefficient", 0.5), ("saturated", 1 - 2.0**-4), ("none", 1.0)])
+def test_certificate_anchor_pair_decides(regime, bound):
+    # row 2 differs from anchor row 0 only at coordinate 3 (distance 0.1875
+    # at t = 0, 0.4375 at t = 1), closer than the global bound in every regime
+    rows = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]], dtype=complex)
+    if regime == "saturated":
+        bound *= 1 - 5e-10
+    assert _key_regime(rows, 2, bound) == regime
+    global_bound, best, want = _full_scan_certificate(rows, [0], 0.0, bound, 2, 0.1)
+    assert best == 0.4375 < global_bound == bound
+    got = spec._certificate_min_pairwise(B2, rows, [0], 0.0, bound, 2, FA, 0.1)
+    assert got.hex() == want.hex()
+
+
+def test_certificate_refuses_close_anchor_pair():
+    # the global bound (0.9) clears eps, but anchor row 0 and row 1 are
+    # 2^-8 apart: the anchor query finds the pair and refuses the family
+    rows = np.array([[0, 0, 0, 0], [0, 0, 0, 1 / 16]], dtype=complex)
+    with pytest.raises(ValidationError, match="anchor-related distance 0.0039"):
+        spec._certificate_min_pairwise(B2, rows, [0], 0.0, 0.9, 1, FA, 0.1)
 
 
 def test_family_close_anchors_rejected():
