@@ -19,19 +19,22 @@ Rows are hashed into cells on one or two (time, coordinate) keys whose
 differences bound the Bowen distance from below (|Re D_c(t)| in l^p,
 min(1, |D_c(t)|)(2^{1-c} - 2^{-dim}) under the aggregated norm), with cells
 r(1 + 1e-9) wide so rounding never splits a close pair across non-adjacent
-cells; only pairs in the same or adjacent cells get an exact distance,
-taken with the same `norm_block` arithmetic as a direct evaluation.  A
-whole (n, eps) table, greedy or exact, is one carried pass
-(`_carried_pairs`): the pairs within max(eps) at the smallest n are found
-once, and each block of them is carried through the later n by extending
-its running maximum one time slice at a time and dropping the pairs that
-leave max(eps).  Greedy cells are swept from the survivors
-(`_carried_marks`), keeping exactly the rows the per-cell scan keeps; exact
-cells are a memoised maximum-set search over the survivors' conflict
-graphs (`_max_independent_set`).  When the pairs barely drop and barely
-prune (more than SCAN_ROW_PAIRS pair evaluations per row, n and eps, as for
-an isometry with one large eps) a greedy table falls back to the witness
-scan `_greedy_indices`, decided once before the pass (`_carry_plan`).
+cells.  Cells are numbered across gaps: every gap between a key's sorted
+values wider than a cell skips one more number, so rows on either side of
+it are never neighbours, and no close pair straddles such a gap.  Only
+pairs in the same or adjacent cells get an exact distance, taken with the
+same `norm_block` arithmetic as a direct evaluation.  A whole (n, eps)
+table, greedy or exact, is one carried pass (`_carried_pairs`): the pairs
+within max(eps) at the smallest n are found once, and each block of them is
+carried through the later n by extending its running maximum one time
+slice at a time and dropping the pairs that leave max(eps).  Greedy cells
+are swept from the survivors (`_carried_marks`), keeping exactly the rows
+the per-cell scan keeps; exact cells are a memoised maximum-set search over
+the survivors' conflict graphs (`_max_independent_set`).  When the pairs
+barely drop and barely prune (more than SCAN_ROW_PAIRS pair evaluations per
+row, n and eps, as for an isometry with one large eps) a greedy table falls
+back to the witness scan `_greedy_indices`, decided once before the pass
+(`_carry_plan`).
 `_kept_rows` makes that choice for every count.
 
 Spectral side: sum of multiplicity * log|lambda| over eigenvalues of
@@ -165,11 +168,22 @@ def _key_cells(orbits: np.ndarray, r: float, s: SpaceSpec) -> tuple[np.ndarray, 
     every r below the saturated value U (the norm of a row whose partial
     norms all reach 1): |D_1(t)| >= 1 makes d_t = U.  Cells are windows of
     width r(1 + KEY_MARGIN), divided by the coefficient under the aggregated
-    norm (1 + KEY_MARGIN for the saturated key), so a pair at distance <= r
-    lies in the same or adjacent cells: the margin absorbs the relative
-    rounding of every norm (below 1e-12) and of the cell quotients, which
-    stays below 2^-31 because a key whose values exceed KEY_QUOTIENT_CAP
-    cell widths is void.
+    norm (1 + KEY_MARGIN for the saturated key), so the quotients
+    u = value / width of a pair at distance <= r differ by at most 1: the
+    margin absorbs the relative rounding of every norm (below 1e-12) and of
+    the quotients, which stays below 2^-31 because a key whose values exceed
+    KEY_QUOTIENT_CAP cell widths is void.
+
+    A row's cell is floor(u) - min, plus the number of gaps wider than 1
+    between consecutive sorted quotients below its own.  No such gap lies
+    between the quotients of a close pair (the float difference of two
+    quotients exceeds 1 only if the exact one does), so its cells still
+    differ by at most 1; rows on either side of a gap land at least 2 cells
+    apart and are never candidates.  Dense values (no gap wider than a
+    cell) keep floor(u) - min.  On the symbolic cube, whose first
+    coordinate takes the values 0, 1/2 and 1, cells 0, 2 and 4 at r = 0.4
+    instead of 0, 1 and 2 cut the predicted candidates of the N=3, depth-8
+    cube from 16,737,111 to 7,171,173.
     """
     count, steps, dim = orbits.shape
     widths = np.empty(0)
@@ -182,13 +196,17 @@ def _key_cells(orbits: np.ndarray, r: float, s: SpaceSpec) -> tuple[np.ndarray, 
             widths = width / coef[width < coef]
             if widths.size == 0 and r < float(norm_block(np.ones((1, dim)), s)[0]):
                 widths = np.array([1.0 + KEY_MARGIN])
+    u = orbits[:, :, : widths.size].real / widths
+    q = np.floor(u)
+    lo, hi = q.min(axis=0), q.max(axis=0)
+    usable = (lo >= -KEY_QUOTIENT_CAP) & (hi <= KEY_QUOTIENT_CAP)
+    u, keyed = u[:, usable], (q - lo)[:, usable]
+    top = np.sort(u, axis=0)
+    wide = np.diff(top, axis=0) > 1  # gaps wider than a cell, below top[1:]
+    for k in np.flatnonzero(wide.any(axis=0)):
+        keyed[:, k] += np.searchsorted(top[1:, k][wide[:, k]], u[:, k], "right")
     cells = np.zeros((count, steps, widths.size), dtype=np.int32)
-    usable = np.zeros((steps, widths.size), dtype=bool)
-    for t in range(steps):  # one time slice at a time keeps the floats small
-        q = np.floor(orbits[:, t, : widths.size].real / widths)
-        lo, hi = q.min(axis=0), q.max(axis=0)
-        usable[t] = (lo >= -KEY_QUOTIENT_CAP) & (hi <= KEY_QUOTIENT_CAP)
-        cells[:, t, usable[t]] = (q - lo)[:, usable[t]]
+    cells[:, usable] = keyed
     return cells.reshape(count, -1), usable.ravel()
 
 
@@ -437,8 +455,10 @@ def _carry_plan(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec):
     the scan, 0.73 s against 0.70 s.  The rotation by 0.7 rad with eps 0.5
     alone needs about 2,000 per scan row, n and eps and takes the scan
     (0.83 s, pass 2.4 s); with eps 2^-3..2^-7 it needs 37 and takes the
-    pass (0.54 s, scan 4.1 s).  c3's N=3, depth-8 cube needs 189 (pass
-    2.3 s, scan 17 s).  Figures in BENCH_8.json.
+    pass (0.54 s, scan 4.1 s).  Figures in BENCH_8.json.  Since cells are
+    numbered across value gaps, c3's N=3, depth-8 cube needs 135 (189
+    before) and its table took 2.6 s against 4.9 s, one run each (the scan,
+    17 s, does not hash); none of the 17 tables changed path (BENCH_14.json).
     """
     count = orbits.shape[0]
     r = max(eps_values)

@@ -251,8 +251,9 @@ def orbit_block(T: Operator, block: np.ndarray, steps: int) -> np.ndarray:
     return out
 
 
-def require_finite(orbits: np.ndarray) -> None:
-    """Refuse orbit arrays that left the floating-point range.
+def require_finite(orbits: np.ndarray, what: str = "orbit") -> None:
+    """Refuse orbit arrays (or other computed values, named by `what`) that
+    left the floating-point range.
 
     An inf or nan coordinate makes every later distance meaningless (nan
     compares false both ways), so it is an error, checked once per grown
@@ -260,7 +261,7 @@ def require_finite(orbits: np.ndarray) -> None:
     """
     if not np.isfinite(orbits).all():
         raise NonFiniteOrbitError(
-            "orbit left the floating-point range (inf or nan coordinates)"
+            f"{what} left the floating-point range (inf or nan coordinates)"
         )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import rules as rl
 from .entropy import CompactSample
 from .errors import SampleSizeError, ValidationError
-from .operators import BackwardShift, batch_apply
+from .operators import BackwardShift, batch_apply, require_finite
 from .spaces import Lp, SpaceSpec, Vector
 
 EXHAUSTIVE_CAP = 100_000
@@ -53,13 +53,16 @@ def bernoulli_shift(x: SymbolSequence) -> SymbolSequence:
 
 def _inverse_products(w: rl.Rule, count: int) -> np.ndarray:
     """prod_{i<=n} w_i^{-1} for n = 1..count, by sequential division (exact
-    for dyadic weights)."""
+    for dyadic weights).  Products that leave the floating-point range (a
+    weight overflowed to inf or nan) are refused."""
     vals = rl.values(w, count)
     out = np.empty(count, dtype=complex)
     acc = 1.0 + 0j
-    for i in range(count):
-        acc = acc / vals[i]
-        out[i] = acc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(count):
+            acc = acc / vals[i]
+            out[i] = acc
+    require_finite(out, "inverse weight products")
     return out
 
 
@@ -86,7 +89,9 @@ def verify_conjugacy(w: rl.Rule, N: int, samples: int, M: int, seed: int = 0) ->
     """Check that embedding then shifting equals shifting then embedding.
 
     Compares coordinates 1..M-1 of B_w(phi(x)) against phi(shift(x)) on
-    seeded random prefixes; dyadic weights give deviation exactly 0.
+    seeded random prefixes; dyadic weights give deviation exactly 0.  A
+    product or deviation that leaves the floating-point range is refused
+    (`NonFiniteOrbitError`), never reported as a deviation.
     """
     rl.require_admissible(w)
     if N < 1 or samples < 1 or M < 2:
@@ -98,8 +103,11 @@ def verify_conjugacy(w: rl.Rule, N: int, samples: int, M: int, seed: int = 0) ->
     for start in range(0, samples, CONJUGACY_BLOCK):
         rows = min(CONJUGACY_BLOCK, samples - start)
         sym = rng.integers(0, N, size=(rows, M)).astype(complex)  # one prefix per row
-        lhs = batch_apply(B, prods * sym)[:, : M - 1]
-        worst = max(worst, float(np.max(np.abs(lhs - prods[: M - 1] * sym[:, 1:]))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = batch_apply(B, prods * sym)[:, : M - 1]
+            deviation = np.abs(lhs - prods[: M - 1] * sym[:, 1:])
+        require_finite(deviation, "conjugacy deviations")
+        worst = max(worst, float(np.max(deviation)))
     return ConjugacyReport(
         max_deviation=worst, samples=samples, alphabet=N, dim=M, exact=worst == 0.0
     )

@@ -260,13 +260,33 @@ def test_overflowed_orbit_exit_code(tmp_path):
     code, _, report = run_cli(tmp_path, "estimate-entropy", config)
     assert code == 3
     assert report is None
-    # a fresh interpreter shows what a user sees: the refusal, no numpy warning
+    assert_refused_without_warning(tmp_path, "estimate-entropy")
+
+
+def assert_refused_without_warning(tmp_path, task):
+    """Run the config `run_cli` wrote in a fresh interpreter, which shows
+    what a user sees: the exit-3 refusal and no numpy warning."""
     env = dict(os.environ, PYTHONPATH=str(Path(entrolab.__file__).parents[1]))
-    argv = ["estimate-entropy", "--config", str(tmp_path / "exp.json"), "--out", str(tmp_path / "o")]
+    argv = [task, "--config", str(tmp_path / "exp.json"), "--out", str(tmp_path / "o")]
     run = subprocess.run([sys.executable, "-m", "entrolab.cli", *argv], capture_output=True, text=True, env=env)
     assert run.returncode == 3
     assert "numerical failure" in run.stderr
     assert "RuntimeWarning" not in run.stderr
+
+
+def test_overflowed_conjugacy_exit_code(tmp_path):
+    # weights 10^n overflow within the 400 conjugacy coordinates
+    config = {
+        "N": 2,
+        "depth": 3,
+        "weights": {"rule": "geometric", "first": 10, "ratio": 10},
+        "conjugacy_samples": 8,
+        "conjugacy_dim": 400,
+    }
+    code, _, report = run_cli(tmp_path, "embed-shift", config)
+    assert code == 3
+    assert report is None
+    assert_refused_without_warning(tmp_path, "embed-shift")
 
 
 def test_bad_eigenpair_exit_code(tmp_path, monkeypatch):

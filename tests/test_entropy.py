@@ -707,6 +707,28 @@ def test_carried_pass_matches_witness_scan(seed, s, kind, n_values):
     assert_pair_path_matches_scan(T, K, n_values, eps_values, s)
 
 
+def assert_pairs_match_brute_force(orbits, n_values, r, s):
+    """`near_pairs` at every n of the ascending `n_values`, and the carried
+    pass over them, yield exactly the pairs i < j within r of a scan over
+    every pair, with its distances bit for bit; returns the scan's pairs
+    per n, as {(i, j): distance}."""
+    I, J = np.triu_indices(orbits.shape[0], 1)
+    plan, _ = en._plan_keys(orbits, n_values[0], r, s)
+    carried = [{} for _ in n_values]
+    for k, bi, bj, bd in en._carried_pairs(orbits, n_values, r, s, plan):
+        carried[k].update(zip(zip(bi.tolist(), bj.tolist()), bd.tolist()))
+    refs = []
+    for k, n in enumerate(n_values):
+        d = en.bowen_distances(orbits, I, J, n, s)
+        near = d <= r
+        refs.append(dict(zip(zip(I[near].tolist(), J[near].tolist()), d[near].tolist())))
+        got = {}
+        for bi, bj, bd in en.near_pairs(orbits, n, r, s):
+            got.update(zip(zip(bi.tolist(), bj.tolist()), bd.tolist()))
+        assert got == refs[k] and carried[k] == refs[k]  # bit for bit
+    return refs
+
+
 def test_carried_distances_match_bowen_on_redo_rows():
     # rows that norm_block recomputes scaled: 1e-200 coordinates in l^3
     # (their cubes underflow) and a 1e-4 first coordinate under
@@ -716,19 +738,89 @@ def test_carried_distances_match_bowen_on_redo_rows():
         (L3, rng.integers(0, 4, size=(150, 5, 3)) * 1e-200, 2.5e-200),
         (FAggregate(Lp(100.0)), rng.integers(0, 3, size=(150, 5, 2)) * np.array([1e-4, 0.5]), 0.2),
     ]
-    n_values = (1, 2, 4, 5)
     for s, orbits, r in cases:
-        plan, _ = en._plan_keys(orbits, 1, r, s)
-        got = [{} for _ in n_values]
-        for k, bi, bj, bd in en._carried_pairs(orbits, n_values, r, s, plan):
-            got[k].update({(int(i), int(j)): d for i, j, d in zip(bi, bj, bd)})
-        I, J = np.triu_indices(orbits.shape[0], 1)
-        for k, n in enumerate(n_values):
-            d = en.bowen_distances(orbits, I, J, n, s)
-            ref = {(int(i), int(j)): v for i, j, v in zip(I[d <= r], J[d <= r], d[d <= r])}
-            assert got[k].keys() == ref.keys() and len(ref) > 0
-            assert all(got[k][p] == ref[p] for p in ref)  # bit for bit
-    assert float(norm_block(np.array([[1e-4, 0.5]]), FAggregate(Lp(100.0)))[0]) in got[0].values()
+        refs = assert_pairs_match_brute_force(orbits, (1, 2, 4, 5), r, s)
+        assert all(refs)
+    assert float(norm_block(np.array([[1e-4, 0.5]]), FAggregate(Lp(100.0)))[0]) in refs[0].values()
+
+
+def quotient_preimages(u, width):
+    """Key values x with x / width == u in floating point, found by stepping
+    one ulp at a time from u * width."""
+    x = u * width
+    for _ in range(8):
+        q = x / width
+        x = np.where(q < u, np.nextafter(x, np.inf), np.where(q > u, np.nextafter(x, -np.inf), x))
+    assert (x / width == u).all()
+    return x
+
+
+def test_key_gaps_at_cell_width_edges():
+    # the first key's quotients (value / cell width) form four clusters of 30
+    # rows, split by gaps of one ulp below a cell width, exactly one and one
+    # ulp above it; only the last gap is wider than a cell, so only it
+    # separates its neighbours by two cells.  Four more rows follow, each
+    # just within r of the next, their quotients almost 1 apart.  Every near
+    # pair is found under l^2, l^inf, the aggregated norm's coefficient key
+    # (coordinate 1, coefficient 3/4) and its saturated key (width 1).
+    ulp = 2.0**-52
+    low, high = -0.5 - ulp / 2, 1.875 + ulp
+    u = np.concatenate(
+        [np.linspace(a, b, 30) for a, b in ((-1.9, -1.5), (low, -0.25), (0.75, 0.875), (high, 1.99))]
+    )
+    edges = [(29, 30), (59, 60), (89, 90)]
+    assert [u[j] - u[i] for i, j in edges] == [1 - ulp / 2, 1.0, 1 + ulp]
+    m = en.KEY_MARGIN
+    cases = [
+        (L2, 0.25, 0.25 * (1 + m), 0.25),
+        (LINF, 0.25, 0.25 * (1 + m), 0.25),
+        (FAggregate(L2), 0.1875, 0.1875 * (1 + m) / 0.75, 0.25),
+        (FAggregate(LINF), float(np.nextafter(0.75, 0)), 1 + m, 1 - 2.0**-10),  # 0.75 saturates dim 2
+    ]
+    tail = np.arange(u.size, u.size + 4)
+    for s, r, width, step in cases:
+        orbits = np.zeros((tail[-1] + 1, 3, 2))
+        orbits[:, :, 0] = np.append(quotient_preimages(u, width), 4 + step * np.arange(4))[:, None]
+        orbits[:, :, 0] *= [1, 2, 4]
+        orbits[: u.size, :, 1] = (np.arange(u.size) % 3)[:, None] * 0.0625
+        cells, usable = en._key_cells(orbits[:, :1], r, s)
+        assert usable[0] and [cells[j, 0] - cells[i, 0] for i, j in edges] == [1, 1, 2]
+        assert en._plan_keys(orbits, 1, r, s)[0][0].shape[1] >= 1  # rows are hashed
+        refs = assert_pairs_match_brute_force(orbits, (1, 2, 3), r, s)
+        assert all((i, i + 1) in refs[0] for i in tail[:-1].tolist())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(KERNEL_SPACES), st.integers(1, 3))
+def test_clustered_keys_keep_every_close_pair(seed, s, dim):
+    # cluster centres more than r apart in every coordinate, points jittered
+    # inside each cluster: value gaps wider than a cell between some
+    # clusters, none inside them
+    rng = np.random.default_rng(seed)
+    r = 0.25
+    clusters = int(rng.integers(2, 7))
+    centres = np.cumsum(r * (1 + rng.exponential(size=(clusters, dim))), axis=0)
+    half = r * rng.choice([0.125, 0.25, 0.5])
+    pts = centres[rng.integers(0, clusters, 150)] + rng.uniform(-half, half, (150, dim))
+    T = Diagonal(ExplicitRule(tuple(float(v) for v in rng.choice([0.5, 1.0, 2.0], dim))))
+    orbits = en._sample_orbits(T, CompactSample(pts, 0.1), 3)
+    assert_pairs_match_brute_force(orbits, (1, 2, 3), r, s)
+
+
+def test_gap_numbering_halves_the_cube_candidates():
+    # the N=3 cube's first coordinate takes the values 0, 1/2 and 1: at
+    # r = 0.4 they are 1.25 cells apart, so they get cells 0, 2 and 4 and
+    # only rows with equal first symbols stay candidates, 3 * C(3^(depth-1), 2)
+    # (without the gaps, cells 0, 1 and 2: 1,858,950 and 16,737,111)
+    B = BackwardShift(ConstRule(2))
+    for depth, predicted in ((7, 796_068), (8, 7_171_173)):
+        orbits = en._sample_orbits(B, cube_sample(3, depth, ConstRule(2), base=LINF), 1)
+        assert en._plan_keys(orbits, 1, 0.4, LINF)[1] == predicted
+    # dense values have no gap wider than a cell: cells stay floor(u) - min
+    x = np.linspace(-4.0, -3.0, 2048)
+    cells, usable = en._key_cells(x[:, None, None], 2.0**-3, L2)
+    q = np.floor(x / (2.0**-3 * (1 + en.KEY_MARGIN)))
+    assert usable.all() and (cells[:, 0] == q - q.min()).all()
 
 
 def test_cubes_take_carried_pass():

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrolab.entropy import entropy_estimate, sn_table
-from entrolab.errors import AdmissibilityError, SampleSizeError, ValidationError
+from entrolab.errors import (
+    AdmissibilityError,
+    NonFiniteOrbitError,
+    SampleSizeError,
+    ValidationError,
+)
 from entrolab.operators import BackwardShift, apply
 from entrolab.rules import ConstRule, GeometricRule, HarmonicRule
 from entrolab.spaces import Lp, norm_block
@@ -101,6 +106,18 @@ def test_conjugacy_block_matches_per_sample_loop(monkeypatch):
                 rhs = phi_N(bernoulli_shift(x), w, M - 1).coords
                 worst = max(worst, float(np.max(np.abs(lhs - rhs))))
             assert verify_conjugacy(w, N, samples, M, seed=4).max_deviation == worst
+
+
+def test_conjugacy_refuses_overflowed_weights():
+    # w_n = 10^n overflows to inf at n = 309 and the inverse products turn
+    # nan; a nan deviation compares false, so it must be refused rather than
+    # reported as exact (no numpy warning: those are errors under pytest)
+    w = GeometricRule(ratio=10, first=10)
+    assert verify_conjugacy(w, 2, 8, 300).max_deviation < 1e-12
+    with pytest.raises(NonFiniteOrbitError):
+        verify_conjugacy(w, 2, 8, 400)
+    with pytest.raises(NonFiniteOrbitError):
+        phi_N(SymbolSequence((1,) * 400, 2), w, 400)
 
 
 def test_conjugacy_inadmissible_weights():
