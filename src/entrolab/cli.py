@@ -71,9 +71,6 @@ TASKS = (
     "verify",
 )
 
-RANDOMIZED_TASKS = {"shadow", "embed-shift"}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     task: str

@@ -54,9 +54,10 @@ from .errors import (
     SampleSizeError,
     SaturationError,
     UncertifiedSpectrumError,
+    UnsupportedOperatorError,
     ValidationError,
 )
-from .operators import Operator, SpectralData, orbit_block
+from .operators import Operator, SpectralData, SpectrumDisc, orbit_block
 from .spaces import Lp, SpaceSpec, Vector, norm_block, padded_block
 
 SATURATION_FRACTION = 0.95  # s >= 95% of |K| counts as saturated
@@ -196,11 +197,12 @@ def _key_cells(orbits: np.ndarray, r: float, s: SpaceSpec) -> tuple[np.ndarray, 
             widths = width / coef[width < coef]
             if widths.size == 0 and r < float(norm_block(np.ones((1, dim)), s)[0]):
                 widths = np.array([1.0 + KEY_MARGIN])
-    u = orbits[:, :, : widths.size].real / widths
+    with np.errstate(over="ignore"):  # an overflowed quotient voids its key
+        u = orbits[:, :, : widths.size].real / widths
     q = np.floor(u)
     lo, hi = q.min(axis=0), q.max(axis=0)
     usable = (lo >= -KEY_QUOTIENT_CAP) & (hi <= KEY_QUOTIENT_CAP)
-    u, keyed = u[:, usable], (q - lo)[:, usable]
+    u, keyed = u[:, usable], q[:, usable] - lo[usable]
     top = np.sort(u, axis=0)
     wide = np.diff(top, axis=0) > 1  # gaps wider than a cell, below top[1:]
     for k in np.flatnonzero(wide.any(axis=0)):
@@ -836,12 +838,19 @@ def entropy_estimate(table: EntropyTable, n_window: tuple[int, int] | None = Non
     )
 
 
-def spectral_entropy(sd: SpectralData, unit_circle_tol: float = UNIT_CIRCLE_TOL) -> float:
+def spectral_entropy(sd: SpectralData | SpectrumDisc) -> float:
     """sum multiplicity * log|lambda| over eigenvalues with |lambda| > 1.
 
-    Needs a certified tail (every unlisted modulus <= 1); moduli within
-    `unit_circle_tol` of 1 are treated as exactly on the circle.
+    Needs listed eigenvalues with a certified tail (every unlisted modulus
+    <= 1); moduli within UNIT_CIRCLE_TOL of 1 are treated as exactly on the
+    circle.  A disc spectrum (a constant-weight shift) lists none and is
+    refused.
     """
+    if isinstance(sd, SpectrumDisc):
+        raise UnsupportedOperatorError(
+            f"the spectrum is the closed disc of radius {sd.radius:.6g}, with no "
+            "listed eigenvalues to sum log+ over"
+        )
     if not sd.tail_certified:
         raise UncertifiedSpectrumError(
             f"unlisted eigenvalues are only bounded by {sd.tail_sup}; "
@@ -850,12 +859,12 @@ def spectral_entropy(sd: SpectralData, unit_circle_tol: float = UNIT_CIRCLE_TOL)
     terms = [
         mult * math.log(abs(lam))
         for lam, mult in sd.eigenvalues
-        if abs(lam) > 1.0 + unit_circle_tol
+        if abs(lam) > 1.0 + UNIT_CIRCLE_TOL
     ]
     return math.fsum(terms) if terms else 0.0
 
 
-def eigenplane_lower_bound(eigs, modulus_tol: float = 1e-12) -> float:
+def eigenplane_lower_bound(eigs) -> float:
     """n * log r for n distinct eigenvalues sharing one modulus r > 1.
 
     Certified lower bound for the entropy of any operator carrying these as
@@ -865,7 +874,8 @@ def eigenplane_lower_bound(eigs, modulus_tol: float = 1e-12) -> float:
     if not vals:
         raise ValidationError("need at least one eigenvalue")
     r = abs(vals[0])
-    if any(abs(abs(v) - r) > modulus_tol * max(r, 1.0) for v in vals):
+    tol = 1e-12 * max(r, 1.0)  # moduli and eigenvalues this close count as equal
+    if any(abs(abs(v) - r) > tol for v in vals):
         raise ValidationError(
             "eigenvalue moduli differ; use the spectral entropy sum instead"
         )
@@ -873,6 +883,6 @@ def eigenplane_lower_bound(eigs, modulus_tol: float = 1e-12) -> float:
         raise ValidationError(f"common modulus must exceed 1, got {r}")
     for i, v in enumerate(vals):
         for w in vals[i + 1 :]:
-            if abs(v - w) <= modulus_tol * max(r, 1.0):
+            if abs(v - w) <= tol:
                 raise ValidationError("eigenvalues must be distinct")
     return len(vals) * math.log(r)

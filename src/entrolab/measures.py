@@ -37,7 +37,6 @@ class OrbitMeasure:
 
     atoms: tuple[tuple[Vector, float], ...]
     period: int
-    operator_id: str = ""
 
     def __post_init__(self):
         if not self.atoms:
@@ -59,7 +58,7 @@ def _minimal_period(A: np.ndarray, x: np.ndarray, k: int) -> int:
     return 0
 
 
-def orbit_measure(A: DenseMatrix, x: Vector, k: int, operator_id: str = "") -> OrbitMeasure:
+def orbit_measure(A: DenseMatrix, x: Vector, k: int) -> OrbitMeasure:
     """Uniform measure on the orbit of a k-periodic point.
 
     The point must return to itself within tolerance; if a shorter period
@@ -86,7 +85,7 @@ def orbit_measure(A: DenseMatrix, x: Vector, k: int, operator_id: str = "") -> O
     for _ in range(period):
         atoms.append((Vector(y), 1.0 / period))
         y = A.entries @ y
-    return OrbitMeasure(tuple(atoms), period, operator_id)
+    return OrbitMeasure(tuple(atoms), period)
 
 
 def pushforward_deviation(A: DenseMatrix, mu: OrbitMeasure) -> float:
@@ -136,11 +135,9 @@ class SupportReport:
         return self.in_center
 
 
-def support_in_center(
-    A: DenseMatrix, mu: OrbitMeasure, split: Splitting, tol: float = CENTER_TOL
-) -> SupportReport:
+def support_in_center(A: DenseMatrix, mu: OrbitMeasure, split: Splitting) -> SupportReport:
     """Whether every atom lies in the center subspace of the splitting,
-    up to tol * (1 + |atom|) on the unstable and stable components."""
+    up to CENTER_TOL * (1 + |atom|) on the unstable and stable components."""
     P = split.change_of_basis
     du = split.unstable[0].shape[1]
     dc = split.center[0].shape[1]
@@ -152,7 +149,7 @@ def support_in_center(
         xu = split.unstable[0] @ comps[:du]
         xs = split.stable[0] @ comps[du + dc :]
         nu, ns = float(np.linalg.norm(xu)), float(np.linalg.norm(xs))
-        allowed = tol * (1.0 + float(np.linalg.norm(point.coords)))
+        allowed = CENTER_TOL * (1.0 + float(np.linalg.norm(point.coords)))
         if nu >= allowed or ns >= allowed:
             ok = False
             if offender is None or max(nu, ns) > max(worst_u, worst_s):
@@ -190,9 +187,7 @@ class VariationalGapResult:
         }
 
 
-def variational_gap(
-    A: DenseMatrix, search_periods: int = 12, operator_id: str = ""
-) -> VariationalGapResult:
+def variational_gap(A: DenseMatrix, search_periods: int = 12) -> VariationalGapResult:
     """Measure the failure of the variational principle at desk scale.
 
     h_top comes from the eigenvalue formula; the measure side enumerates
@@ -209,13 +204,13 @@ def variational_gap(
         raise ValidationError("need at least one period to search")
     h_top = spectral_entropy(spectrum(A))
     split = riesz_split(A)
-    measures = [orbit_measure(A, Vector(np.zeros(A.d)), 1, operator_id)]
+    measures = [orbit_measure(A, Vector(np.zeros(A.d)), 1)]
     center_ok = True
     for k in range(1, search_periods + 1):
         basis = linear_periodic_points(A, k)
         for col in range(basis.shape[1]):
             x = Vector(basis[:, col])
-            mu = orbit_measure(A, x, k, operator_id)
+            mu = orbit_measure(A, x, k)
             measures.append(mu)
             if not support_in_center(A, mu, split):
                 center_ok = False

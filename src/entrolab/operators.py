@@ -291,11 +291,11 @@ def _sup_window_product(weights: np.ndarray, n: int) -> float:
     return np.fmax.reduce(prods, initial=0.0)
 
 
-def power_norm(T: Operator, n: int, s: SpaceSpec | None = None, window: int = DEFAULT_WINDOW) -> float:
+def power_norm(T: Operator, n: int, s: SpaceSpec | None = None) -> float:
     """Operator norm of T^n.
 
     Shift and diagonal branches are the exact l^p closed forms evaluated over
-    a representable window of basis directions; dense blocks use the largest
+    DEFAULT_WINDOW + n basis directions; dense blocks use the largest
     singular value of A^n in the Euclidean norm, from LAPACK's SVD.
     """
     if n < 1:
@@ -304,7 +304,7 @@ def power_norm(T: Operator, n: int, s: SpaceSpec | None = None, window: int = DE
     if isinstance(T, (BackwardShift, ForwardShift)):
         _require_lp(s, "shift power norm")
         L = rl.explicit_length(T.weights)
-        probe = min(window + n, L) if L is not None else window + n
+        probe = min(DEFAULT_WINDOW + n, L) if L is not None else DEFAULT_WINDOW + n
         if probe <= n:
             raise ValidationError("weight list too short for the requested power")
         w = rl.values(T.weights, probe)
@@ -318,11 +318,11 @@ def power_norm(T: Operator, n: int, s: SpaceSpec | None = None, window: int = DE
     if isinstance(T, DenseMatrix):
         return float(np.linalg.norm(np.linalg.matrix_power(T.entries, n), 2))
     if isinstance(T, Scaled):
-        return abs(T.alpha) ** n * power_norm(T.inner, n, s, window)
+        return abs(T.alpha) ** n * power_norm(T.inner, n, s)
     if isinstance(T, DirectSum):
-        return max(power_norm(p, n, s, window) for p in T.parts)
+        return max(power_norm(p, n, s) for p in T.parts)
     if isinstance(T, OperatorPower):
-        return power_norm(T.base, T.m * n, s, window)
+        return power_norm(T.base, T.m * n, s)
     raise ValidationError(f"unknown operator kind {type(T).__name__}")
 
 
@@ -393,7 +393,6 @@ class SpectralData:
     spectral_radius: float
     includes_zero: bool = False
     tail_sup: float = 0.0
-    residual_tol: float = 0.0
     residuals: tuple[float, ...] = ()
 
     @property
@@ -409,8 +408,6 @@ class SpectrumDisc:
     """
 
     radius: float
-    open_disc_is_point_spectrum: bool = True
-    boundary_note: str = "boundary eigenvalue candidates leave the space"
 
     @property
     def spectral_radius(self) -> float:
@@ -494,7 +491,6 @@ def _dense_spectrum(A: np.ndarray) -> SpectralData:
         spectral_radius=float(np.max(np.abs(vals))) if d else 0.0,
         includes_zero=False,
         tail_sup=0.0,
-        residual_tol=EIG_RESIDUAL_TOL,
         residuals=residuals,
     )
 
@@ -510,7 +506,6 @@ def _mapped_spectrum(inner, value, modulus) -> SpectralData | SpectrumDisc:
         spectral_radius=modulus(inner.spectral_radius),
         includes_zero=inner.includes_zero,
         tail_sup=modulus(inner.tail_sup),
-        residual_tol=inner.residual_tol,
     )
 
 
@@ -546,7 +541,6 @@ def spectrum(T: Operator) -> SpectralData | SpectrumDisc:
             spectral_radius=max(p.spectral_radius for p in parts),
             includes_zero=any(p.includes_zero for p in parts),
             tail_sup=max(p.tail_sup for p in parts),
-            residual_tol=max(p.residual_tol for p in parts),
         )
     raise ValidationError(f"unknown operator kind {type(T).__name__}")
 

@@ -132,12 +132,12 @@ class AdmissibilityReport:
 _RATIO_CAP = 0.999
 
 
-def weight_admissibility(rule: Rule, window: int = 64) -> AdmissibilityReport:
+def weight_admissibility(rule: Rule) -> AdmissibilityReport:
     """Tail-ratio test for sum_n (prod_{i<=n} w_i)^{-1} e_n landing in the space.
 
     The partial-sum terms have consecutive ratio 1/|w_{n+1}|; an eventual
     bound q < 1 certifies geometric summability.  Closed-form rules are
-    decided exactly, explicit lists only on their own window.
+    decided exactly, explicit lists only on their first 64 weights.
     """
     if isinstance(rule, ConstRule):
         q = 1.0 / abs(rule.value) if rule.value != 0 else math.inf
@@ -152,7 +152,7 @@ def weight_admissibility(rule: Rule, window: int = 64) -> AdmissibilityReport:
         return AdmissibilityReport(False, math.inf, False, "|w_n| -> 0, sums diverge")
     if isinstance(rule, HarmonicRule):
         return AdmissibilityReport(False, math.inf, False, "1/|w_{n+1}| = n+2 grows")
-    vals = np.abs(values(rule, min(window, len(rule.values))))
+    vals = np.abs(values(rule, min(64, len(rule.values))))
     if np.any(vals == 0):
         return AdmissibilityReport(False, math.inf, True, "zero weight")
     ratios = 1.0 / vals[1:] if len(vals) > 1 else 1.0 / vals
@@ -160,8 +160,8 @@ def weight_admissibility(rule: Rule, window: int = 64) -> AdmissibilityReport:
     return AdmissibilityReport(q <= _RATIO_CAP, q, True, "explicit list, window test")
 
 
-def require_admissible(rule: Rule, window: int = 64) -> AdmissibilityReport:
-    rep = weight_admissibility(rule, window)
+def require_admissible(rule: Rule) -> AdmissibilityReport:
+    rep = weight_admissibility(rule)
     if not rep.admissible:
         raise AdmissibilityError(f"weights fail the tail-ratio test: {rep.note}")
     return rep

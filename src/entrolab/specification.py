@@ -19,10 +19,11 @@ multiples of the period.  Periodisation is linear, so the shadow of a tuple
 (c_0, .., c_{n-1}) is the sum over i of the periodised piece of anchor c_i
 at segment i.  Every coordinate of that sum has at most one nonzero addend,
 so it involves no rounding and equals the shadow built from the tuple's own
-pattern bit for bit.  Only the m*n pieces are periodised, and one stream of
-B_w over the family block, keeping one time slice at a time, yields every
-periodicity check and every deviation; `shadow_point` runs the same
-periodise-and-deviate path on a single schedule.
+pattern bit for bit.  Only the m*n pieces are periodised.  The family and
+its anchors are grown once under B_w^k over the Bowen window: that cube
+gives every deviation, every periodicity check (its last slice continued
+to the period) and the separation.  `shadow_point` likewise grows its one
+shadow once, to the period.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rules as rl
-from .entropy import CompactSample, _key_cells, _neighbours, bowen_distances, near_pairs
+from .entropy import BLOCK_ELEMS, CompactSample, _key_cells, _neighbours, bowen_distances, near_pairs
 from .errors import SampleSizeError, ScheduleError, ValidationError
 from .operators import (
     BackwardShift,
@@ -161,41 +162,6 @@ def _aggregated_space(epsilon: float, space: SpaceSpec | None) -> FAggregate:
     return space
 
 
-def _shadow_deviations(
-    B_w: BackwardShift,
-    xi: np.ndarray,
-    period: int,
-    windows: list[tuple[int, int]],
-    target_orbits: np.ndarray,
-    choice: np.ndarray,
-    space: SpaceSpec,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Periodicity flags and per-segment deviations of a block of shadows.
-
-    Streams B_w over the (rows, dim) block `xi` up to `period`, keeping one
-    time slice at a time.  Row r's segment s, over the time window
-    windows[s] = (a, b), is compared with the target orbit
-    target_orbits[choice[r, s]] (shape (targets, b_last + 1, dim)); its
-    deviation is the largest aggregated distance over the window.  A row is
-    periodic when B_w^period reproduces it on the representable window.
-    Returns (periodic, shape (rows,)) and (deviations, shape (rows, segments)).
-    """
-    dev = np.zeros((xi.shape[0], len(windows)))
-    orbit = xi
-    for t in range(period + 1):
-        if t:
-            orbit = batch_apply(B_w, orbit)
-        for s, (a, b) in enumerate(windows):
-            if a <= t <= b:
-                require_finite(orbit)
-                d = norm_block(orbit - target_orbits[choice[:, s], t], space)
-                dev[:, s] = np.maximum(dev[:, s], d)
-    require_finite(orbit)
-    window = xi.shape[1] - period
-    periodic = (orbit[:, :window] == xi[:, :window]).all(axis=1)
-    return periodic, dev
-
-
 def shadow_point(
     B_w: Operator,
     sched: SegmentSchedule,
@@ -205,10 +171,11 @@ def shadow_point(
 ) -> ShadowReport:
     """Build the periodic point shadowing the scheduled orbit segments.
 
-    Verifies exact periodicity under B_w^{period} on the representable
-    window and measures per-segment orbit deviations in the aggregated
-    metric; `certified` additionally demands deviation + 2^{-dim} < epsilon
-    strictly and an admissible weight sequence.
+    Grows the shadow's orbit to the period once.  Verifies exact
+    periodicity under B_w^{period} on the representable window and measures
+    per-segment orbit deviations in the aggregated metric; `certified`
+    additionally demands deviation + 2^{-dim} < epsilon strictly and an
+    admissible weight sequence.
     """
     if not isinstance(B_w, BackwardShift):
         raise ValidationError("shadowing is built for weighted backward shifts")
@@ -223,15 +190,17 @@ def shadow_point(
 
     admissible = rl.weight_admissibility(B_w.weights).admissible
     xi = _periodize(B_w, _pattern(sched, dim)[np.newaxis, :], period)
+    orbit = orbit_block(B_w, xi, period + 1)[0]
     targets = padded_block([y for _, _, y in sched.segments], dim)
     target_orbits = orbit_block(B_w, targets, sched.b_last + 1)
-    windows = [(a, b) for a, b, _ in sched.segments]
-    choice = np.arange(len(windows))[np.newaxis, :]
-    periodic, dev = _shadow_deviations(B_w, xi, period, windows, target_orbits, choice, space)
 
     tail = norm_tail_bound(dim, space)
-    deviations = tuple((idx, float(d)) for idx, d in enumerate(dev[0]))
-    periodicity_exact = bool(periodic[0])
+    deviations = tuple(
+        (idx, float(norm_block(orbit[a : b + 1] - target_orbits[idx, a : b + 1], space).max()))
+        for idx, (a, b, _) in enumerate(sched.segments)
+    )
+    window = dim - period
+    periodicity_exact = bool((orbit[period, :window] == orbit[0, :window]).all())
     certified = (
         periodicity_exact
         and admissible
@@ -314,22 +283,16 @@ def _direct_min_pairwise(space: SpaceSpec, orbits: np.ndarray) -> float:
 
 
 def _family_shadows(
-    B_w: BackwardShift,
-    anchor_block: np.ndarray,
-    times: tuple[int, ...],
-    gap: int,
-    epsilon: float,
-    space: FAggregate,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    B_w: BackwardShift, anchor_block: np.ndarray, times: tuple[int, ...], gap: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Shadows of every tuple in anchors^n, in itertools.product order.
 
     Segment i of a tuple is the single time t_i.  Only the m*n pieces (anchor
     c's coordinates t_i+1 .. t_i+gap) are periodised; each shadow is the
     exact sum of its n pieces, because the pieces and their periodic images
     have disjoint supports (see the module docstring).  Returns the tuples
-    (F, n), the shadows (F, dim), their deviations (F, n) and their
-    certification flags (F,): the values `shadow_point` gives for each
-    tuple's own schedule.
+    (F, n) and the shadows (F, dim), each the `xi` that `shadow_point` builds
+    from the tuple's own schedule.
     """
     m, dim = anchor_block.shape
     n = len(times)
@@ -343,14 +306,44 @@ def _family_shadows(
     xi = np.zeros((combos.shape[0], dim), dtype=complex)
     for i in range(n):
         xi += periodised[i, combos[:, i]]
+    return combos, xi
 
-    anchor_orbits = orbit_block(B_w, anchor_block, times[-1] + 1)
-    windows = [(t, t) for t in times]
-    periodic, dev = _shadow_deviations(B_w, xi, period, windows, anchor_orbits, combos, space)
+
+def _family_certification(
+    B_w: BackwardShift, orbits: np.ndarray, combos: np.ndarray, anchor_rows: list[int],
+    period: int, gap: int, epsilon: float, space: FAggregate,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deviations (F, n) and certification flags (F,) of the F shadows, the
+    values `shadow_point` gives for each tuple's own schedule.
+
+    `orbits` is the family's cube under B_w^k over the Bowen window (shape
+    (rows, steps, dim), the shadows first).  Segment i's time t_i is Bowen
+    step i*(gap+1), and anchor c's orbit is row anchor_rows[c] of the same
+    cube, so a deviation is one distance between two of its slices.  The
+    last slice (time t_{n-1}) is continued `gap` steps of B_w to the period
+    and compared with the shadows on the representable window.  Both run
+    in row blocks of BLOCK_ELEMS coordinates.
+    """
+    F, n = combos.shape
+    dim = orbits.shape[2]
+    of_anchor = np.asarray(anchor_rows)[combos]
+    dev = np.empty((F, n))
+    periodic = np.empty(F, dtype=bool)
+    window = dim - period
+    step = max(1, BLOCK_ELEMS // dim)
+    for lo in range(0, F, step):
+        rows = slice(lo, min(lo + step, F))
+        for i in range(n):
+            at = i * (gap + 1)
+            dev[rows, i] = norm_block(orbits[rows, at] - orbits[of_anchor[rows, i], at], space)
+        orbit = orbits[rows, -1]
+        for _ in range(gap):
+            orbit = batch_apply(B_w, orbit)
+        require_finite(orbit)
+        periodic[rows] = (orbit[:, :window] == orbits[rows, 0, :window]).all(axis=1)
     admissible = rl.weight_admissibility(B_w.weights).admissible
     tail = norm_tail_bound(dim, space)
-    certified = periodic & (dev + tail < epsilon).all(axis=1) & admissible
-    return combos, xi, dev, certified
+    return dev, periodic & (dev + tail < epsilon).all(axis=1) & admissible
 
 
 def sp_separated_family(
@@ -368,16 +361,16 @@ def sp_separated_family(
     metric and fixed under B_w^k on the truncation interior.  The shadows
     are built in one batch (`_family_shadows`): the m*n single-segment
     pieces are periodised once and summed per tuple, which is exact because
-    the pieces and their periodic images have disjoint supports, and one
-    stream of B_w over the family certifies every shadow.  A tuple whose
-    shadow fails certification is named, the first in product order.  The
-    returned sample is the family together with the anchors; an anchor
-    equal to a shadow is that shadow's row, and two tuples with equal
-    shadows are refused (`_family_rows`).  Verification computes pairwise
-    dynamical distances directly up to a size cap; above it, a certified
-    triangle-inequality lower bound stands in for the shadow pairs, and
-    each anchor is checked exactly against the rows that could come closer
-    than that bound (`_certificate_min_pairwise`).
+    the pieces and their periodic images have disjoint supports.  The
+    family's rows (`_family_rows`: the shadows, then the anchors that are
+    not shadows) are grown once under B_w^k over the Bowen window; that
+    cube certifies every shadow (`_family_certification`) and verifies
+    separation.  A tuple whose shadow fails certification is named, the
+    first in product order; then two tuples with equal shadows are refused.
+    Verification computes pairwise dynamical distances directly up to a
+    size cap; above it, a certified triangle-inequality lower bound stands
+    in for the shadow pairs, and each anchor is checked exactly against the
+    rows that could come closer than that bound (`_certificate_min_pairwise`).
     """
     if not isinstance(B_w, BackwardShift):
         raise ValidationError("families are built over weighted backward shifts")
@@ -402,28 +395,31 @@ def sp_separated_family(
     if d_min_anchor < 3 * epsilon:
         raise ValidationError("anchors closer than 3*epsilon cannot certify separation")
 
-    combos, family_block, dev, certified = _family_shadows(
-        B_w, anchor_block, times, N, epsilon, space
+    combos, family_block = _family_shadows(B_w, anchor_block, times, N)
+    rows, anchor_rows, twins = _family_rows(combos, family_block, anchor_block)
+    T_eff: Operator = B_w if k == 1 else OperatorPower(B_w, k)
+    steps = (n - 1) * (N + 1) + 1  # Bowen window in T^k steps
+    orbits = orbit_block(T_eff, rows, steps)
+    dev, certified = _family_certification(
+        B_w, orbits, combos, anchor_rows, times[-1] + N, N, epsilon, space
     )
     if not certified.all():
         combo = tuple(int(c) for c in combos[np.argmin(certified)])
         raise ValidationError(f"shadow for tuple {combo} failed certification")
+    if twins is not None:
+        raise ValidationError(f"tuples {twins[0]} and {twins[1]} give the same shadow")
 
-    rows, anchor_rows = _family_rows(combos, family_block, anchor_block)
-    T_eff: Operator = B_w if k == 1 else OperatorPower(B_w, k)
-    steps = (n - 1) * (N + 1) + 1  # Bowen window in T^k steps
     if rows.shape[0] <= DIRECT_VERIFY_CAP:
-        min_pair = _direct_min_pairwise(space, orbit_block(T_eff, rows, steps))
-        verification = "direct"
-        if not (min_pair > epsilon):
-            raise ValidationError(
-                f"family separation failed: min pairwise distance {min_pair:.6g} <= {epsilon}"
-            )
+        min_pair, verification = _direct_min_pairwise(space, orbits), "direct"
     else:
         min_pair = _certificate_min_pairwise(
-            T_eff, rows, anchor_rows, float(dev.max()), d_min_anchor, steps, space, epsilon
+            space, orbits, anchor_rows, float(dev.max()), d_min_anchor, epsilon
         )
         verification = "certificate"
+    if not (min_pair > epsilon):
+        raise ValidationError(
+            f"family separation failed: min pairwise distance {min_pair:.6g} <= {epsilon}"
+        )
 
     sample = CompactSample(
         rows,
@@ -443,62 +439,59 @@ def sp_separated_family(
 
 def _family_rows(
     combos: np.ndarray, family_block: np.ndarray, anchor_block: np.ndarray
-) -> tuple[np.ndarray, list[int]]:
-    """The family's sample rows and the row of each anchor.
+) -> tuple[np.ndarray, list[int], tuple[tuple[int, ...], tuple[int, ...]] | None]:
+    """The family's sample rows, the row of each anchor, and the first two
+    tuples with equal shadows (None when every shadow is its own).
 
     Rows are compared by value (+ 0.0 folds -0.0 into 0.0).  Only an anchor
     may collapse into a family row (the all-zero tuple reproduces a zero
-    anchor); the other anchors, pairwise distinct, follow the family.  Two
-    equal family rows would count two tuples as one point and are refused.
+    anchor); the other anchors, pairwise distinct, follow the family as
+    rows F, F+1, ...  Two equal family rows would count two tuples as one
+    point; the caller refuses them.
     """
     row_of: dict[bytes, int] = {}
+    twins = None
     for idx, key in enumerate(map(np.ndarray.tobytes, family_block + 0.0)):
         first = row_of.setdefault(key, idx)
-        if first != idx:
-            pair = tuple(combos[first].tolist()), tuple(combos[idx].tolist())
-            raise ValidationError(f"tuples {pair[0]} and {pair[1]} give the same shadow")
+        if first != idx and twins is None:
+            twins = tuple(combos[first].tolist()), tuple(combos[idx].tolist())
+    fresh = itertools.count(len(family_block))
     keys = map(np.ndarray.tobytes, anchor_block + 0.0)
-    anchor_rows = [row_of.setdefault(key, len(row_of)) for key in keys]
+    anchor_rows = [row_of[key] if key in row_of else next(fresh) for key in keys]
     extra = [a for a, row in enumerate(anchor_rows) if row >= len(family_block)]
-    return np.concatenate([family_block, anchor_block[extra]]), anchor_rows
+    return np.concatenate([family_block, anchor_block[extra]]), anchor_rows, twins
 
 
 def _certificate_min_pairwise(
-    T: Operator,
-    rows: np.ndarray,
+    space: SpaceSpec,
+    orbits: np.ndarray,
     anchor_rows: list[int],
     dev_max: float,
     d_min_anchor: float,
-    steps: int,
-    space: SpaceSpec,
     epsilon: float,
 ) -> float:
-    """Certified lower bound on every pairwise dynamical distance.
+    """Certified lower bound on every pairwise dynamical distance of the
+    family's orbits (shape (rows, steps, dim)), over all their steps.
 
     Two shadows with tuples differing at schedule position p satisfy, at
     that time, d >= d(anchor, anchor') - dev - dev' - drift - drift', every
     term a computed number (d_min_anchor is the smallest anchor distance).
-    The family-wide bound uses the worst of each term.  Falls back to the
-    full direct scan when the global bound fails.  The anchors' orbits are
-    rows `anchor_rows` of the family's, grown once.
+    The family-wide bound uses the worst of each term.  When it fails, the
+    result is the exact minimum from the full direct scan, which the caller
+    judges.  The anchors' orbits are rows `anchor_rows` of the cube.
 
     Anchor pairs are checked exactly where they can lower the result
     min(global bound, closest anchor pair): a pair within the global bound
     shares or neighbours a cell on every usable key of `_key_cells`, so
     only those rows get a Bowen distance, row by row that of a full scan.
     """
-    orbits = orbit_block(T, rows, steps)
+    steps = orbits.shape[1]
     orbits_a = orbits[anchor_rows]
     drift_max = float(norm_block(orbits_a - orbits_a[:, :1], space).max())
     global_bound = d_min_anchor - 2.0 * dev_max - 2.0 * drift_max
     if not (global_bound > epsilon):
         # certificate too weak: fall back to the exact (slow) scan
-        direct = _direct_min_pairwise(space, orbits)
-        if not (direct > epsilon):
-            raise ValidationError(
-                f"family separation failed: min pairwise distance {direct:.6g} <= {epsilon}"
-            )
-        return direct
+        return _direct_min_pairwise(space, orbits)
 
     # anchors against the rows that could come closer than global_bound
     cells, usable = _key_cells(orbits, global_bound, space)

@@ -220,6 +220,22 @@ def test_validation_exit_codes(tmp_path):
         assert (task, config, code, report) == (task, config, 2, None)
 
 
+@pytest.mark.parametrize("operator", [
+    {"kind": "backward_shift", "weights": {"rule": "const", "value": 2}},
+    {"kind": "scaled", "alpha": 2, "inner": {"kind": "backward_shift", "weights": {"rule": "const", "value": 1}}},
+])
+def test_spectral_entropy_refuses_disc_spectrum(tmp_path, operator):
+    # a constant-weight shift (weights 2, and the Rolewicz operator 2B) has the
+    # closed disc as spectrum and no eigenvalue list to sum over
+    run_cli(tmp_path, "spectral-entropy", {"operator": operator})
+    env = dict(os.environ, PYTHONPATH=str(Path(entrolab.__file__).parents[1]))
+    argv = ["spectral-entropy", "--config", str(tmp_path / "exp.json"), "--out", str(tmp_path / "o")]
+    run = subprocess.run([sys.executable, "-m", "entrolab.cli", *argv], capture_output=True, text=True, env=env)
+    assert run.returncode == 2
+    assert "disc" in run.stderr and "Traceback" not in run.stderr
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_sample_with_points_equal_by_value_exit_code(tmp_path):
     base = {"operator": {"kind": "diagonal", "eigenvalues": {"rule": "explicit", "values": [2, 2]}},
             "n_range": {"lo": 1, "hi": 4}, "eps_list": [0.1]}

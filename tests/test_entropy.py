@@ -790,6 +790,15 @@ def test_key_gaps_at_cell_width_edges():
         assert all((i, i + 1) in refs[0] for i in tail[:-1].tolist())
 
 
+def test_key_quotients_beyond_float_range_void_the_key():
+    # a cell 1e-300 wide against values near 1e10: the quotients overflow,
+    # which voids the key without a RuntimeWarning, and every point stays
+    # separated
+    K = CompactSample(np.linspace(1e10, 2e10, 200)[:, None], 0.1)
+    table = sn_table(Diagonal(ExplicitRule((1.0,))), K, [1, 2], [1e-300], Lp(2.0))
+    assert table.s(1, 1e-300) == table.s(2, 1e-300) == 200
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(KERNEL_SPACES), st.integers(1, 3))
 def test_clustered_keys_keep_every_close_pair(seed, s, dim):

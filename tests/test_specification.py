@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from entrolab.entropy import dyn_distance, sn_table
 from entrolab.errors import NonFiniteOrbitError, ScheduleError, ValidationError
-from entrolab.operators import BackwardShift, apply, diagonal_matrix, orbit_block, rotation_matrix
+from entrolab.operators import (
+    BackwardShift,
+    OperatorPower,
+    apply,
+    diagonal_matrix,
+    orbit_block,
+    rotation_matrix,
+)
 from entrolab.rules import ConstRule
 from entrolab.spaces import FAggregate, Lp, Vector, norm_block, padded_block, vector, zero_vector
 from entrolab.specification import (
@@ -205,6 +212,37 @@ def test_family_refuses_tuples_with_equal_shadows():
         sp_separated_family(B2, [zero_vector(64), x1, Vector(head)], 2, 0.1)
 
 
+def test_family_names_uncertified_tuple_before_equal_shadows():
+    # both refusals apply: weight 3 leaves tuple (0, 1) uncertified, and
+    # tuples (c, 1) and (c, 2) give equal shadows (see above); the
+    # certification is judged first
+    B3 = BackwardShift(ConstRule(3))
+    x1 = fixed_vector(B3, 64)
+    head = x1.coords.copy()
+    head[:4] *= 3
+    with pytest.raises(ValidationError, match=r"shadow for tuple \(0, 1\) failed certification"):
+        sp_separated_family(B3, [zero_vector(64), x1, Vector(head)], 2, 0.1)
+
+
+@pytest.mark.parametrize("cap", [spec.DIRECT_VERIFY_CAP, 4])
+def test_family_grows_its_orbits_once(monkeypatch, cap):
+    # one orbit cube certifies the shadows and verifies separation, on the
+    # direct path and on the certificate path
+    calls = []
+    grow = spec.orbit_block
+
+    def spy(T, block, steps):
+        calls.append(block.shape[0])
+        return grow(T, block, steps)
+
+    monkeypatch.setattr(spec, "orbit_block", spy)
+    monkeypatch.setattr(spec, "DIRECT_VERIFY_CAP", cap)
+    x1 = fixed_vector(B2, 64)
+    fam = sp_separated_family(B2, [zero_vector(64), x1, Vector(2 * x1.coords)], 2, 0.1)
+    assert fam.verification == ("direct" if cap > 4 else "certificate")
+    assert calls == [len(fam.sample)] == [9 + 3 - 1]
+
+
 def _spy_direct(monkeypatch):
     calls = []
     direct = spec._direct_min_pairwise
@@ -297,7 +335,7 @@ def test_certificate_anchor_query_matches_full_scan(data):
     assert _key_regime(rows, steps, global_bound) == regime
     assert global_bound > eps  # the certificate path, not the direct fallback
     event(f"{regime}: " + ("an anchor pair decides" if best < global_bound else "the global bound decides"))
-    args = (B2, rows, anchor_rows, dev_max, d_min_anchor, steps, FA, eps)
+    args = (FA, orbit_block(B2, rows, steps), anchor_rows, dev_max, d_min_anchor, eps)
     if not best > eps:
         with pytest.raises(ValidationError, match="anchor-related distance"):
             spec._certificate_min_pairwise(*args)
@@ -315,7 +353,7 @@ def test_certificate_anchor_pair_decides(regime, bound):
     assert _key_regime(rows, 2, bound) == regime
     global_bound, best, want = _full_scan_certificate(rows, [0], 0.0, bound, 2, 0.1)
     assert best == 0.4375 < global_bound == bound
-    got = spec._certificate_min_pairwise(B2, rows, [0], 0.0, bound, 2, FA, 0.1)
+    got = spec._certificate_min_pairwise(FA, orbit_block(B2, rows, 2), [0], 0.0, bound, 0.1)
     assert got.hex() == want.hex()
 
 
@@ -324,7 +362,7 @@ def test_certificate_refuses_close_anchor_pair():
     # 2^-8 apart: the anchor query finds the pair and refuses the family
     rows = np.array([[0, 0, 0, 0], [0, 0, 0, 1 / 16]], dtype=complex)
     with pytest.raises(ValidationError, match="anchor-related distance 0.0039"):
-        spec._certificate_min_pairwise(B2, rows, [0], 0.0, 0.9, 1, FA, 0.1)
+        spec._certificate_min_pairwise(FA, orbit_block(B2, rows, 1), [0], 0.0, 0.9, 0.1)
 
 
 def test_family_close_anchors_rejected():
@@ -383,7 +421,13 @@ def test_family_batch_matches_tuple_shadows(m, n, k, weight):
     B = BackwardShift(ConstRule(weight))
     eps = 0.1
     anchors, times, N, dim = _anchor_family(B, m, n, k, eps)
-    combos, xi, dev, certified = _family_shadows(B, padded_block(anchors, dim), times, N, eps, FA)
+    block = padded_block(anchors, dim)
+    combos, xi = _family_shadows(B, block, times, N)
+    rows, anchor_rows, twins = spec._family_rows(combos, xi, block)
+    assert twins is None
+    T = B if k == 1 else OperatorPower(B, k)
+    orbits = orbit_block(T, rows, (n - 1) * (N + 1) + 1)
+    dev, certified = spec._family_certification(B, orbits, combos, anchor_rows, times[-1] + N, N, eps, FA)
     expected = list(_tuple_shadows(B, anchors, times, N, eps, dim))
     assert [tuple(c) for c in combos] == [combo for combo, _ in expected]
     assert xi.tobytes() == np.stack([rep.xi.coords for _, rep in expected]).tobytes()
