@@ -13,8 +13,9 @@ counts over an (n, eps) grid feeds a least-squares slope of log s_n before
 saturation; the eps -> 0 limit stays represented by the full per-eps slope
 list, never a single collapsed number.
 
-Every pairwise question goes through one exact near-pair kernel,
-`near_pairs`: the pairs within a radius r, with their Bowen distances.
+Every pairwise question but the counts of small tables (below) goes
+through one exact near-pair kernel, `near_pairs`: the pairs within a
+radius r, with their Bowen distances.
 Rows are hashed into cells on one or two (time, coordinate) keys whose
 differences bound the Bowen distance from below (|Re D_c(t)| in l^p,
 min(1, |D_c(t)|)(2^{1-c} - 2^{-dim}) under the aggregated norm), with cells
@@ -23,19 +24,21 @@ cells.  Cells are numbered across gaps: every gap between a key's sorted
 values wider than a cell skips one more number, so rows on either side of
 it are never neighbours, and no close pair straddles such a gap.  Only
 pairs in the same or adjacent cells get an exact distance, taken with the
-same `norm_block` arithmetic as a direct evaluation.  A whole (n, eps)
-table, greedy or exact, is one carried pass (`_carried_pairs`): the pairs
-within max(eps) at the smallest n are found once, and each block of them is
-carried through the later n by extending its running maximum one time
-slice at a time and dropping the pairs that leave max(eps).  Greedy cells
-are swept from the survivors (`_carried_marks`), keeping exactly the rows
-the per-cell scan keeps; exact cells are a memoised maximum-set search over
-the survivors' conflict graphs (`_max_independent_set`).  When the pairs
-barely drop and barely prune (more than SCAN_ROW_PAIRS pair evaluations per
-row, n and eps, as for an isometry with one large eps) a greedy table falls
-back to the witness scan `_greedy_indices`, decided once before the pass
-(`_carry_plan`).
-`_kept_rows` makes that choice for every count.
+same `norm_block` arithmetic as a direct evaluation.  A table whose
+pairs fit one block (count(count - 1)/2 <= PAIR_BLOCK: at most 91 rows,
+every exact table) skips hashing: one running maximum over all pairs gives
+each (n, eps) cell a neighbour bitmask per row (`_conflict_graphs`), swept
+greedily (`_greedy_sweep`) or searched for a maximum set
+(`_max_independent_set`).  A larger greedy table is one carried pass
+(`_carried_pairs`): the pairs within max(eps) at the smallest n are found
+once, and each block of them is carried through the later n by extending
+its running maximum one time slice at a time and dropping the pairs that
+leave max(eps).  Its cells are swept from the survivors (`_carried_marks`),
+keeping exactly the rows the per-cell scan keeps.  When the pairs barely
+drop and barely prune (more than SCAN_ROW_PAIRS pair evaluations per row,
+n and eps, as for an isometry with one large eps) the table falls back to
+the witness scan `_greedy_indices`, decided once before the pass
+(`_carry_plan`).  `_kept_rows` makes these choices for every count.
 
 Spectral side: sum of multiplicity * log|lambda| over eigenvalues of
 modulus > 1 (zero if none), and the n*log(r) lower bound carried by n
@@ -130,10 +133,18 @@ def grid_sample(
     return CompactSample(coords, max(resolution, 1e-300), label or f"grid{points_per_axis}")
 
 
+def _bowen_time(n) -> int:
+    """n as an int >= 1: an integer, or a float with an integral value."""
+    if isinstance(n, (float, np.floating)) and float(n).is_integer():
+        n = int(n)
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError(f"Bowen times must be integers >= 1, got {n!r}")
+    return int(n)
+
+
 def dyn_distance(T: Operator, x: Vector, y: Vector, n: int, s: SpaceSpec) -> float:
     """Bowen dynamical distance max_{0<=i<n} d(T^i x, T^i y)."""
-    if n < 1:
-        raise ValidationError(f"dynamical distance needs n >= 1, got {n}")
+    n = _bowen_time(n)
     orbits = orbit_block(T, padded_block((x, y)), n)
     return float(bowen_distances(orbits, [0], [1], n, s)[0])
 
@@ -533,7 +544,8 @@ def greedy_separated(
     maximal (every excluded point violates separation with a kept one).
     This is the one-cell case of `sn_table`.
     """
-    if eps <= 0:
+    n = _bowen_time(n)
+    if not eps > 0:
         raise ValidationError("separation scale eps must be positive")
     kept = _kept_rows(_sample_orbits(T, K, n), (n,), (eps,), s, "greedy")[0, 0]
     return [K.points[i] for i in np.flatnonzero(kept)]
@@ -541,19 +553,41 @@ def greedy_separated(
 
 def _conflict_graphs(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec) -> list:
     """Conflict graphs (Bowen distance <= eps) of every (n, eps) cell, as
-    graphs[k][j][row], one bitmask of neighbours per row, from one carried
-    pass over the ascending `n_values` at r = max(eps)."""
-    count = orbits.shape[0]
-    graphs = [[[0] * count for _ in eps_values] for _ in n_values]
-    r = max(eps_values)
-    plan, _ = _plan_keys(orbits, n_values[0], r, s)
-    for k, I, J, D in _carried_pairs(orbits, n_values, r, s, plan):
-        for masks, eps in zip(graphs[k], eps_values):
-            close = D <= eps
-            for i, j in zip(I[close].tolist(), J[close].tolist()):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return graphs
+    graphs[k][j][row], one bitmask of neighbours per row, for the ascending
+    `n_values`: every pair's distances over t < max(n), BLOCK_ELEMS
+    coordinates at a time, their running maximum read at each n (that is
+    `bowen_distances` bit for bit: `norm_block` works row by row), and each
+    cell's adjacency packed into 64-bit words per row."""
+    orbits = orbits[:, : n_values[-1]]
+    count, last, _ = orbits.shape
+    rows = np.arange(count)
+    I, J = np.nonzero(rows[:, np.newaxis] < rows)
+    step = max(1, BLOCK_ELEMS // orbits[0].size)
+    D = np.empty((I.size, last))
+    for a in range(0, I.size, step):
+        D[a : a + step] = norm_block(orbits[I[a : a + step]] - orbits[J[a : a + step]], s)
+    D = np.maximum.accumulate(D, axis=1)[:, np.subtract(n_values, 1)]
+    close = D.T[:, np.newaxis] <= np.array(eps_values)[:, np.newaxis]
+    words = -(-count // 64)
+    adjacent = np.zeros((len(n_values), len(eps_values), count, 64 * words), dtype=bool)
+    adjacent[..., I, J] = adjacent[..., J, I] = close
+    packed = np.packbits(adjacent, axis=-1, bitorder="little").view("<u8")
+    masks = packed[..., 0].ravel().tolist()
+    for w in range(1, words):
+        masks = [m | h << 64 * w for m, h in zip(masks, packed[..., w].ravel().tolist())]
+    cells = [masks[a : a + count] for a in range(0, len(masks), count)]
+    return [cells[a : a + len(eps_values)] for a in range(0, len(cells), len(eps_values))]
+
+
+def _greedy_sweep(masks: list[int]) -> int:
+    """The greedy separated set of a conflict graph as a vertex bitmask:
+    each vertex, in index order, is kept unless a kept one neighbours it."""
+    kept = marked = 0
+    for v, near in enumerate(masks):
+        if not marked >> v & 1:
+            kept |= 1 << v
+            marked |= near
+    return kept
 
 
 def _max_independent_set(masks: list[int]) -> int:
@@ -603,7 +637,8 @@ def max_separated_exact(
     """
     if len(K) > EXACT_SAMPLE_CAP:
         raise SampleSizeError(f"exact search is capped at {EXACT_SAMPLE_CAP} points, got {len(K)}")
-    if eps <= 0:
+    n = _bowen_time(n)
+    if not eps > 0:
         raise ValidationError("separation scale eps must be positive")
     kept = _kept_rows(_sample_orbits(T, K, n), (n,), (eps,), s, "exact")[0, 0]
     return [K.points[i] for i in np.flatnonzero(kept)]
@@ -613,17 +648,25 @@ def _kept_rows(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec, method: s
     """kept[k, j, row]: the rows of the separated set of the cell
     (n_values[k], eps_values[j]), for the ascending `n_values`.
 
-    The one place that chooses how a table is counted.  Greedy sets come
+    The one place that chooses how a table is counted, from its size alone.
+    A table whose pairs fit one block (count(count - 1)/2 <= PAIR_BLOCK: at
+    most 91 rows, every exact table) takes its cells from
+    `_conflict_graphs`: a greedy cell is a bitmask sweep (`_greedy_sweep`),
+    an exact one the maximum independent set.  This cut the `exact-oracle`
+    benchmark pass from 0.93 to 0.65 s (BENCH_16.json).  Larger tables come
     from the carried pass, or from the witness scan per cell when
-    `_carry_plan` finds the scan cheaper; exact sets are the maximum
-    independent sets of `_conflict_graphs`.  Separation only improves with
-    n, so once a cell keeps every row, so do the later cells of its column.
+    `_carry_plan` finds the scan cheaper.  Separation only improves with n,
+    so once a cell keeps every row, so do the later cells of its column.
     """
-    plan = _carry_plan(orbits, n_values, eps_values, s) if method == "greedy" else None
-    if plan is not None:
-        return ~_carried_marks(orbits, n_values, np.array(eps_values), s, plan)
-    kept = np.zeros((len(n_values), len(eps_values), orbits.shape[0]), dtype=bool)
-    graphs = _conflict_graphs(orbits, n_values, eps_values, s) if method == "exact" else None
+    count = orbits.shape[0]
+    dense = method == "exact" or count * (count - 1) // 2 <= PAIR_BLOCK
+    if not dense:
+        plan = _carry_plan(orbits, n_values, eps_values, s)
+        if plan is not None:
+            return ~_carried_marks(orbits, n_values, np.array(eps_values), s, plan)
+    graphs = _conflict_graphs(orbits, n_values, eps_values, s) if dense else None
+    search = _max_independent_set if method == "exact" else _greedy_sweep
+    kept = np.zeros((len(n_values), len(eps_values), count), dtype=bool)
     for j, eps in enumerate(eps_values):
         for k, n in enumerate(n_values):
             if k and kept[k - 1, j].all():
@@ -632,8 +675,8 @@ def _kept_rows(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec, method: s
             if graphs is None:
                 kept[k, j, _greedy_indices(orbits[:, :n], eps, s)] = True
             else:
-                best = _max_independent_set(graphs[k][j])
-                kept[k, j] = [best >> i & 1 for i in range(orbits.shape[0])]
+                best = search(graphs[k][j])
+                kept[k, j] = [best >> i & 1 for i in range(count)]
     return kept
 
 
@@ -677,20 +720,19 @@ def sn_table(
     """Fill the (n, eps) grid of separated-set counts.
 
     Every cell comes from `_kept_rows` over the orbits of the sample's rows,
-    in their canonical order: one carried pass, greedy sweeps or exact
-    memoised searches over its survivors, or the witness scan per cell when
-    `_carry_plan` finds that cheaper (see the module docstring).  Greedy
-    counts can violate the monotonicity laws (nondecreasing in n,
+    in their canonical order: the conflict graphs of all pairs for at most
+    91 rows, else one carried pass or the witness scan per cell (see the
+    module docstring).  Bowen times are integers (or integral floats) >= 1
+    and every eps is positive (NaN is refused).
+    Greedy counts can violate the monotonicity laws (nondecreasing in n,
     nonincreasing in eps) in pathological scan orders; violations are
     repaired by running maxima and flagged.
     """
-    n_values = tuple(sorted(set(int(n) for n in n_range)))
+    n_values = tuple(sorted(set(_bowen_time(n) for n in n_range)))
     eps_values = tuple(sorted(set(float(e) for e in eps_list), reverse=True))
     if not n_values or not eps_values:
         raise ValidationError("n range and eps list must be nonempty")
-    if any(n < 1 for n in n_values):
-        raise ValidationError("Bowen times must be >= 1")
-    if any(e <= 0 for e in eps_values):
+    if any(not e > 0 for e in eps_values):
         raise ValidationError("eps values must be positive")
     if method not in ("greedy", "exact"):
         raise ValidationError(f"unknown method {method!r}")

@@ -45,11 +45,15 @@ def complex_from_json(obj) -> complex:
 
 
 def number_from_json(obj, name: str, kind=float):
-    """int(obj) or float(obj), refusing what does not convert."""
+    """float(obj), or with kind=int an int for an integral, finite obj (3.0
+    reads as 3), refusing booleans, NaN and whatever does not convert."""
     try:
-        return kind(obj)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a number, got {obj!r}") from exc
+        value = math.nan if isinstance(obj, bool) else float(obj)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if math.isnan(value) or (kind is int and not value.is_integer()):
+        raise ValidationError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {obj!r}")
+    return obj if kind is int and isinstance(obj, int) else kind(value)
 
 
 def container_from_json(obj, name: str, kind=list):

@@ -246,6 +246,51 @@ def test_sample_with_points_equal_by_value_exit_code(tmp_path):
         assert (points, code, report) == (points, 2, None)
 
 
+DOUBLING_GRID = {
+    "operator": {"kind": "diagonal", "eigenvalues": {"rule": "explicit", "values": [2]}},
+    "sample": {"kind": "grid", "shape": [256]},
+    "n_range": {"lo": 1, "hi": 7},
+    "eps_list": [0.0625, 0.03125],
+}
+
+
+def test_boolean_integer_exit_code(tmp_path):
+    # JSON true is not read as 1
+    config = {**DOUBLING_GRID, "n_range": {"lo": True, "hi": 7}}
+    assert run_cli(tmp_path, "estimate-entropy", config)[::2] == (2, None)
+
+
+def test_non_integral_integer_exit_code(tmp_path):
+    # 2.9 is not read as 2
+    config = {**DOUBLING_GRID, "sample": {"kind": "grid", "shape": [2.9]}}
+    assert run_cli(tmp_path, "estimate-entropy", config)[::2] == (2, None)
+
+
+def test_infinite_integer_exit_code(tmp_path):
+    # refused where it is read, not by an OverflowError traceback
+    config = {**DOUBLING_GRID, "n_range": {"lo": 1, "hi": math.inf}}
+    assert run_cli(tmp_path, "estimate-entropy", config)[::2] == (2, None)
+
+
+def test_nan_float_exit_code(tmp_path):
+    # a NaN eps is refused (exit 2), not counted as saturating every column
+    config = {**DOUBLING_GRID, "eps_list": [math.nan]}
+    assert run_cli(tmp_path, "estimate-entropy", config)[::2] == (2, None)
+
+
+def test_integral_floats_and_infinite_p_are_read(tmp_path):
+    # 1.0 and 256.0 read as ints and "p": "inf" as l^inf: the same table
+    tables = []
+    for name, lo, shape in (("ints", 1, 256), ("floats", 1.0, 256.0)):
+        config = {**DOUBLING_GRID, "n_range": {"lo": lo, "hi": 7}, "sample": {"kind": "grid", "shape": [shape]},
+                  "space": {"kind": "lp", "p": "inf"}}
+        (tmp_path / name).mkdir()
+        code, out, _ = run_cli(tmp_path / name, "estimate-entropy", config)
+        assert code == 0
+        tables.append((out / "table.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 def test_saturation_exit_code(tmp_path):
     config = {
         "operator": {"kind": "diagonal", "eigenvalues": {"rule": "explicit", "values": [2]}},

@@ -284,6 +284,39 @@ def test_sn_table_exact_method_cap():
         sn_table(DOUBLING_1D, K, [1], [0.1], L2, method="exact")
 
 
+def test_nan_eps_refused():
+    # NaN passes an eps <= 0 test; left through, every row would be kept
+    K = sample_of(np.linspace(0, 1, 9))
+    with pytest.raises(ValidationError):
+        sn_table(IDENTITY_1D, K, range(1, 3), [math.nan], L2)
+    with pytest.raises(ValidationError):
+        sn_table(IDENTITY_1D, K, range(1, 3), [0.1, math.nan], L2, method="exact")
+    for count in (greedy_separated, max_separated_exact):
+        with pytest.raises(ValidationError):
+            count(IDENTITY_1D, K, 1, math.nan, L2)
+
+
+def test_non_integral_bowen_times_refused():
+    K = sample_of(np.linspace(0, 1, 9))
+    x, y = K.points[:2]
+    for n in (1.5, 2.5, math.inf, math.nan, "2", 0, 0.0):
+        with pytest.raises(ValidationError):
+            sn_table(DOUBLING_1D, K, [n], [0.1], L2)
+        with pytest.raises(ValidationError):
+            dyn_distance(DOUBLING_1D, x, y, n, L2)
+        for count in (greedy_separated, max_separated_exact):
+            with pytest.raises(ValidationError):
+                count(DOUBLING_1D, K, n, 0.1, L2)
+    # ints, numpy ints and integral floats count as the int
+    table = sn_table(DOUBLING_1D, K, [1, 3], [0.1], L2)
+    for ns in ([np.int64(1), 3.0], [1.0, np.float64(3.0)]):
+        assert sn_table(DOUBLING_1D, K, ns, [0.1], L2).entries == table.entries
+    for n in (3, np.int64(3), 3.0, np.float64(3.0)):
+        assert dyn_distance(DOUBLING_1D, x, y, n, L2) == dyn_distance(DOUBLING_1D, x, y, 3, L2)
+        assert len(greedy_separated(DOUBLING_1D, K, n, 0.1, L2)) == table.s(3, 0.1)
+        assert len(max_separated_exact(DOUBLING_1D, K, n, 0.1, L2)) >= table.s(3, 0.1)
+
+
 def test_sn_table_csv_shape():
     K = sample_of([0.0, 0.5, 1.0])
     table = sn_table(IDENTITY_1D, K, [1, 2], [0.25], L2)
@@ -513,13 +546,21 @@ def kernel_sample(seed, dim, count, dyadic, rotate):
     return T, CompactSample(tuple(vector(p) for p in pts), 0.1)
 
 
+def rows_of(K, count):
+    """The first `count` rows of a sample, as a sample."""
+    assert len(K) >= count
+    return CompactSample(K.rows[:count], K.resolution)
+
+
 def assert_pair_path_matches_scan(T, K, n_values, eps_values, s):
-    """Every cell's count and kept rows from the carried pass, and from the
-    single-n pass at each n, equal the witness scan's."""
+    """Every cell's count and kept rows from the carried pass, from the
+    single-n pass at each n and from `_kept_rows` (the dense path for at
+    most 91 rows) equal the witness scan's."""
     orbits = en._sample_orbits(T, K, max(n_values))
     eps = np.array(eps_values)
     plan, _ = en._plan_keys(orbits, n_values[0], eps_values[0], s)
     carried = en._carried_marks(orbits, n_values, eps, s, plan)
+    assert (en._kept_rows(orbits, n_values, eps_values, s, "greedy") == ~carried).all()
     for n, cell in zip(n_values, carried):
         plan, _ = en._plan_keys(orbits, n, eps_values[0], s)
         single = en._carried_marks(orbits[:, :n], (n,), eps, s, plan)[0]
@@ -534,13 +575,16 @@ def assert_pair_path_matches_scan(T, K, n_values, eps_values, s):
     st.integers(0, 10_000),
     st.sampled_from(KERNEL_SPACES),
     st.integers(1, 3),
-    st.sampled_from([20, 140]),
+    st.sampled_from([2, 20, 90, 91, 92, 140]),
     st.booleans(),
     st.booleans(),
+    st.sampled_from([(1, 2, 4), (2, 5, 9)]),
 )
-def test_pair_sweep_matches_witness_scan(seed, s, dim, count, dyadic, rotate):
-    T, K = kernel_sample(seed, dim, count, dyadic, rotate)
-    assert_pair_path_matches_scan(T, K, (1, 2, 4), (0.5, 0.25, 0.125), s)
+def test_pair_sweep_matches_witness_scan(seed, s, dim, count, dyadic, rotate, n_values):
+    # 91 rows (4,095 pairs) take the dense path and 92 (4,186) the carried
+    # pass; dyadic points sit at distances exactly eps
+    T, K = kernel_sample(seed, dim, 300, dyadic, rotate)
+    assert_pair_path_matches_scan(T, rows_of(K, count), n_values, (0.5, 0.25, 0.125), s)
 
 
 @settings(max_examples=40, deadline=None)
@@ -566,11 +610,14 @@ def test_near_pairs_are_every_close_pair(seed, s, dim, dyadic):
 
 def test_pair_sweep_conflict_at_exactly_eps():
     # neighbours exactly eps apart conflict (d <= eps), so every other
-    # point of the 0.25-spaced line is kept
-    K = sample_of(np.arange(200) * 0.25)
-    kept = greedy_separated(IDENTITY_1D, K, 1, 0.25, L2)
-    assert [float(p.coords[0].real) for p in kept] == (np.arange(100) * 0.5).tolist()
-    assert_pair_path_matches_scan(IDENTITY_1D, K, (1, 2), (0.25,), L2)
+    # point of the 0.25-spaced line is kept, by the carried pass (200
+    # points), the dense path's greedy sweep and its exact search (24)
+    for count, methods in ((200, [greedy_separated]), (24, [greedy_separated, max_separated_exact])):
+        K = sample_of(np.arange(count) * 0.25)
+        for method in methods:
+            kept = method(IDENTITY_1D, K, 1, 0.25, L2)
+            assert [float(p.coords[0].real) for p in kept] == (np.arange(count // 2) * 0.5).tolist()
+        assert_pair_path_matches_scan(IDENTITY_1D, K, (1, 2), (0.25,), L2)
 
 
 def test_pair_sweep_equal_keys_and_cell_edges():
@@ -651,9 +698,17 @@ def test_pair_budget_scales_with_eps_count():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from(KERNEL_SPACES), st.integers(1, 3), st.booleans())
-def test_conflict_masks_match_per_row_graph(seed, s, dim, rotate):
-    T, K = kernel_sample(seed, dim, 24, dyadic=seed % 2 == 0, rotate=rotate)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(KERNEL_SPACES),
+    st.integers(1, 3),
+    st.booleans(),
+    st.sampled_from([24, 65, 91]),
+)
+def test_conflict_masks_match_per_row_graph(seed, s, dim, rotate, count):
+    # 65 and 91 rows need a second 64-bit word per mask
+    T, K = kernel_sample(seed, dim, 200, dyadic=seed % 2 == 0, rotate=rotate)
+    K = rows_of(K, count)
     orbits = en._sample_orbits(T, K, 9)
     eps_values = (0.125, 0.25, 0.5)
     for n_values in ((1, 2, 3), (2, 5, 9)):
@@ -661,6 +716,43 @@ def test_conflict_masks_match_per_row_graph(seed, s, dim, rotate):
         for n, cells in zip(n_values, graphs):
             for eps, masks in zip(eps_values, cells):
                 assert masks == old_conflict_masks(orbits[:, :n], eps, s)
+
+
+def test_dense_path_size_rule(monkeypatch):
+    # a table takes every conflict graph at once exactly when its pairs fit
+    # one block, and then never hashes or carries pairs
+    taken = []
+    graphs = en._conflict_graphs
+    monkeypatch.setattr(en, "_conflict_graphs", lambda *a: taken.append(a[0].shape[0]) or graphs(*a))
+    for count in (24, 91, 92):
+        K = sample_of(np.arange(count) * 0.25)
+        assert sn_table(IDENTITY_1D, K, [1, 2], [0.25], L2).s(2, 0.25) == (count + 1) // 2
+    assert taken == [24, 91]
+
+    def refuse(*args):
+        raise AssertionError("the dense path hashes or carries pairs")
+
+    monkeypatch.setattr(en, "_plan_keys", refuse)
+    monkeypatch.setattr(en, "_carried_pairs", refuse)
+    K = sample_of(np.arange(91) * 0.25)
+    assert sn_table(IDENTITY_1D, K, [1, 2], [0.25], L2).s(2, 0.25) == 46
+    K = sample_of(np.arange(24) * 0.25)
+    assert sn_table(IDENTITY_1D, K, [1, 2], [0.25], L2, method="exact").s(2, 0.25) == 12
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(KERNEL_SPACES), st.integers(1, 3), st.booleans())
+def test_exact_tables_match_brute_force_sets(seed, s, dim, rotate):
+    # 12 rows: every subset can be tried
+    T, K = kernel_sample(seed, dim, 200, dyadic=seed % 2 == 0, rotate=rotate)
+    K = rows_of(K, 12)
+    n_values, eps_values = (2, 5, 9), (0.5, 0.25, 0.125)
+    orbits = en._sample_orbits(T, K, 9)
+    kept = en._kept_rows(orbits, n_values, eps_values, s, "exact")
+    for n, cells in zip(n_values, kept):
+        for e, row in zip(eps_values, cells):
+            best = brute_force_independent_set(old_conflict_masks(orbits[:, :n], e, s))
+            assert row.tolist() == [bool(best >> i & 1) for i in range(12)]
 
 
 @settings(max_examples=20, deadline=None)
