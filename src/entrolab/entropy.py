@@ -31,10 +31,14 @@ each (n, eps) cell a neighbour bitmask per row (`_conflict_graphs`), swept
 greedily (`_greedy_sweep`) or searched for a maximum set
 (`_max_independent_set`).  A larger greedy table is one carried pass
 (`_carried_pairs`): the pairs within max(eps) at the smallest n are found
-once, and each block of them is carried through the later n by extending
-its running maximum one time slice at a time and dropping the pairs that
-leave max(eps).  Its cells are swept from the survivors (`_carried_marks`),
-keeping exactly the rows the per-cell scan keeps.  When the pairs barely
+once, and each block of them is carried locally through every later n,
+extending its running maximum slice by slice and dropping the pairs that
+leave max(eps).  Each pair records a hit bit per (n, eps) cell, and each
+row is swept once across every cell (`_carried_marks`), keeping exactly
+the rows the per-cell scan keeps.  Short-axis maxima and logical ands on
+the pair path are elementwise folds (`spaces.fold`); with both, the
+`shift-cube` benchmark pass fell from 0.41 to 0.22 s and c1's four
+tables from 2.6 to 1.5 s (BENCH_18.json).  When the pairs barely
 drop and barely prune (more than SCAN_ROW_PAIRS pair evaluations per row,
 n and eps, as for an isometry with one large eps) the table falls back to
 the witness scan `_greedy_indices`, decided once before the pass
@@ -61,7 +65,7 @@ from .errors import (
     ValidationError,
 )
 from .operators import Operator, SpectralData, SpectrumDisc, orbit_block
-from .spaces import Lp, SpaceSpec, Vector, norm_block, padded_block
+from .spaces import Lp, SpaceSpec, Vector, fold, norm_block, padded_block
 
 SATURATION_FRACTION = 0.95  # s >= 95% of |K| counts as saturated
 EXACT_SAMPLE_CAP = 24
@@ -164,7 +168,7 @@ def bowen_distances(
     orbits: np.ndarray, I: np.ndarray, J: np.ndarray, n: int, s: SpaceSpec
 ) -> np.ndarray:
     """Bowen distances max_{t<n} d(x_i(t), x_j(t)) of the row pairs (I, J)."""
-    return norm_block(orbits[I, :n] - orbits[J, :n], s).max(axis=1)
+    return fold(np.maximum, norm_block(orbits[I, :n] - orbits[J, :n], s))
 
 
 def _key_cells(orbits: np.ndarray, r: float, s: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -333,7 +337,7 @@ def _candidate_blocks(cells: np.ndarray):
 def _neighbours(filters: np.ndarray, I, J) -> np.ndarray:
     """Which row pairs (I, J) share or neighbour a cell on every filter key
     (columns of `_key_cells`): all of them when there is no key."""
-    return (np.abs(filters[I] - filters[J]) <= 1).all(axis=-1)
+    return fold(np.logical_and, np.abs(filters[I] - filters[J]) <= 1)
 
 
 def _near_pairs(orbits: np.ndarray, n: int, r: float, s: SpaceSpec, plan):
@@ -367,57 +371,43 @@ def near_pairs(orbits: np.ndarray, n: int, r: float, s: SpaceSpec):
 
 
 def _carried_pairs(orbits: np.ndarray, n_values, r: float, s: SpaceSpec, plan):
-    """The pairs within r at every n of the ascending `n_values`, as blocks
-    (k, I, J, D) with D the Bowen distance over t < n_values[k].
-
-    The pairs within r at n_values[0] are streamed from `_near_pairs`.  The
-    pairs within r at n_values[k - 1] gather into blocks of at most
-    min(PAIR_BLOCK, BLOCK_ELEMS / dim) pairs, and a block is carried to
-    n_values[k] when the next would overfill it or the stream ends: its
-    running maximum D is extended by one time slice at a time (every slice
-    in between when `n_values` skips some) and its pairs beyond r are
-    dropped, since Bowen distances only grow with n.
-    Gathered blocks keep their order, so for every k the blocks come in
-    nondecreasing I.  `norm_block` works row by row and max is exact, so D
-    equals `bowen_distances` bit for bit.  At most one gathering block per
-    n is held.
+    """The pairs within r at n_values[0] as blocks (I, J, levels), I
+    nondecreasing over the whole stream; levels[k] = (at, D) holds the
+    block positions of the pairs within r at n_values[k - 1] (all for
+    k = 0) and their Bowen distances over t < n_values[k], until none is
+    left.  `_near_pairs` blocks gather into blocks of at most
+    min(2 PAIR_BLOCK, BLOCK_ELEMS / dim) pairs, as many as a block of
+    candidates, each carried locally through every later n: the running
+    maximum of the pairs still within r is extended one time slice at a
+    time (all slices in between when `n_values` skips some), and pairs
+    beyond r drop, as Bowen distances only grow with n.  `norm_block` works
+    row by row and max is exact, so D is `bowen_distances` bit for bit.
     """
-    fill = max(1, min(PAIR_BLOCK, BLOCK_ELEMS // orbits.shape[2]))
-    waiting = [[] for _ in n_values]  # per k >= 1: blocks within r at n_values[k - 1]
-    held = [0] * len(n_values)
+    fill = max(1, min(2 * PAIR_BLOCK, BLOCK_ELEMS // orbits.shape[2]))
 
-    def carry(k):
-        I, J, D = (np.concatenate(parts) for parts in zip(*waiting[k]))
-        waiting[k].clear()
-        held[k] = 0
-        for t in range(n_values[k - 1], n_values[k]):
-            D = np.maximum(D, norm_block(orbits[I, t] - orbits[J, t], s))
-        close = D <= r
-        return I[close], J[close], D[close]
+    def gathered():
+        parts, held = [], 0
+        for part in _near_pairs(orbits, n_values[0], r, s, plan):
+            if held + part[0].size > fill:
+                block, parts, held = [np.concatenate(column) for column in zip(*parts)], [], 0
+                yield block
+            parts.append(part)
+            held += part[0].size
+        if held:
+            yield [np.concatenate(column) for column in zip(*parts)]
 
-    def climb(k, I, J, D):
-        # yield a block at n_values[k], then gather it for the next n; the
-        # pairs gathered before it are carried on first when it would
-        # overfill their block
-        while I.size:
-            yield k, I, J, D
-            k += 1
-            if k == len(n_values):
-                return
-            full = held[k] + I.size > fill
-            if full:
-                carried = carry(k)
-            waiting[k].append((I, J, D))
-            held[k] += I.size
-            if not full:
-                return
-            I, J, D = carried
-
-    for I, J, D in _near_pairs(orbits, n_values[0], r, s, plan):
-        yield from climb(0, I, J, D)
-    for k in range(1, len(n_values)):
-        if waiting[k]:
-            yield from climb(k, *carry(k))
+    for I, J, D in gathered():
+        at, i, j = np.arange(I.size), I, J
+        levels = [(at, D)]
+        for a, b in zip(n_values, n_values[1:]):
+            close = D <= r
+            at, D, i, j = at[close], D[close], i[close], j[close]
+            if not at.size:
+                break
+            for t in range(a, b):
+                D = np.maximum(D, norm_block(orbits[i, t] - orbits[j, t], s))
+            levels.append((at, D))
+        yield I, J, levels
 
 
 def _carried_marks(orbits: np.ndarray, n_values, eps: np.ndarray, s: SpaceSpec, plan) -> np.ndarray:
@@ -426,24 +416,29 @@ def _carried_marks(orbits: np.ndarray, n_values, eps: np.ndarray, s: SpaceSpec, 
 
     For each cell, rows are walked in lexicographic order; a row unmarked
     for it is kept and marks its later neighbours within that eps.  Marks
-    only come from earlier rows, so a row's mark is final when its pairs
-    arrive and the kept rows are exactly those of the witness scan.
+    only come from earlier rows, so a row's marks are final when its first
+    pair arrives: each carried pair records one hit bit per cell (D <= eps),
+    and each row is swept once across every cell, marked[J] |= hits &
+    ~marked[i], keeping exactly the rows of the per-cell witness scan.
     """
-    marked = np.zeros((len(n_values), eps.size, orbits.shape[0]), dtype=bool)
-    limit = eps[:, np.newaxis]
-    none_kept, all_kept = b"\x01" * eps.size, b"\x00" * eps.size
-    for k, I, J, D in _carried_pairs(orbits, n_values, float(eps.max()), s, plan):
-        cell = marked[k]
-        hits = D <= limit
-        starts = np.flatnonzero(np.diff(I, prepend=-1))
-        ends = np.append(starts[1:], I.size).tolist()
-        for i, a, b in zip(I[starts].tolist(), starts.tolist(), ends):
-            state = cell[:, i].tobytes()
-            if state == all_kept:
-                cell[:, J[a:b]] |= hits[:, a:b]
-            elif state != none_kept:
-                cell[:, J[a:b]] |= hits[:, a:b] & ~cell[:, i, np.newaxis]
-    return marked
+    count, K, E = orbits.shape[0], len(n_values), eps.size
+    words, order = -(-K * E // 64), np.sort(eps)
+    # cell (k, j) is bit k * E + j of a row's words; at level k, a distance
+    # above q of the eps hits the cells (k, j) with at least q eps below eps[j]
+    hit = np.arange(E + 1)[:, np.newaxis] <= np.searchsorted(order, eps)
+    table = np.zeros((K, E + 1, 64 * words), dtype=bool)
+    table[..., : K * E] = np.kron(np.eye(K, dtype=bool)[:, np.newaxis], hit)
+    level_bits = np.packbits(table, axis=-1, bitorder="little").view("<u8")
+    marked = np.zeros((count, words), dtype="<u8")
+    for I, J, levels in _carried_pairs(orbits, n_values, float(eps.max()), s, plan):
+        hits = np.zeros((I.size, words), dtype="<u8")
+        for bits, (at, D) in zip(level_bits, levels):
+            hits[at] |= bits[np.searchsorted(order, D)]
+        starts = np.flatnonzero(np.diff(I, prepend=-1)).tolist()
+        for a, b in zip(starts, starts[1:] + [I.size]):
+            marked[J[a:b]] |= hits[a:b] & ~marked[I[a]]
+    flat = np.unpackbits(marked.view(np.uint8), axis=-1, count=K * E, bitorder="little")
+    return np.moveaxis(flat.reshape(count, K, E), 0, -1).astype(bool)
 
 
 def _carry_plan(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec):
@@ -451,7 +446,7 @@ def _carry_plan(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec):
     None when the witness scan is the cheaper path.
 
     The carried pass pays per pair evaluation: n_values[0] slices for each
-    candidate, then, for each pair still within max(eps), one sweep per n
+    candidate, then, for each pair still within max(eps), one hit per n
     and one slice per step to the next n.  The scan pays per row, n and eps
     column.  An upper bound on the pass's work uses the predicted
     candidates for every later pair; when it exceeds the scan's, the pass
@@ -463,15 +458,14 @@ def _carry_plan(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec):
     3 and 4 cubes, the c1 and benchmark grids, a rotation of a 64x64 grid
     and two identity lines.  A pair evaluation of the pass cost 9-120 ns
     and a scan row per n and eps 7-97 us, a break-even between 139 and
-    1,630 evaluations.  SCAN_ROW_PAIRS = 500 picks the faster path on 16
-    tables; on the 4096-point identity line (1,578 evaluations) it takes
-    the scan, 0.73 s against 0.70 s.  The rotation by 0.7 rad with eps 0.5
-    alone needs about 2,000 per scan row, n and eps and takes the scan
-    (0.83 s, pass 2.4 s); with eps 2^-3..2^-7 it needs 37 and takes the
-    pass (0.54 s, scan 4.1 s).  Figures in BENCH_8.json.  Since cells are
-    numbered across value gaps, c3's N=3, depth-8 cube needs 135 (189
-    before) and its table took 2.6 s against 4.9 s, one run each (the scan,
-    17 s, does not hash); none of the 17 tables changed path (BENCH_14.json).
+    1,630 evaluations, and SCAN_ROW_PAIRS = 500 picked the faster path on
+    16 tables (BENCH_8.json; c3's N=3, depth-8 cube needs 135 since
+    BENCH_14.json).  With the folds and one sweep per row (BENCH_18.json),
+    the rotation by 0.7 rad with eps 0.5 alone, about 2,000 evaluations per
+    scan row, n and eps, still takes the scan (2.0-2.2 s, pass 3.8-4.8 s);
+    with eps 2^-3..2^-7 it needs 37 and takes the pass (0.4 s, scan 8.0 s),
+    and none of 22 tables (c1, c3, the benchmark's, identity lines) changed
+    path.
     """
     count = orbits.shape[0]
     r = max(eps_values)
@@ -483,10 +477,9 @@ def _carry_plan(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec):
         return plan
     every = max(4, -(-count // JOINT_ROWS))
     scale = (count / -(-count // every)) ** 2
-    hashed, filters = plan
-    sampled = (hashed[::every], filters[::every])
-    for k, I, _, _ in _carried_pairs(orbits[::every], n_values, r, s, sampled):
-        work += scale * I.size * steps[k]
+    sampled = tuple(cells[::every] for cells in plan)
+    for _, _, levels in _carried_pairs(orbits[::every], n_values, r, s, sampled):
+        work += scale * sum(int(np.count_nonzero(D <= r)) * step for (_, D), step in zip(levels, steps))
         if work > budget:
             return None
     return plan
@@ -501,35 +494,18 @@ def _greedy_indices(orbits: np.ndarray, eps: float, s: SpaceSpec) -> list[int]:
     first and last time step are valid lower bounds for the Bowen max and
     prune most full evaluations.
     """
-    count, steps, dim = orbits.shape
     kept = np.empty_like(orbits)
-    kept[0] = orbits[0]
-    kept_idx = [0]
-    use_witness = steps > 2
-    if use_witness:
-        w_lo, w_hi = orbits[:, 0, :], orbits[:, -1, :]
-        kw_lo, kw_hi = np.empty_like(w_lo), np.empty_like(w_hi)
-        kw_lo[0], kw_hi[0] = w_lo[0], w_hi[0]
-    for j in range(1, count):
+    w_lo, w_hi = orbits[:, 0, :], orbits[:, -1, :]
+    kw_lo, kw_hi = np.empty_like(w_lo), np.empty_like(w_hi)
+    kept_idx = []
+    for j in range(orbits.shape[0]):
         k = len(kept_idx)
-        if use_witness:
-            lb = np.maximum(
-                norm_block(kw_lo[:k] - w_lo[j], s),
-                norm_block(kw_hi[:k] - w_hi[j], s),
-            )
-            unresolved = lb <= eps
-            if unresolved.any():
-                full = norm_block(kept[:k][unresolved] - orbits[j], s).max(axis=1)
-                ok = bool((full > eps).all())
-            else:
-                ok = True
-        else:
-            full = norm_block(kept[:k] - orbits[j], s).max(axis=1)
-            ok = bool((full > eps).all())
-        if ok:
-            kept[k] = orbits[j]
-            if use_witness:
-                kw_lo[k], kw_hi[k] = w_lo[j], w_hi[j]
+        near = kept[:k]
+        if orbits.shape[1] > 2:  # keep the kept rows the bound leaves unresolved
+            lb = np.maximum(norm_block(kw_lo[:k] - w_lo[j], s), norm_block(kw_hi[:k] - w_hi[j], s))
+            near = near[lb <= eps]
+        if not near.size or (fold(np.maximum, norm_block(near - orbits[j], s)) > eps).all():
+            kept[k], kw_lo[k], kw_hi[k] = orbits[j], w_lo[j], w_hi[j]
             kept_idx.append(j)
     return kept_idx
 
@@ -566,7 +542,7 @@ def _conflict_graphs(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec) -> 
     D = np.empty((I.size, last))
     for a in range(0, I.size, step):
         D[a : a + step] = norm_block(orbits[I[a : a + step]] - orbits[J[a : a + step]], s)
-    D = np.maximum.accumulate(D, axis=1)[:, np.subtract(n_values, 1)]
+    D = fold(np.maximum, D, running=True)[:, np.subtract(n_values, 1)]
     close = D.T[:, np.newaxis] <= np.array(eps_values)[:, np.newaxis]
     words = -(-count // 64)
     adjacent = np.zeros((len(n_values), len(eps_values), count, 64 * words), dtype=bool)

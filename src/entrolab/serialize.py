@@ -209,11 +209,11 @@ def schedule_from_json(obj) -> SegmentSchedule:
     if not isinstance(obj, dict) or "segments" not in obj or "gap" not in obj:
         raise ValidationError("schedule needs 'gap' and 'segments' fields")
     segs = []
-    for seg in obj["segments"]:
+    for seg in container_from_json(obj["segments"], "schedule segments"):
         try:
-            a, b = int(seg["a"]), int(seg["b"])
+            a, b = (number_from_json(seg[k], f"segment bound {k}", int) for k in ("a", "b"))
             y = vector_from_json(seg["y"])
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed segment {seg!r}") from exc
         segs.append((a, b, y))
-    return SegmentSchedule(tuple(segs), int(obj["gap"]))
+    return SegmentSchedule(tuple(segs), number_from_json(obj["gap"], "schedule gap", int))

@@ -278,6 +278,20 @@ def test_nan_float_exit_code(tmp_path):
     assert run_cli(tmp_path, "estimate-entropy", config)[::2] == (2, None)
 
 
+@pytest.mark.parametrize("gap, bound", [
+    (True, 2),  # JSON true is not read as gap 1
+    (8, 2.9),  # 2.9 is not read as b = 2
+    (math.inf, 2),  # refused, not an OverflowError traceback
+    (8, math.nan),  # refused, not a ValueError traceback
+])
+def test_schedule_number_exit_code(tmp_path, gap, bound):
+    schedule = {"gap": gap, "segments": [{"a": 0, "b": bound, "y": [[0.5, 0]]}]}
+    config = {"epsilon": 0.1, "schedule": schedule}
+    assert run_cli(tmp_path, "shadow", config)[::2] == (2, None)
+    schedule["segments"][0]["b"] = 2
+    assert run_cli(tmp_path, "shadow", {**config, "schedule": {**schedule, "gap": 8}})[0] == 0
+
+
 def test_integral_floats_and_infinite_p_are_read(tmp_path):
     # 1.0 and 256.0 read as ints and "p": "inf" as l^inf: the same table
     tables = []

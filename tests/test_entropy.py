@@ -807,8 +807,10 @@ def assert_pairs_match_brute_force(orbits, n_values, r, s):
     I, J = np.triu_indices(orbits.shape[0], 1)
     plan, _ = en._plan_keys(orbits, n_values[0], r, s)
     carried = [{} for _ in n_values]
-    for k, bi, bj, bd in en._carried_pairs(orbits, n_values, r, s, plan):
-        carried[k].update(zip(zip(bi.tolist(), bj.tolist()), bd.tolist()))
+    for bi, bj, levels in en._carried_pairs(orbits, n_values, r, s, plan):
+        for k, (at, bd) in enumerate(levels):
+            near = at[bd <= r]
+            carried[k].update(zip(zip(bi[near].tolist(), bj[near].tolist()), bd[bd <= r].tolist()))
     refs = []
     for k, n in enumerate(n_values):
         d = en.bowen_distances(orbits, I, J, n, s)
@@ -944,6 +946,46 @@ def test_carried_pass_gathers_small_blocks(monkeypatch):
     for kind, seed, s in (("cube3", 1, LINF), ("rotation", 2, L2), ("random", 3, FAggregate(L2))):
         T, K, eps_values = carried_sample(kind, seed)
         assert_pair_path_matches_scan(T, K, (1, 2, 5, 6), eps_values, s)
+
+
+@pytest.mark.parametrize("s", [L2, LINF, FAggregate(L2)])
+def test_carried_pass_more_than_64_cells(s):
+    # 13 n by 5 eps: every row's hits and marks take two 64-bit words
+    for seed, rotate in ((4, True), (5, False)):
+        T, K = kernel_sample(seed, 2, 200, dyadic=seed % 2 == 0, rotate=rotate)
+        assert_pair_path_matches_scan(T, rows_of(K, 150), tuple(range(1, 14)), (0.5, 0.25, 0.125, 0.1, 0.0625), s)
+
+
+def test_carried_rows_straddle_blocks():
+    # at a first n of 40 and dim 8, `_near_pairs` evaluates 204 pairs at a
+    # time and the carry gathers 8,192: nearly every pair of 300 points lies
+    # within 0.9 and, under a diagonal that does not expand, stays there, so
+    # rows' pairs straddle both kinds of block
+    assert en.BLOCK_ELEMS // (40 * 8) == 204
+    rng = np.random.default_rng(6)
+    K = CompactSample(rng.random((300, 8)), 0.1)
+    T = Diagonal(ExplicitRule((1.0, 0.5) * 4))
+    orbits = en._sample_orbits(T, K, 43)
+    plan, _ = en._plan_keys(orbits, 40, 0.9, LINF)
+    blocks = [I for I, _, _ in en._carried_pairs(orbits, (40, 41, 43), 0.9, LINF, plan)]
+    assert len(blocks) > 2 and all(b.size <= 8192 for b in blocks)
+    assert any(a[-1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    assert_pair_path_matches_scan(T, K, (40, 41, 43), (0.9, 0.75, 0.6), LINF)
+
+
+def test_carried_pass_past_the_last_pair():
+    # diag(2) on 200 grid points 1/199 apart: no pair is within 0.125 from
+    # n = 6 on (32/199 > 0.125), so every block's levels stop early and the
+    # later cells keep every row
+    K = sample_of(np.linspace(0, 1, 200))
+    orbits = en._sample_orbits(DOUBLING_1D, K, 8)
+    n_values = tuple(range(1, 9))
+    plan, _ = en._plan_keys(orbits, 1, 0.125, L2)
+    levels = [len(lv) for _, _, lv in en._carried_pairs(orbits, n_values, 0.125, L2, plan)]
+    assert levels and max(levels) <= 6
+    assert_pair_path_matches_scan(DOUBLING_1D, K, n_values, (0.125, 0.0625, 0.03125), L2)
+    table = sn_table(DOUBLING_1D, K, n_values, (0.125, 0.0625, 0.03125), L2)
+    assert [table.s(n, 0.125) for n in (6, 7, 8)] == [200] * 3
 
 
 # ---------------------------------------------------------------- maximum independent set

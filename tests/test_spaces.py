@@ -12,6 +12,7 @@ from entrolab.spaces import (
     Vector,
     basis_vector,
     distance,
+    fold,
     norm,
     norm_block,
     norm_tail_bound,
@@ -83,6 +84,47 @@ def test_norm_block_in_range_rows_unchanged():
         assert np.array_equal(got[same], want[same])
         assert got[1, 1] > 0.0
         assert got[0, 0] == 0.0
+
+
+def same_bits(got, want) -> bool:
+    """Equal type, dtype, shape and bytes."""
+    return (
+        type(got) is type(want)
+        and np.asarray(got).dtype == np.asarray(want).dtype
+        and np.shape(got) == np.shape(want)
+        and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    )
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 17, 40])
+def test_fold_matches_numpy_reductions(length):
+    # -0.0 is the only zero drawn in the first block and +0.0 the only one
+    # in the complex magnitudes, so no maximum is a tie of -0.0 with 0.0,
+    # whose sign numpy's reductions leave to their order
+    rng = np.random.default_rng(length)
+    values = np.array([-0.0, 5e-324, 1e-310, 0.25, 1.0, 3.5, 1e300, math.inf])
+    for shape in ((length,), (1, length), (6, length), (3, 5, length)):
+        complex_block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for a in (rng.choice(values, size=shape), np.abs(complex_block * rng.choice([0.0, 1e-310, 1.0], size=shape))):
+            assert same_bits(fold(np.maximum, a), a.max(axis=-1))
+            assert same_bits(fold(np.maximum, a, running=True), np.maximum.accumulate(a, axis=-1))
+            flags = a > 1e-300
+            assert same_bits(fold(np.logical_and, flags), flags.all(axis=-1))
+    assert same_bits(fold(np.logical_and, np.ones((4, 0), dtype=bool)), np.ones(4, dtype=bool))
+
+
+def test_norm_block_sup_norms_fold_coordinates():
+    # l^inf and FAggregate(l^inf), for any leading shape (a single row
+    # included), equal numpy's reductions bit for bit
+    rng = np.random.default_rng(3)
+    for shape in ((7,), (1, 2), (5, 7), (4, 3, 17)):
+        scales = rng.choice([-0.0, 5e-324, 1e-310, 1.0, 1e300, math.inf], size=shape)
+        weights = 2.0 ** -np.arange(1, shape[-1] + 1)
+        for block in (scales, (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scales):
+            a = np.abs(block)
+            assert same_bits(norm_block(block, LINF), a.max(axis=-1))
+            partial = np.minimum(1.0, np.maximum.accumulate(a, axis=-1))
+            assert same_bits(norm_block(block, FAggregate(LINF)), (weights * partial).sum(axis=-1))
 
 
 def test_faggregate_e1_matches_series():
