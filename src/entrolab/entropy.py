@@ -35,8 +35,8 @@ once, and each block of them is carried locally through every later n,
 extending its running maximum slice by slice and dropping the pairs that
 leave max(eps).  Each pair records a hit bit per (n, eps) cell, and each
 row is swept once across every cell (`_carried_marks`), keeping exactly
-the rows the per-cell scan keeps.  Short-axis maxima and logical ands on
-the pair path are elementwise folds (`spaces.fold`); with both, the
+the rows the per-cell scan keeps.  Maxima and ands over a short axis of
+many rows are elementwise folds (`spaces.fold`); with both, the
 `shift-cube` benchmark pass fell from 0.41 to 0.22 s and c1's four
 tables from 2.6 to 1.5 s (BENCH_18.json).  When the pairs barely
 drop and barely prune (more than SCAN_ROW_PAIRS pair evaluations per row,
@@ -423,17 +423,16 @@ def _carried_marks(orbits: np.ndarray, n_values, eps: np.ndarray, s: SpaceSpec, 
     """
     count, K, E = orbits.shape[0], len(n_values), eps.size
     words, order = -(-K * E // 64), np.sort(eps)
-    # cell (k, j) is bit k * E + j of a row's words; at level k, a distance
-    # above q of the eps hits the cells (k, j) with at least q eps below eps[j]
+    # cell (k, j) is bit k * E + j of a row's words; a distance above q of the
+    # eps hits (k, j) when q <= (eps below eps[j]): hit[q], padded to level k's words
     hit = np.arange(E + 1)[:, np.newaxis] <= np.searchsorted(order, eps)
-    table = np.zeros((K, E + 1, 64 * words), dtype=bool)
-    table[..., : K * E] = np.kron(np.eye(K, dtype=bool)[:, np.newaxis], hit)
-    level_bits = np.packbits(table, axis=-1, bitorder="little").view("<u8")
+    spans = [(k * E // 64, np.pad(hit, ((0, 0), (k * E % 64, -(k + 1) * E % 64)))) for k in range(K)]
+    spans = [(w, np.packbits(bits, axis=-1, bitorder="little").view("<u8")) for w, bits in spans]
     marked = np.zeros((count, words), dtype="<u8")
     for I, J, levels in _carried_pairs(orbits, n_values, float(eps.max()), s, plan):
         hits = np.zeros((I.size, words), dtype="<u8")
-        for bits, (at, D) in zip(level_bits, levels):
-            hits[at] |= bits[np.searchsorted(order, D)]
+        for (w, bits), (at, D) in zip(spans, levels):
+            hits[at, w : w + bits.shape[1]] |= bits[np.searchsorted(order, D)]
         starts = np.flatnonzero(np.diff(I, prepend=-1)).tolist()
         for a, b in zip(starts, starts[1:] + [I.size]):
             marked[J[a:b]] |= hits[a:b] & ~marked[I[a]]

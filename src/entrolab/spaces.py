@@ -129,23 +129,25 @@ def zero_vector(dim: int) -> Vector:
 
 def fold(ufunc: np.ufunc, a: np.ndarray, running: bool = False) -> np.ndarray:
     """`ufunc.reduce` (`ufunc.accumulate` when `running`) along the last
-    axis of `a`, for np.maximum or np.logical_and, as an elementwise fold
-    over its columns: numpy reduces a short last axis 10-30 times slower
-    ((4096, 7).max(axis=-1) takes 0.26 ms, the fold 0.022 ms, numpy 2.4.6).
-    Both are exact in any order, so the fold is numpy's reduction bit for
-    bit but for the sign of a tie of -0.0 with 0.0, which numpy leaves to
-    its order (norms are never -0.0).  Sums are not folded: numpy adds 8 or
-    more terms pairwise.
-    """
+    axis of `a`, for np.maximum or np.logical_and: on an axis of 2-16 and at
+    least 32 rows per column, an elementwise fold over the columns, 10-30
+    times faster than numpy's row by row reduction ((4096, 7): 0.02 against
+    0.26 ms); longer axes and fewer rows, where the fold's per-column calls
+    and strided reads lose, keep numpy's (BENCH_18.json).  Max and and are
+    exact in any order: same bits but for the sign of a tie of -0.0 with
+    0.0, which numpy leaves to its order (norms are never -0.0).  Sums are
+    not folded: numpy adds 8 or more terms pairwise."""
+    length = a.shape[-1] if a.ndim else 0
+    if not 2 <= length <= 16 or a.size < 32 * length * length:
+        return ufunc.accumulate(a, axis=-1) if running else ufunc.reduce(a, axis=-1)
     if running:
-        out = np.array(a)
-        for k in range(1, out.shape[-1]):
-            ufunc(out[..., k - 1], out[..., k], out=out[..., k])
+        out = np.empty_like(a)
+        out[..., 0] = a[..., 0]
+        for k in range(1, length):
+            ufunc(out[..., k - 1], a[..., k], out=out[..., k])
         return out
-    if a.ndim < 2 or a.shape[-1] < 2:
-        return ufunc.reduce(a, axis=-1)  # with numpy's identity or error on an empty axis
     out = ufunc(a[..., 0], a[..., 1])
-    for k in range(2, a.shape[-1]):
+    for k in range(2, length):
         ufunc(out, a[..., k], out=out)
     return out
 
@@ -161,8 +163,7 @@ def norm_block(block: np.ndarray, space: SpaceSpec) -> np.ndarray:
     recomputed scaled by a power of two; under the aggregated norm the same
     holds for every partial sum, each redone at its own prefix's scale.
     Every other row keeps the plain arithmetic bit for bit.  The l^inf and
-    l^1 norms need no scaling.  The maxima of l^inf and FAggregate(l^inf) are
-    `fold`s: a tenth of numpy's reduction time on 7 coordinates, same bits.
+    l^1 norms need no scaling; the l^inf maxima are `fold`s (same bits).
     """
     a = np.abs(np.asarray(block))
     if isinstance(space, Lp):

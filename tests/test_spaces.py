@@ -96,14 +96,16 @@ def same_bits(got, want) -> bool:
     )
 
 
-@pytest.mark.parametrize("length", [1, 2, 7, 17, 40])
+@pytest.mark.parametrize("length", [1, 2, 7, 16, 17, 40])
 def test_fold_matches_numpy_reductions(length):
     # -0.0 is the only zero drawn in the first block and +0.0 the only one
     # in the complex magnitudes, so no maximum is a tie of -0.0 with 0.0,
-    # whose sign numpy's reductions leave to their order
+    # whose sign numpy's reductions leave to their order.  The first four
+    # shapes have fewer than 32 rows per column and keep numpy's reduction,
+    # the last two fold an axis of 2-16 (a longer one keeps numpy's)
     rng = np.random.default_rng(length)
     values = np.array([-0.0, 5e-324, 1e-310, 0.25, 1.0, 3.5, 1e300, math.inf])
-    for shape in ((length,), (1, length), (6, length), (3, 5, length)):
+    for shape in ((length,), (1, length), (6, length), (3, 5, length), (32 * length, length), (3, 11 * length, length)):
         complex_block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         for a in (rng.choice(values, size=shape), np.abs(complex_block * rng.choice([0.0, 1e-310, 1.0], size=shape))):
             assert same_bits(fold(np.maximum, a), a.max(axis=-1))
@@ -115,9 +117,9 @@ def test_fold_matches_numpy_reductions(length):
 
 def test_norm_block_sup_norms_fold_coordinates():
     # l^inf and FAggregate(l^inf), for any leading shape (a single row
-    # included), equal numpy's reductions bit for bit
+    # included), folded or not, equal numpy's reductions bit for bit
     rng = np.random.default_rng(3)
-    for shape in ((7,), (1, 2), (5, 7), (4, 3, 17)):
+    for shape in ((7,), (1, 2), (5, 7), (4, 3, 17), (300, 7), (2, 70, 2), (64, 40)):
         scales = rng.choice([-0.0, 5e-324, 1e-310, 1.0, 1e300, math.inf], size=shape)
         weights = 2.0 ** -np.arange(1, shape[-1] + 1)
         for block in (scales, (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scales):
