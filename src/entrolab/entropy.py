@@ -2,7 +2,7 @@
 
 Empirical side: counts of (n, eps)-separated subsets of a finite sample
 under the dynamical metric max_{0<=i<n} d(T^i x, T^i y), computed either by
-a deterministic greedy scan (maximal set, lexicographic point order) or by
+a deterministic greedy sweep (maximal set, lexicographic point order) or by
 an exact memoised search over the conflict graph (the lexicographically
 greatest maximum set, small samples only).  A point is its zero-padded
 coordinate row compared by value, and a `CompactSample` is the block `rows`
@@ -35,14 +35,19 @@ once, and each block of them is carried locally through every later n,
 extending its running maximum slice by slice and dropping the pairs that
 leave max(eps).  Each pair records a hit bit per (n, eps) cell, and each
 row is swept once across every cell (`_carried_marks`), keeping exactly
-the rows the per-cell scan keeps.  Maxima and ands over a short axis of
-many rows are elementwise folds (`spaces.fold`); with both, the
-`shift-cube` benchmark pass fell from 0.41 to 0.22 s and c1's four
-tables from 2.6 to 1.5 s (BENCH_18.json).  When the pairs barely
-drop and barely prune (more than SCAN_ROW_PAIRS pair evaluations per row,
-n and eps, as for an isometry with one large eps) the table falls back to
-the witness scan `_greedy_indices`, decided once before the pass
-(`_carry_plan`).  `_kept_rows` makes these choices for every count.
+the rows a greedy scan of each cell keeps.  The sweep's marks steer the
+pass: a row's reach is the largest eps of a column where it is still
+unmarked at some n, a row of reach 0 gets no candidates, and at the
+smallest n a pair is kept only within its first row's reach.  So a table
+whose pairs neither prune nor drop (an isometry with one large eps) costs
+the pairs of the rows that stay live, not every pair: the 0.7 rad
+rotation of a 64x64 grid (n 1-12, eps 0.5) takes 0.09 s, against 2.5 s
+for the witness scan that once served such tables (BENCH_19.json).
+Maxima and ands over a short axis of many rows are elementwise folds
+(`spaces.fold`); with the folds and the single sweep per row, the
+`shift-cube` benchmark pass fell from 0.41 to 0.22 s and c1's four tables
+from 2.6 to 1.5 s (BENCH_18.json).
+`_kept_rows` chooses the path of every count from the table's size.
 
 Spectral side: sum of multiplicity * log|lambda| over eigenvalues of
 modulus > 1 (zero if none), and the n*log(r) lower bound carried by n
@@ -75,7 +80,6 @@ BLOCK_ELEMS = 2**16  # and at most this many coordinates (pairs * n * dim)
 KEY_MARGIN = 1e-9  # relative widening of every key window (see _key_cells)
 KEY_QUOTIENT_CAP = 2.0**21  # largest |key value| / cell width of a usable key
 JOINT_ROWS = 1024  # rows sampled to score keys
-SCAN_ROW_PAIRS = 500  # pair evaluations costing about one witness-scan row per n and eps
 _TINY = np.finfo(float).tiny
 
 
@@ -307,8 +311,12 @@ def _plan_keys(orbits: np.ndarray, n: int, r: float, s: SpaceSpec):
     return (cells[:, plan], filters), fewest
 
 
-def _candidate_blocks(cells: np.ndarray):
-    """Candidate pairs (I, J), i < j, in blocks of consecutive rows i."""
+def _candidate_blocks(cells: np.ndarray, reach):
+    """Candidate pairs (I, J), i < j, in blocks of consecutive rows i, with
+    the radius R of each pair's row i.  reach(row, stop) gives the radii of
+    the rows row..stop - 1, read as their block is taken, so the pass's
+    latest marks steer it (see `_carried_marks`); a row of radius 0 gets no
+    candidates."""
     count = cells.shape[0]
     if cells.shape[1] == 0:
         order = np.arange(count)
@@ -325,12 +333,15 @@ def _candidate_blocks(cells: np.ndarray):
     while row < count:
         done = int(ends[row - 1]) if row else 0
         stop = max(row + 1, int(np.searchsorted(ends, done + 2 * PAIR_BLOCK, "right")))
-        span = lens[row:stop].ravel()
+        radii = reach(row, stop)
+        live = lens[row:stop] * (radii > 0)[:, np.newaxis]
+        span = live.ravel()
         tails = np.cumsum(span)
         J = order[np.arange(int(tails[-1])) - np.repeat(tails - span - lo[row:stop].ravel(), span)]
-        I = np.repeat(np.arange(row, stop), lens[row:stop].sum(axis=1))
+        I = np.repeat(np.arange(row, stop), live.sum(axis=1))
         pick = J > I
-        yield I[pick], J[pick]
+        I, J = I[pick], J[pick]
+        yield I, J, radii[I - row]
         row = stop
 
 
@@ -340,17 +351,22 @@ def _neighbours(filters: np.ndarray, I, J) -> np.ndarray:
     return fold(np.logical_and, np.abs(filters[I] - filters[J]) <= 1)
 
 
-def _near_pairs(orbits: np.ndarray, n: int, r: float, s: SpaceSpec, plan):
+def _near_pairs(orbits: np.ndarray, n: int, r: float, s: SpaceSpec, plan, reach=None):
     hashed, filters = plan
+    if reach is None:
+
+        def reach(row, stop):  # every row reaches r
+            return np.full(stop - row, r)
+
     step = max(1, min(PAIR_BLOCK, BLOCK_ELEMS // (n * orbits.shape[2])))
-    for I, J in _candidate_blocks(hashed):
+    for I, J, R in _candidate_blocks(hashed, reach):
         if filters.shape[1]:
             near = _neighbours(filters, I, J)
-            I, J = I[near], J[near]
+            I, J, R = I[near], J[near], R[near]
         for at in range(0, I.size, step):
             i, j = I[at : at + step], J[at : at + step]
             d = bowen_distances(orbits, i, j, n, s)
-            close = d <= r
+            close = d <= R[at : at + step]
             yield i[close], j[close], d[close]
 
 
@@ -362,16 +378,17 @@ def near_pairs(orbits: np.ndarray, n: int, r: float, s: SpaceSpec):
     the j of one i come in cell order.  Candidates come from fixed-radius
     near-neighbour cell hashing (Bentley, Stanat & Williams, IPL 6(6),
     1977) on exact lower bounds of the Bowen distance (see `_key_cells` and
-    `_plan_keys`); D is computed by `bowen_distances`, bit for bit the
-    arithmetic of the witness scan, over at most PAIR_BLOCK pairs (and
-    BLOCK_ELEMS coordinates) at a time.
+    `_plan_keys`); D is computed by `bowen_distances`, bit for bit a direct
+    evaluation, over at most PAIR_BLOCK pairs (and BLOCK_ELEMS coordinates)
+    at a time.
     """
     plan, _ = _plan_keys(orbits, n, r, s)
     yield from _near_pairs(orbits, n, r, s, plan)
 
 
-def _carried_pairs(orbits: np.ndarray, n_values, r: float, s: SpaceSpec, plan):
-    """The pairs within r at n_values[0] as blocks (I, J, levels), I
+def _carried_pairs(orbits: np.ndarray, n_values, r: float, s: SpaceSpec, plan, reach=None):
+    """The pairs within r at n_values[0] (within reach(i) <= r when a reach
+    is given, see `_candidate_blocks`) as blocks (I, J, levels), I
     nondecreasing over the whole stream; levels[k] = (at, D) holds the
     block positions of the pairs within r at n_values[k - 1] (all for
     k = 0) and their Bowen distances over t < n_values[k], until none is
@@ -387,7 +404,7 @@ def _carried_pairs(orbits: np.ndarray, n_values, r: float, s: SpaceSpec, plan):
 
     def gathered():
         parts, held = [], 0
-        for part in _near_pairs(orbits, n_values[0], r, s, plan):
+        for part in _near_pairs(orbits, n_values[0], r, s, plan, reach):
             if held + part[0].size > fill:
                 block, parts, held = [np.concatenate(column) for column in zip(*parts)], [], 0
                 yield block
@@ -419,7 +436,23 @@ def _carried_marks(orbits: np.ndarray, n_values, eps: np.ndarray, s: SpaceSpec, 
     only come from earlier rows, so a row's marks are final when its first
     pair arrives: each carried pair records one hit bit per cell (D <= eps),
     and each row is swept once across every cell, marked[J] |= hits &
-    ~marked[i], keeping exactly the rows of the per-cell witness scan.
+    ~marked[i], keeping exactly the rows of a greedy scan of each cell.
+
+    The marks also prune the pass.  A row's reach is the largest eps of a
+    column where it is unmarked at some n (0 when it is marked in every
+    cell), read from `marked` as `_candidate_blocks` takes each block of
+    rows: a row of reach 0 gets no candidates, and at n_values[0] a pair is
+    kept only when D <= reach(i).  This drops no mark: a row excluded from a
+    cell marks nothing through it (hits & ~marked[i]), D only grows with n,
+    so a pair beyond reach(i) hits no cell where i is unmarked, and marks
+    only accumulate, so a reach read early (before the sweep of the blocks
+    in flight) is at least the final one and costs work, never a mark.
+    With one thread, against the witness scan that served these tables
+    before: the 0.7 rad rotation of a 64x64 grid (n 1-12) with eps 0.5,
+    0.25 or 1.0 alone takes 0.07-0.14 s instead of 2.1-2.5 s, with eps
+    (0.5, 0.01), (0.5, 0.05) or (1.0, 0.1) 0.4-0.8 s instead of 2.5-5.4 s,
+    and the identity on an 800-point line (n 1, 2, eps 10) evaluates 15,790
+    pairs instead of all 319,600 (BENCH_19.json).
     """
     count, K, E = orbits.shape[0], len(n_values), eps.size
     words, order = -(-K * E // 64), np.sort(eps)
@@ -428,8 +461,16 @@ def _carried_marks(orbits: np.ndarray, n_values, eps: np.ndarray, s: SpaceSpec, 
     hit = np.arange(E + 1)[:, np.newaxis] <= np.searchsorted(order, eps)
     spans = [(k * E // 64, np.pad(hit, ((0, 0), (k * E % 64, -(k + 1) * E % 64)))) for k in range(K)]
     spans = [(w, np.packbits(bits, axis=-1, bitorder="little").view("<u8")) for w, bits in spans]
+    bit = np.arange(64 * words)
+    columns = (bit % E == np.arange(E)[:, np.newaxis]) & (bit < K * E)  # column j's bits at every n
+    columns = np.packbits(columns, axis=-1, bitorder="little").view("<u8")
     marked = np.zeros((count, words), dtype="<u8")
-    for I, J, levels in _carried_pairs(orbits, n_values, float(eps.max()), s, plan):
+
+    def reach(row, stop):  # the largest eps of a column where the row is unmarked at some n
+        live = (~marked[row:stop, np.newaxis] & columns).any(axis=-1)
+        return np.where(live, eps, 0.0).max(axis=-1)
+
+    for I, J, levels in _carried_pairs(orbits, n_values, float(eps.max()), s, plan, reach):
         hits = np.zeros((I.size, words), dtype="<u8")
         for (w, bits), (at, D) in zip(spans, levels):
             hits[at, w : w + bits.shape[1]] |= bits[np.searchsorted(order, D)]
@@ -438,75 +479,6 @@ def _carried_marks(orbits: np.ndarray, n_values, eps: np.ndarray, s: SpaceSpec, 
             marked[J[a:b]] |= hits[a:b] & ~marked[I[a]]
     flat = np.unpackbits(marked.view(np.uint8), axis=-1, count=K * E, bitorder="little")
     return np.moveaxis(flat.reshape(count, K, E), 0, -1).astype(bool)
-
-
-def _carry_plan(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec):
-    """The key plan of the carried pass over the ascending `n_values`, or
-    None when the witness scan is the cheaper path.
-
-    The carried pass pays per pair evaluation: n_values[0] slices for each
-    candidate, then, for each pair still within max(eps), one hit per n
-    and one slice per step to the next n.  The scan pays per row, n and eps
-    column.  An upper bound on the pass's work uses the predicted
-    candidates for every later pair; when it exceeds the scan's, the pass
-    runs without sweeps on every k-th row (k >= 4, at most JOINT_ROWS rows,
-    so at most a sixteenth of the pass's pair work), its pair work scaled
-    by (count / rows)^2, and stops once the scan is cheaper.
-
-    Measured with one thread on 17 tables (2 cores, numpy 2.4.6): the N=2,
-    3 and 4 cubes, the c1 and benchmark grids, a rotation of a 64x64 grid
-    and two identity lines.  A pair evaluation of the pass cost 9-120 ns
-    and a scan row per n and eps 7-97 us, a break-even between 139 and
-    1,630 evaluations, and SCAN_ROW_PAIRS = 500 picked the faster path on
-    16 tables (BENCH_8.json; c3's N=3, depth-8 cube needs 135 since
-    BENCH_14.json).  With the folds and one sweep per row (BENCH_18.json),
-    the rotation by 0.7 rad with eps 0.5 alone, about 2,000 evaluations per
-    scan row, n and eps, still takes the scan (2.0-2.2 s, pass 3.8-4.8 s);
-    with eps 2^-3..2^-7 it needs 37 and takes the pass (0.4 s, scan 8.0 s),
-    and none of 22 tables (c1, c3, the benchmark's, identity lines) changed
-    path.
-    """
-    count = orbits.shape[0]
-    r = max(eps_values)
-    plan, predicted = _plan_keys(orbits, n_values[0], r, s)
-    budget = SCAN_ROW_PAIRS * count * len(n_values) * len(eps_values)
-    steps = [1 + b - a for a, b in zip(n_values, n_values[1:])] + [1]
-    work = predicted * n_values[0]
-    if work + predicted * sum(steps) <= budget:
-        return plan
-    every = max(4, -(-count // JOINT_ROWS))
-    scale = (count / -(-count // every)) ** 2
-    sampled = tuple(cells[::every] for cells in plan)
-    for _, _, levels in _carried_pairs(orbits[::every], n_values, r, s, sampled):
-        work += scale * sum(int(np.count_nonzero(D <= r)) * step for (_, D), step in zip(levels, steps))
-        if work > budget:
-            return None
-    return plan
-
-
-def _greedy_indices(orbits: np.ndarray, eps: float, s: SpaceSpec) -> list[int]:
-    """Greedy maximal separated subset of the ordered sample, by a witness
-    scan: the fallback of the carried pass when its pairs barely prune.
-
-    orbits has shape (count, steps, dim).  A candidate is kept when its
-    dynamical distance to every kept point exceeds eps.  Distances at the
-    first and last time step are valid lower bounds for the Bowen max and
-    prune most full evaluations.
-    """
-    kept = np.empty_like(orbits)
-    w_lo, w_hi = orbits[:, 0, :], orbits[:, -1, :]
-    kw_lo, kw_hi = np.empty_like(w_lo), np.empty_like(w_hi)
-    kept_idx = []
-    for j in range(orbits.shape[0]):
-        k = len(kept_idx)
-        near = kept[:k]
-        if orbits.shape[1] > 2:  # keep the kept rows the bound leaves unresolved
-            lb = np.maximum(norm_block(kw_lo[:k] - w_lo[j], s), norm_block(kw_hi[:k] - w_hi[j], s))
-            near = near[lb <= eps]
-        if not near.size or (fold(np.maximum, norm_block(near - orbits[j], s)) > eps).all():
-            kept[k], kw_lo[k], kw_hi[k] = orbits[j], w_lo[j], w_hi[j]
-            kept_idx.append(j)
-    return kept_idx
 
 
 def greedy_separated(
@@ -624,35 +596,21 @@ def _kept_rows(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec, method: s
     (n_values[k], eps_values[j]), for the ascending `n_values`.
 
     The one place that chooses how a table is counted, from its size alone.
-    A table whose pairs fit one block (count(count - 1)/2 <= PAIR_BLOCK: at
-    most 91 rows, every exact table) takes its cells from
-    `_conflict_graphs`: a greedy cell is a bitmask sweep (`_greedy_sweep`),
-    an exact one the maximum independent set.  This cut the `exact-oracle`
-    benchmark pass from 0.93 to 0.65 s (BENCH_16.json).  Larger tables come
-    from the carried pass, or from the witness scan per cell when
-    `_carry_plan` finds the scan cheaper.  Separation only improves with n,
-    so once a cell keeps every row, so do the later cells of its column.
+    A greedy table of more than 91 rows (count(count - 1)/2 > PAIR_BLOCK)
+    is one carried pass (`_carried_marks`) over the key plan at
+    (n_values[0], max eps).  Every other table, every exact one included,
+    takes its cells from `_conflict_graphs`: a greedy cell is a bitmask
+    sweep (`_greedy_sweep`), an exact one the maximum independent set.
+    This cut the `exact-oracle` benchmark pass from 0.93 to 0.65 s
+    (BENCH_16.json).
     """
     count = orbits.shape[0]
-    dense = method == "exact" or count * (count - 1) // 2 <= PAIR_BLOCK
-    if not dense:
-        plan = _carry_plan(orbits, n_values, eps_values, s)
-        if plan is not None:
-            return ~_carried_marks(orbits, n_values, np.array(eps_values), s, plan)
-    graphs = _conflict_graphs(orbits, n_values, eps_values, s) if dense else None
+    if method == "greedy" and count * (count - 1) // 2 > PAIR_BLOCK:
+        plan, _ = _plan_keys(orbits, n_values[0], max(eps_values), s)
+        return ~_carried_marks(orbits, n_values, np.array(eps_values), s, plan)
     search = _max_independent_set if method == "exact" else _greedy_sweep
-    kept = np.zeros((len(n_values), len(eps_values), count), dtype=bool)
-    for j, eps in enumerate(eps_values):
-        for k, n in enumerate(n_values):
-            if k and kept[k - 1, j].all():
-                kept[k:, j] = True
-                break
-            if graphs is None:
-                kept[k, j, _greedy_indices(orbits[:, :n], eps, s)] = True
-            else:
-                best = search(graphs[k][j])
-                kept[k, j] = [best >> i & 1 for i in range(count)]
-    return kept
+    sets = [[search(masks) for masks in cells] for cells in _conflict_graphs(orbits, n_values, eps_values, s)]
+    return np.array([[[best >> i & 1 for i in range(count)] for best in cells] for cells in sets], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -696,9 +654,9 @@ def sn_table(
 
     Every cell comes from `_kept_rows` over the orbits of the sample's rows,
     in their canonical order: the conflict graphs of all pairs for at most
-    91 rows, else one carried pass or the witness scan per cell (see the
-    module docstring).  Bowen times are integers (or integral floats) >= 1
-    and every eps is positive (NaN is refused).
+    91 rows, else one carried pass (see the module docstring).  Bowen times
+    are integers (or integral floats) >= 1 and every eps is positive (NaN is
+    refused).
     Greedy counts can violate the monotonicity laws (nondecreasing in n,
     nonincreasing in eps) in pathological scan orders; violations are
     repaired by running maxima and flagged.

@@ -194,6 +194,8 @@ def _power_roots(a: np.ndarray, p: float, cumulative: bool) -> tuple[np.ndarray,
 
 
 def _lp_norms(a: np.ndarray, p: float, cumulative: bool) -> np.ndarray:
+    if a.ndim == 1:  # a lone row is its (1, dim) block, so the redo can index rows
+        return _lp_norms(a[np.newaxis], p, cumulative)[0]
     with np.errstate(over="ignore"):  # an overflowed row is redone below
         roots, sums = _power_roots(a, p, cumulative)
     if not sums.size:

@@ -511,7 +511,7 @@ def test_overflowed_orbits_raise():
 # ---------------------------------------------------------------- near-pair kernel
 
 from entrolab import entropy as en  # noqa: E402
-from entrolab.spaces import FAggregate, norm_block  # noqa: E402
+from entrolab.spaces import FAggregate, fold, norm_block  # noqa: E402
 from entrolab.symbolic import cube_sample  # noqa: E402
 
 L3 = Lp(3.0)
@@ -552,6 +552,29 @@ def rows_of(K, count):
     return CompactSample(K.rows[:count], K.resolution)
 
 
+def witness_scan(orbits, eps, s):
+    """The greedy separated set of the rows of `orbits` (shape (count,
+    steps, dim)) in order, by a witness scan: a row is kept when its Bowen
+    distance to every kept row exceeds eps.  Distances at the first and last
+    time step bound the Bowen distance from below and prune most full
+    evaluations.  The reference of the pair path: its maxima are
+    `bowen_distances` bit for bit."""
+    kept = np.empty_like(orbits)
+    w_lo, w_hi = orbits[:, 0, :], orbits[:, -1, :]
+    kw_lo, kw_hi = np.empty_like(w_lo), np.empty_like(w_hi)
+    kept_idx = []
+    for j in range(orbits.shape[0]):
+        k = len(kept_idx)
+        near = kept[:k]
+        if orbits.shape[1] > 2:  # keep the kept rows the bound leaves unresolved
+            lb = np.maximum(norm_block(kw_lo[:k] - w_lo[j], s), norm_block(kw_hi[:k] - w_hi[j], s))
+            near = near[lb <= eps]
+        if not near.size or (fold(np.maximum, norm_block(near - orbits[j], s)) > eps).all():
+            kept[k], kw_lo[k], kw_hi[k] = orbits[j], w_lo[j], w_hi[j]
+            kept_idx.append(j)
+    return kept_idx
+
+
 def assert_pair_path_matches_scan(T, K, n_values, eps_values, s):
     """Every cell's count and kept rows from the carried pass, from the
     single-n pass at each n and from `_kept_rows` (the dense path for at
@@ -565,7 +588,7 @@ def assert_pair_path_matches_scan(T, K, n_values, eps_values, s):
         plan, _ = en._plan_keys(orbits, n, eps_values[0], s)
         single = en._carried_marks(orbits[:, :n], (n,), eps, s, plan)[0]
         for e, row, alone in zip(eps_values, cell, single):
-            kept = en._greedy_indices(orbits[:, :n], e, s)
+            kept = witness_scan(orbits[:, :n], e, s)
             assert np.flatnonzero(~row).tolist() == kept
             assert np.flatnonzero(~alone).tolist() == kept
 
@@ -665,36 +688,58 @@ def test_faggregate_saturated_key():
         assert got == {(int(i), int(j)) for i, j in zip(I[d <= r], J[d <= r])}
 
 
-def test_witness_fallback_when_keys_do_not_prune():
-    # every pair of 800 points lies within eps = 10: for n = 1, 2 the
-    # carried pass would make about 1,600 pair evaluations per row (every
-    # pair at n = 1, a sweep, a slice and a sweep), about 800 per row and
-    # (n, eps) cell of one eps column, above SCAN_ROW_PAIRS, so that table
-    # comes from the witness scan
+def pass_work(monkeypatch, T, K, n_values, eps_values, s):
+    """The pairs whose Bowen distance a greedy table's carried pass takes
+    (all at the first n), and the pairs it carries from there."""
+    taken, carried = [], []
+    bowen, pairs = en.bowen_distances, en._carried_pairs
+    monkeypatch.setattr(en, "bowen_distances", lambda o, I, *a: taken.append(I.size) or bowen(o, I, *a))
+    monkeypatch.setattr(en, "_carried_pairs", lambda *a: (carried.append(b[0].size) or b for b in pairs(*a)))
+    sn_table(T, K, n_values, eps_values, s)
+    monkeypatch.undo()
+    return sum(taken), sum(carried)
+
+
+def test_unpruned_line_matches_witness_scan():
+    # every pair of 800 points lies within eps = 10 and no key prunes them
     K = sample_of(np.linspace(0, 1, 800))
-    orbits = en._sample_orbits(IDENTITY_1D, K, 2)
-    assert en._carry_plan(orbits, (1, 2), (10.0,), L2) is None
     assert sn_table(IDENTITY_1D, K, [1, 2], [10.0], L2).s(1, 10.0) == 1
     table = sn_table(IDENTITY_1D, K, [1, 2], [10.0, 0.01], L2)
     assert table.s(1, 10.0) == 1
     assert table.s(2, 0.01) == len(greedy_separated(IDENTITY_1D, K, 2, 0.01, L2))
+    for eps_values in ((10.0,), (10.0, 0.01)):
+        assert_pair_path_matches_scan(IDENTITY_1D, K, (1, 2), eps_values, L2)
 
 
-def test_pair_budget_scales_with_eps_count():
-    # the pass's pair work does not depend on the number of eps columns and
-    # the scan's grows with it: the 800-point line within eps = 10 takes the
-    # scan for one column and the carried pass for two.  The N=4, depth-5
-    # cube evaluates about 88 pairs per scan row, n and eps at eps 0.4
-    # alone, so it takes the carried pass with one column or three
-    K = sample_of(np.linspace(0, 1, 800))
-    orbits = en._sample_orbits(IDENTITY_1D, K, 2)
-    assert en._carry_plan(orbits, (1, 2), (10.0,), L2) is None
-    assert en._carry_plan(orbits, (1, 2), (10.0, 0.01), L2) is not None
+def test_one_and_many_eps_columns_match_witness_scan():
+    # the N=4, depth-5 cube with one eps column and with three
     K = cube_sample(4, 5, ConstRule(2), base=LINF)
-    orbits = en._sample_orbits(BackwardShift(ConstRule(2)), K, 6)
-    n_values = tuple(range(1, 7))
-    assert en._carry_plan(orbits, n_values, (0.4,), LINF) is not None
-    assert en._carry_plan(orbits, n_values, (0.4, 0.2, 0.1), LINF) is not None
+    for eps_values in ((0.4,), (0.4, 0.2, 0.1)):
+        assert_pair_path_matches_scan(BackwardShift(ConstRule(2)), K, tuple(range(1, 7)), eps_values, LINF)
+
+
+def test_rotated_grid_matches_witness_scan():
+    # a rotation is an isometry: the pairs of the grid within eps = 0.5 never drop
+    K = grid_sample(L2, (32, 32))
+    assert_pair_path_matches_scan(rotation_matrix(0.7), K, tuple(range(1, 13)), (0.5,), L2)
+
+
+def test_reach_prunes_candidate_rows(monkeypatch):
+    # a row marked in every cell gets no candidates, and a row's pairs beyond
+    # its reach (the largest eps of a column where it is unmarked at some n)
+    # are not carried.  Row 0 of the line within eps = 10 marks every other
+    # row at once; only the rows whose block is taken before row 0's marks are
+    # swept still evaluate pairs: 15,790 of all 319,600
+    K = sample_of(np.linspace(0, 1, 800))
+    assert pass_work(monkeypatch, IDENTITY_1D, K, (1, 2), (10.0,), L2) == (15_790, 15_790)
+    # no key prunes the rotated 32x32 grid at eps = 0.5: 523,776 pairs before
+    # the marks steer the candidates
+    T, K = rotation_matrix(0.7), grid_sample(L2, (32, 32))
+    assert pass_work(monkeypatch, T, K, (1, 2, 3, 4), (0.5,), L2)[0] == 82_233
+    # 0.01 lies below the grid spacing, so every row stays live in that
+    # column, and only the reach of 0.01 keeps the marked rows' pairs out of
+    # the carry: 31,575 of the 240,342 pairs within 0.5
+    assert pass_work(monkeypatch, T, K, (1, 2, 3, 4), (0.5, 0.01), L2) == (523_776, 31_575)
 
 
 @settings(max_examples=30, deadline=None)
@@ -772,17 +817,19 @@ def test_filter_keys_keep_every_close_pair(seed, s):
 
 def carried_sample(kind, seed):
     """Random cubes of 2..4 symbols (about 200 rows, so keys hash), a
-    rotation of the square (an isometry: no pair ever drops), and random
-    points under a diagonal or scaled rotation."""
+    rotation of the square (an isometry: no pair ever drops), the same with
+    an eps column of 0.01 beside 0.5 (rows marked in the 0.5 column stay
+    live only in the other), and random points under a diagonal or scaled
+    rotation."""
     if kind.startswith("cube"):
         N = int(kind[-1])
         depth = {2: 9, 3: 6, 4: 5}[N]
         K = cube_sample(N, depth, ConstRule(2), base=LINF, count=200, seed=seed)
         return BackwardShift(ConstRule(2)), K, (0.4, 0.2, 0.1)
-    if kind == "rotation":
+    if kind in ("rotation", "mixed"):
         pts = np.unique(np.random.default_rng(seed).random((150, 2)), axis=0)
         K = CompactSample(tuple(vector(p) for p in pts), 0.1)
-        return rotation_matrix(0.7), K, (0.5, 0.25, 0.125)
+        return rotation_matrix(0.7), K, (0.5, 0.25, 0.125) if kind == "rotation" else (0.5, 0.01)
     T, K = kernel_sample(seed, 1 + seed % 3, 140, dyadic=seed % 2 == 0, rotate=True)
     return T, K, (0.5, 0.25, 0.125)
 
@@ -791,7 +838,7 @@ def carried_sample(kind, seed):
 @given(
     st.integers(0, 10_000),
     st.sampled_from(KERNEL_SPACES),
-    st.sampled_from(["cube2", "cube3", "cube4", "rotation", "random"]),
+    st.sampled_from(["cube2", "cube3", "cube4", "rotation", "mixed", "random"]),
     st.sampled_from([(1, 2, 3, 4), (2, 5, 9), (3, 4, 7)]),
 )
 def test_carried_pass_matches_witness_scan(seed, s, kind, n_values):
@@ -924,19 +971,6 @@ def test_gap_numbering_halves_the_cube_candidates():
     cells, usable = en._key_cells(x[:, None, None], 2.0**-3, L2)
     q = np.floor(x / (2.0**-3 * (1 + en.KEY_MARGIN)))
     assert usable.all() and (cells[:, 0] == q - q.min()).all()
-
-
-def test_cubes_take_carried_pass():
-    # the embed-shift benchmark cube (N=3, depth 7) and c3's N=3, depth-8
-    # cube take the carried pass; the rotation of a 64x64 grid with eps 0.5
-    # alone, whose pairs never drop, takes the scan
-    B = BackwardShift(ConstRule(2))
-    for depth in (7, 8):
-        K = cube_sample(3, depth, ConstRule(2), base=LINF)
-        orbits = en._sample_orbits(B, K, depth + 1)
-        assert en._carry_plan(orbits, tuple(range(1, depth + 2)), (0.4, 0.2, 0.1), LINF) is not None
-    orbits = en._sample_orbits(rotation_matrix(0.7), grid_sample(L2, (64, 64)), 12)
-    assert en._carry_plan(orbits, tuple(range(1, 13)), (0.5,), L2) is None
 
 
 def test_carried_pass_gathers_small_blocks(monkeypatch):

@@ -63,6 +63,11 @@ def test_norm_block_scale_safe():
     assert norm(vector([1e-160, 1e-160]), L2) == pytest.approx(math.sqrt(2) * 1e-160, rel=1e-15)
     # the first partial norm underflows although the full power sum does not
     assert norm(vector([1e-4, 0.5]), FAggregate(Lp(100.0))) == pytest.approx(0.12505, rel=1e-15)
+    # a 1-D row is its (1, dim) block bit for bit, redone or not
+    for row in ([1e-200, 0.0], [1e200, 1e200], [0.5, 0.25]):
+        for s in (L2, Lp(3.0), FAggregate(Lp(3.0))):
+            got, want = norm_block(np.array(row), s), norm_block(np.array([row]), s)[0]
+            assert same_bits(got, want) and got > 0.0
 
 
 def test_norm_block_in_range_rows_unchanged():
