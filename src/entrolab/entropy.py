@@ -30,19 +30,21 @@ every exact table) skips hashing: one running maximum over all pairs gives
 each (n, eps) cell a neighbour bitmask per row (`_conflict_graphs`), swept
 greedily (`_greedy_sweep`) or searched for a maximum set
 (`_max_independent_set`).  A larger greedy table is one carried pass
-(`_carried_pairs`): the pairs within max(eps) at the smallest n are found
-once, and each block of them is carried locally through every later n,
-extending its running maximum slice by slice and dropping the pairs that
-leave max(eps).  Each pair records a hit bit per (n, eps) cell, and each
-row is swept once across every cell (`_carried_marks`), keeping exactly
-the rows a greedy scan of each cell keeps.  The sweep's marks steer the
-pass: a row's reach is the largest eps of a column where it is still
-unmarked at some n, a row of reach 0 gets no candidates, and at the
-smallest n a pair is kept only within its first row's reach.  So a table
-whose pairs neither prune nor drop (an isometry with one large eps) costs
-the pairs of the rows that stay live, not every pair: the 0.7 rad
-rotation of a 64x64 grid (n 1-12, eps 0.5) takes 0.09 s, against 2.5 s
-for the witness scan that once served such tables (BENCH_19.json).
+(`_carried_pairs`), one loop over blocks of candidate rows: each block's
+pairs get their Bowen distances at the smallest n, and those within
+max(eps) are carried locally through every later n, extending their
+running maximum slice by slice and dropping the pairs that leave max(eps).
+Each pair records a hit bit per (n, eps) cell, and each row is swept once
+across every cell (`_carried_marks`), keeping exactly the rows a greedy
+scan of each cell keeps.  The sweep's marks steer the pass: a row's reach
+is the largest eps of a column where it is still unmarked at some n, read
+once every earlier block is swept; a row of reach 0 gets no candidates,
+and at the smallest n a pair is kept only within its first row's reach.
+So a table whose pairs neither prune nor drop (an isometry with one large
+eps) costs the pairs of the rows that stay live, not every pair: the 0.7
+rad rotation of a 64x64 grid (n 1-12, eps 0.5) takes 0.09 s, against
+2.5 s for the witness scan that once served such tables (BENCH_19.json).
+`near_pairs` is the same pass at one n, with every row reaching r.
 Maxima and ands over a short axis of many rows are elementwise folds
 (`spaces.fold`); with the folds and the single sweep per row, the
 `shift-cube` benchmark pass fell from 0.41 to 0.22 s and c1's four tables
@@ -104,8 +106,8 @@ class CompactSample:
     def __init__(self, points, resolution: float, label: str = ""):
         if len(points) == 0:
             raise ValidationError("sample needs at least one point")
-        if resolution <= 0:
-            raise ValidationError("declared resolution must be positive")
+        if not 0 < resolution < math.inf:
+            raise ValidationError(f"declared resolution must be finite and positive, got {resolution!r}")
         block = padded_block(points)
         rows = block[np.lexsort(block.view(float).T[::-1])]  # interleaved (Re, Im) columns
         if (rows[1:] == rows[:-1]).all(axis=1).any():
@@ -311,12 +313,13 @@ def _plan_keys(orbits: np.ndarray, n: int, r: float, s: SpaceSpec):
     return (cells[:, plan], filters), fewest
 
 
-def _candidate_blocks(cells: np.ndarray, reach):
+def _candidate_blocks(cells: np.ndarray, reach, size: int):
     """Candidate pairs (I, J), i < j, in blocks of consecutive rows i, with
-    the radius R of each pair's row i.  reach(row, stop) gives the radii of
-    the rows row..stop - 1, read as their block is taken, so the pass's
-    latest marks steer it (see `_carried_marks`); a row of radius 0 gets no
-    candidates."""
+    the radius R of each pair's row i.  A block's rows have at most `size`
+    candidates (counted with the j <= i of their cells), or it is one row
+    with more.  reach(row, stop) gives the radii of the rows row..stop - 1,
+    read as their block is taken, so the marks of every block swept before
+    steer it (see `_carried_marks`); a row of radius 0 gets no candidates."""
     count = cells.shape[0]
     if cells.shape[1] == 0:
         order = np.arange(count)
@@ -332,7 +335,7 @@ def _candidate_blocks(cells: np.ndarray, reach):
     row = 0
     while row < count:
         done = int(ends[row - 1]) if row else 0
-        stop = max(row + 1, int(np.searchsorted(ends, done + 2 * PAIR_BLOCK, "right")))
+        stop = max(row + 1, int(np.searchsorted(ends, done + size, "right")))
         radii = reach(row, stop)
         live = lens[row:stop] * (radii > 0)[:, np.newaxis]
         span = live.ravel()
@@ -351,25 +354,6 @@ def _neighbours(filters: np.ndarray, I, J) -> np.ndarray:
     return fold(np.logical_and, np.abs(filters[I] - filters[J]) <= 1)
 
 
-def _near_pairs(orbits: np.ndarray, n: int, r: float, s: SpaceSpec, plan, reach=None):
-    hashed, filters = plan
-    if reach is None:
-
-        def reach(row, stop):  # every row reaches r
-            return np.full(stop - row, r)
-
-    step = max(1, min(PAIR_BLOCK, BLOCK_ELEMS // (n * orbits.shape[2])))
-    for I, J, R in _candidate_blocks(hashed, reach):
-        if filters.shape[1]:
-            near = _neighbours(filters, I, J)
-            I, J, R = I[near], J[near], R[near]
-        for at in range(0, I.size, step):
-            i, j = I[at : at + step], J[at : at + step]
-            d = bowen_distances(orbits, i, j, n, s)
-            close = d <= R[at : at + step]
-            yield i[close], j[close], d[close]
-
-
 def near_pairs(orbits: np.ndarray, n: int, r: float, s: SpaceSpec):
     """Every row pair i < j of `orbits` (shape (count, steps >= n, dim))
     whose Bowen distance over t < n is <= r, with that distance.
@@ -379,11 +363,12 @@ def near_pairs(orbits: np.ndarray, n: int, r: float, s: SpaceSpec):
     near-neighbour cell hashing (Bentley, Stanat & Williams, IPL 6(6),
     1977) on exact lower bounds of the Bowen distance (see `_key_cells` and
     `_plan_keys`); D is computed by `bowen_distances`, bit for bit a direct
-    evaluation, over at most PAIR_BLOCK pairs (and BLOCK_ELEMS coordinates)
-    at a time.
+    evaluation.  This is the one-level carried pass: n_values = (n,), and
+    every row reaches r.
     """
     plan, _ = _plan_keys(orbits, n, r, s)
-    yield from _near_pairs(orbits, n, r, s, plan)
+    for I, J, ((_, D),) in _carried_pairs(orbits, (n,), r, s, plan):
+        yield I, J, D
 
 
 def _carried_pairs(orbits: np.ndarray, n_values, r: float, s: SpaceSpec, plan, reach=None):
@@ -392,39 +377,51 @@ def _carried_pairs(orbits: np.ndarray, n_values, r: float, s: SpaceSpec, plan, r
     nondecreasing over the whole stream; levels[k] = (at, D) holds the
     block positions of the pairs within r at n_values[k - 1] (all for
     k = 0) and their Bowen distances over t < n_values[k], until none is
-    left.  `_near_pairs` blocks gather into blocks of at most
-    min(2 PAIR_BLOCK, BLOCK_ELEMS / dim) pairs, as many as a block of
-    candidates, each carried locally through every later n: the running
-    maximum of the pairs still within r is extended one time slice at a
-    time (all slices in between when `n_values` skips some), and pairs
+    left.  One loop over blocks of 2 fill candidates counted both ways,
+    fill = min(2 PAIR_BLOCK, BLOCK_ELEMS / dim): each block is filtered
+    (`_neighbours`), its distances at n_values[0] are taken BLOCK_ELEMS
+    coordinates at a time, and its pairs within reach are carried through
+    every later n, fill at a time (a row with more straddles blocks): the
+    running maximum of the pairs still within r is extended one time slice
+    at a time (all slices in between when `n_values` skips some), and pairs
     beyond r drop, as Bowen distances only grow with n.  `norm_block` works
     row by row and max is exact, so D is `bowen_distances` bit for bit.
+    The next block's reach is read once the consumer has taken every block
+    before it.
     """
-    fill = max(1, min(2 * PAIR_BLOCK, BLOCK_ELEMS // orbits.shape[2]))
+    hashed, filters = plan
+    _, steps, dim = orbits.shape
+    rows = orbits.reshape(-1, dim)  # row i * steps + t is orbits[i, t]; take() gathers 1.2-4x faster
+    fill = max(1, min(2 * PAIR_BLOCK, BLOCK_ELEMS // dim))
+    step = max(1, BLOCK_ELEMS // (n_values[0] * dim))
+    if reach is None:
 
-    def gathered():
-        parts, held = [], 0
-        for part in _near_pairs(orbits, n_values[0], r, s, plan, reach):
-            if held + part[0].size > fill:
-                block, parts, held = [np.concatenate(column) for column in zip(*parts)], [], 0
-                yield block
-            parts.append(part)
-            held += part[0].size
-        if held:
-            yield [np.concatenate(column) for column in zip(*parts)]
+        def reach(row, stop):  # every row reaches r
+            return np.full(stop - row, r)
 
-    for I, J, D in gathered():
-        at, i, j = np.arange(I.size), I, J
-        levels = [(at, D)]
-        for a, b in zip(n_values, n_values[1:]):
-            close = D <= r
-            at, D, i, j = at[close], D[close], i[close], j[close]
-            if not at.size:
-                break
-            for t in range(a, b):
-                D = np.maximum(D, norm_block(orbits[i, t] - orbits[j, t], s))
-            levels.append((at, D))
-        yield I, J, levels
+    for I, J, R in _candidate_blocks(hashed, reach, 2 * fill):
+        if filters.shape[1]:
+            near = _neighbours(filters, I, J)
+            I, J, R = I[near], J[near], R[near]
+        D = np.empty(I.size)
+        for a in range(0, I.size, step):
+            D[a : a + step] = bowen_distances(orbits, I[a : a + step], J[a : a + step], n_values[0], s)
+        close = D <= R
+        I, J, D = I[close], J[close], D[close]
+        for a in range(0, I.size, fill):
+            pairs = i, j = I[a : a + fill], J[a : a + fill]
+            at, d = np.arange(i.size), D[a : a + fill]
+            levels = [(at, d)]
+            for n, m in zip(n_values, n_values[1:]):
+                close = d <= r
+                at, d, i, j = at[close], d[close], i[close], j[close]
+                if not at.size:
+                    break
+                for t in range(n, m):
+                    diff = rows.take(i * steps + t, axis=0) - rows.take(j * steps + t, axis=0)
+                    d = np.maximum(d, norm_block(diff, s))
+                levels.append((at, d))
+            yield *pairs, levels
 
 
 def _carried_marks(orbits: np.ndarray, n_values, eps: np.ndarray, s: SpaceSpec, plan) -> np.ndarray:
@@ -441,18 +438,21 @@ def _carried_marks(orbits: np.ndarray, n_values, eps: np.ndarray, s: SpaceSpec, 
     The marks also prune the pass.  A row's reach is the largest eps of a
     column where it is unmarked at some n (0 when it is marked in every
     cell), read from `marked` as `_candidate_blocks` takes each block of
-    rows: a row of reach 0 gets no candidates, and at n_values[0] a pair is
-    kept only when D <= reach(i).  This drops no mark: a row excluded from a
-    cell marks nothing through it (hits & ~marked[i]), D only grows with n,
-    so a pair beyond reach(i) hits no cell where i is unmarked, and marks
-    only accumulate, so a reach read early (before the sweep of the blocks
-    in flight) is at least the final one and costs work, never a mark.
-    With one thread, against the witness scan that served these tables
-    before: the 0.7 rad rotation of a 64x64 grid (n 1-12) with eps 0.5,
-    0.25 or 1.0 alone takes 0.07-0.14 s instead of 2.1-2.5 s, with eps
-    (0.5, 0.01), (0.5, 0.05) or (1.0, 0.1) 0.4-0.8 s instead of 2.5-5.4 s,
-    and the identity on an 800-point line (n 1, 2, eps 10) evaluates 15,790
-    pairs instead of all 319,600 (BENCH_19.json).
+    rows, after every earlier block is swept: a row of reach 0 gets no
+    candidates, and at n_values[0] a pair is kept only when D <= reach(i).
+    This drops no mark: a row excluded from a cell marks nothing through it
+    (hits & ~marked[i]), D only grows with n, so a pair beyond reach(i) hits
+    no cell where i is unmarked, and marks only accumulate, so a reach read
+    before its own block is swept is at least the final one and costs work,
+    never a mark.  Read after the earlier blocks are swept rather than one
+    block ahead, it halves the pairs evaluated on the rotated 32x32 grid
+    (eps 0.5, n 1-4: 40,089 instead of 82,233).  With one thread, against
+    the witness scan that served these tables before: the 0.7 rad rotation
+    of a 64x64 grid (n 1-12) with eps 0.5, 0.25 or 1.0 alone takes
+    0.07-0.14 s instead of 2.1-2.5 s, with eps (0.5, 0.01), (0.5, 0.05) or
+    (1.0, 0.1) 0.4-0.8 s instead of 2.5-5.4 s, and the identity on an
+    800-point line (n 1, 2, eps 10) evaluates 15,790 pairs instead of all
+    319,600 (BENCH_19.json).
     """
     count, K, E = orbits.shape[0], len(n_values), eps.size
     words, order = -(-K * E // 64), np.sort(eps)

@@ -612,13 +612,13 @@ SPLIT_RESIDUAL_TOL = 1e-9
 _NULLSPACE_RTOL = 1e-10
 
 
-def _nullspace(M: np.ndarray, rtol: float = _NULLSPACE_RTOL) -> np.ndarray:
-    """Orthonormal nullspace basis: the singular values at most rtol times
-    max(|M|, 1) count as zero, so a matrix of norm below 1 is judged on the
-    absolute floor rtol."""
+def _nullspace(M: np.ndarray) -> np.ndarray:
+    """Orthonormal nullspace basis: the singular values at most
+    _NULLSPACE_RTOL times max(|M|, 1) count as zero, so a matrix of norm
+    below 1 is judged on the absolute floor _NULLSPACE_RTOL."""
     _, sv, vh = np.linalg.svd(M)
     scale = max(float(sv[0]) if sv.size else 0.0, 1.0)
-    rank = int(np.sum(sv > rtol * scale))
+    rank = int(np.sum(sv > _NULLSPACE_RTOL * scale))
     return vh[rank:].conj().T
 
 

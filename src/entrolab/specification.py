@@ -218,10 +218,10 @@ def shadow_point(
     )
 
 
-def fixed_vector(B_w: BackwardShift, dim: int, scale: complex = 1.0) -> Vector:
-    """The fixed-point direction of the shift: x_1 = scale and
+def fixed_vector(B_w: BackwardShift, dim: int) -> Vector:
+    """The fixed-point direction of the shift: x_1 = 1 and
     x_{n+1} = x_n / w_{n+1}, exact on coordinates 1..dim-1."""
-    return periodic_vector(B_w, head=(scale,), dim=dim)
+    return periodic_vector(B_w, head=(1.0,), dim=dim)
 
 
 def periodic_vector(B_w: BackwardShift, head, dim: int) -> Vector:
@@ -388,10 +388,7 @@ def sp_separated_family(
     dim = max(2 * (times[-1] + N), max(a.dim for a in anchors))
 
     anchor_block = padded_block(anchors, dim)
-    d_min_anchor = min(
-        (float(norm_block(anchor_block[i + 1 :] - anchor_block[i], space).min()) for i in range(m - 1)),
-        default=math.inf,
-    )
+    d_min_anchor = _direct_min_pairwise(space, anchor_block[:, np.newaxis])
     if d_min_anchor < 3 * epsilon:
         raise ValidationError("anchors closer than 3*epsilon cannot certify separation")
 

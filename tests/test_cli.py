@@ -133,6 +133,19 @@ def test_sp_lower_bound_task(tmp_path):
     assert report["lower_bound"] == math.log(2) / 5
 
 
+def test_sp_lower_bound_builds_family(tmp_path):
+    config = {"m": 3, "epsilon": 0.1, "build_family": {"n": 2}}
+    code, out, report = run_cli(tmp_path, "sp-lower-bound", config)
+    assert code == 0
+    family = report["family"]
+    assert (family["size"], family["verification"], report["certified"]) == (9, "direct", True)
+    assert family["min_pairwise"] > 0.1
+    first = (out / "report.json").read_bytes()
+    assert run_cli(tmp_path, "sp-lower-bound", config)[0] == 0
+    assert (out / "report.json").read_bytes() == first
+    assert run_cli(tmp_path, "sp-lower-bound", config, "--require-certified")[0] == 0
+
+
 def test_splitting_task(tmp_path):
     config = {"operator": {"kind": "dense", "entries": [[2, 0, 0], [0, 1, 0], [0, 0, 0.5]]}}
     code, _, report = run_cli(tmp_path, "splitting", config)
@@ -234,6 +247,15 @@ def test_spectral_entropy_refuses_disc_spectrum(tmp_path, operator):
     assert run.returncode == 2
     assert "disc" in run.stderr and "Traceback" not in run.stderr
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("resolution", [math.inf, 0.0])
+def test_sample_resolution_exit_code(tmp_path, resolution):
+    # an infinite resolution would be written as the non-JSON token Infinity
+    config = {"operator": {"kind": "diagonal", "eigenvalues": {"rule": "explicit", "values": [2]}},
+              "n_range": {"lo": 1, "hi": 4}, "eps_list": [0.1],
+              "sample": {"kind": "explicit", "points": [[0.0], [0.5]], "resolution": resolution}}
+    assert run_cli(tmp_path, "estimate-entropy", config)[::2] == (2, None)
 
 
 def test_sample_with_points_equal_by_value_exit_code(tmp_path):

@@ -127,6 +127,12 @@ def test_sample_refuses_points_equal_by_value():
             CompactSample(pair, 0.1)
 
 
+@pytest.mark.parametrize("resolution", [0.0, -1.0, math.nan, math.inf])
+def test_sample_refuses_resolution_not_finite_and_positive(resolution):
+    with pytest.raises(ValidationError, match="resolution"):
+        CompactSample(np.array([[0.0], [1.0]]), resolution)
+
+
 def test_sample_from_coordinate_array():
     coords = np.array([[0.5, 1.0], [0.0, 2.0], [0.5, -1.0]])
     K = CompactSample(coords, 0.1, "arr")
@@ -728,18 +734,20 @@ def test_reach_prunes_candidate_rows(monkeypatch):
     # a row marked in every cell gets no candidates, and a row's pairs beyond
     # its reach (the largest eps of a column where it is unmarked at some n)
     # are not carried.  Row 0 of the line within eps = 10 marks every other
-    # row at once; only the rows whose block is taken before row 0's marks are
-    # swept still evaluate pairs: 15,790 of all 319,600
+    # row at once; only the rows of row 0's block of candidates (16,384 with
+    # both directions at dim 1) evaluate pairs: 15,790 of all 319,600
     K = sample_of(np.linspace(0, 1, 800))
     assert pass_work(monkeypatch, IDENTITY_1D, K, (1, 2), (10.0,), L2) == (15_790, 15_790)
     # no key prunes the rotated 32x32 grid at eps = 0.5: 523,776 pairs before
-    # the marks steer the candidates
+    # the marks steer the candidates, 82,233 when each block's reach was read
+    # before the block ahead of it was swept
     T, K = rotation_matrix(0.7), grid_sample(L2, (32, 32))
-    assert pass_work(monkeypatch, T, K, (1, 2, 3, 4), (0.5,), L2)[0] == 82_233
+    assert pass_work(monkeypatch, T, K, (1, 2, 3, 4), (0.5,), L2)[0] == 40_089
     # 0.01 lies below the grid spacing, so every row stays live in that
     # column, and only the reach of 0.01 keeps the marked rows' pairs out of
-    # the carry: 31,575 of the 240,342 pairs within 0.5
-    assert pass_work(monkeypatch, T, K, (1, 2, 3, 4), (0.5, 0.01), L2) == (523_776, 31_575)
+    # the carry: 14,046 of the 240,342 pairs within 0.5 (31,575 with the
+    # staler reach)
+    assert pass_work(monkeypatch, T, K, (1, 2, 3, 4), (0.5, 0.01), L2) == (523_776, 14_046)
 
 
 @settings(max_examples=30, deadline=None)
@@ -973,9 +981,10 @@ def test_gap_numbering_halves_the_cube_candidates():
     assert usable.all() and (cells[:, 0] == q - q.min()).all()
 
 
-def test_carried_pass_gathers_small_blocks(monkeypatch):
-    # blocks of at most 50 pairs: every n gathers many blocks, carried on
-    # both when they fill and at the end of the stream
+def test_carried_pass_small_blocks(monkeypatch):
+    # carried blocks of at most 100 pairs, from candidate blocks of 200 with
+    # both directions: many blocks per n, rows with more than 100 close pairs
+    # straddling blocks
     monkeypatch.setattr(en, "PAIR_BLOCK", 50)
     for kind, seed, s in (("cube3", 1, LINF), ("rotation", 2, L2), ("random", 3, FAggregate(L2))):
         T, K, eps_values = carried_sample(kind, seed)
@@ -991,10 +1000,11 @@ def test_carried_pass_more_than_64_cells(s):
 
 
 def test_carried_rows_straddle_blocks():
-    # at a first n of 40 and dim 8, `_near_pairs` evaluates 204 pairs at a
-    # time and the carry gathers 8,192: nearly every pair of 300 points lies
+    # at a first n of 40 and dim 8, distances are taken 204 pairs at a time
+    # and carried 8,192 at a time: nearly every pair of 300 points lies
     # within 0.9 and, under a diagonal that does not expand, stays there, so
-    # rows' pairs straddle both kinds of block
+    # a block of 16,384 candidates carries more than 8,192 pairs and its
+    # rows' pairs straddle the carried blocks
     assert en.BLOCK_ELEMS // (40 * 8) == 204
     rng = np.random.default_rng(6)
     K = CompactSample(rng.random((300, 8)), 0.1)

@@ -16,7 +16,7 @@ from entrolab.operators import (
     orbit_block,
     rotation_matrix,
 )
-from entrolab.rules import ConstRule
+from entrolab.rules import _RATIO_CAP, ConstRule, ExplicitRule, GeometricRule, weight_admissibility
 from entrolab.spaces import FAggregate, Lp, Vector, norm_block, padded_block, vector, zero_vector
 from entrolab.specification import (
     SegmentSchedule,
@@ -262,7 +262,8 @@ def test_family_certificate_bounds_direct_minimum(monkeypatch):
     monkeypatch.setattr(spec, "DIRECT_VERIFY_CAP", 4)
     calls = _spy_direct(monkeypatch)
     cert = sp_separated_family(B2, anchors, 2, 0.1)
-    assert (direct.verification, cert.verification, calls) == ("direct", "certificate", [])
+    # the one direct minimum is the anchors' separation (3 rows), not the family's
+    assert (direct.verification, cert.verification, calls) == ("direct", "certificate", [3])
     assert 0.1 < cert.min_pairwise <= direct.min_pairwise
     assert cert.sample.rows.tobytes() == direct.sample.rows.tobytes()
 
@@ -275,8 +276,60 @@ def test_family_certificate_falls_back_when_anchors_move(monkeypatch):
     monkeypatch.setattr(spec, "DIRECT_VERIFY_CAP", 4)
     calls = _spy_direct(monkeypatch)
     cert = sp_separated_family(B2, anchors, 2, 0.1)
-    assert (direct.verification, cert.verification, calls) == ("direct", "certificate", [5])
+    # the anchors' separation (2 rows), then the family's 5 rows
+    assert (direct.verification, cert.verification, calls) == ("direct", "certificate", [2, 5])
     assert cert.min_pairwise == direct.min_pairwise > 0.1
+
+
+@pytest.mark.parametrize("s", [Lp(2.0), Lp(math.inf), FA])
+def test_direct_minimum_below_the_first_pair(s):
+    # anchors 0, 0.9 x1 and 0.5 x1 (the aggregated norm saturates from x1
+    # on): the family's first two rows are not its closest pair, so the
+    # minimum comes from the near pairs strictly inside their distance, and
+    # it equals an all-pairs scan bit for bit
+    x1 = fixed_vector(B2, 64)
+    anchors = [zero_vector(64), Vector(0.9 * x1.coords), Vector(0.5 * x1.coords)]
+    fam = sp_separated_family(B2, anchors, 2, 0.1)
+    orbits = orbit_block(B2, fam.sample.rows, fam.gap + 2)
+    best = min(float(norm_block(orbits[i + 1 :] - orbits[i], s).max(axis=1).min()) for i in range(len(orbits) - 1))
+    assert best < float(norm_block(orbits[1] - orbits[0], s).max())
+    assert spec._direct_min_pairwise(s, orbits) == best
+    assert fam.verification == "direct" and (s != FA or fam.min_pairwise == best)
+
+
+def test_weight_admissibility_explicit_window():
+    # the window test takes 1/|w| over the weights after the first, or over
+    # the one weight of a single-value list; no float weight gives exactly
+    # the cap 0.999, so weights one ulp apart take either side of it
+    below, above = 1.0 / np.nextafter(1 / _RATIO_CAP, 2), 1.0 / np.nextafter(1 / _RATIO_CAP, 0)
+    assert below < _RATIO_CAP < above
+    cases = [
+        (ExplicitRule((2.0, 0.0, 2.0)), False, math.inf, "zero weight"),
+        (ExplicitRule((0.5, np.nextafter(1 / _RATIO_CAP, 2), 4.0)), True, below, "explicit list, window test"),
+        (ExplicitRule((0.5, np.nextafter(1 / _RATIO_CAP, 0), 4.0)), False, above, "explicit list, window test"),
+        (ExplicitRule((2.0,)), True, 0.5, "explicit list, window test"),
+        (ExplicitRule((0.5,)), False, 2.0, "explicit list, window test"),
+    ]
+    for rule, admissible, q, note in cases:
+        rep = weight_admissibility(rule)
+        assert (rep.admissible, rep.ratio_bound, rep.window_only, rep.note) == (admissible, q, True, note)
+
+
+def test_weight_admissibility_geometric_moduli():
+    # |ratio| = 1: the weights keep the modulus |first|, decided exactly;
+    # |ratio| < 1: the weights tend to 0 and the sums diverge
+    cases = [
+        (GeometricRule(-1.0, first=2.0), True, 0.5, "constant modulus, exact"),
+        (GeometricRule(1j, first=0.5), False, 2.0, "constant modulus, exact"),
+        (GeometricRule(1.0, first=1.0), False, 1.0, "constant modulus, exact"),
+        (GeometricRule(0.5, first=3.0), False, math.inf, "|w_n| -> 0, sums diverge"),
+        (GeometricRule(-0.9), False, math.inf, "|w_n| -> 0, sums diverge"),
+    ]
+    for rule, admissible, q, note in cases:
+        rep = weight_admissibility(rule)
+        assert (rep.admissible, rep.ratio_bound, rep.window_only, rep.note) == (admissible, q, False, note)
+    with pytest.raises(ValidationError, match="failed certification"):
+        sp_separated_family(BackwardShift(GeometricRule(0.5, first=3.0)), [zero_vector(64)], 1, 0.1)
 
 
 def _full_scan_certificate(rows, anchor_rows, dev_max, d_min_anchor, steps, eps):
