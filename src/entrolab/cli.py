@@ -60,16 +60,6 @@ from .symbolic import cube_sample, verify_conjugacy
 
 SCHEMA_VERSION = 1
 
-TASKS = (
-    "spectral-entropy",
-    "estimate-entropy",
-    "embed-shift",
-    "shadow",
-    "sp-lower-bound",
-    "splitting",
-    "variational-gap",
-    "verify",
-)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -459,7 +449,7 @@ _TASK_FNS = {
 def run(cfg: ExperimentConfig) -> int:
     """Dispatch a validated config; returns the process exit code."""
     if cfg.task not in _TASK_FNS:
-        raise ValidationError(f"unknown task {cfg.task!r}; choose from {TASKS}")
+        raise ValidationError(f"unknown task {cfg.task!r}; choose from {tuple(_TASK_FNS)}")
     return _TASK_FNS[cfg.task](cfg)
 
 
@@ -468,7 +458,7 @@ def main(argv=None) -> int:
         prog="entrolab",
         description="entropy experiments for linear operators",
     )
-    parser.add_argument("task", choices=TASKS)
+    parser.add_argument("task", choices=tuple(_TASK_FNS))
     parser.add_argument("--config", type=Path, help="experiment config JSON")
     parser.add_argument("--out", type=Path, default=Path("report"))
     parser.add_argument("--seed", type=int, default=None)

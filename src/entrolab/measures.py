@@ -11,7 +11,7 @@ searched, and every report says so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -175,16 +175,7 @@ class VariationalGapResult:
         return (self.h_top, self.best_h_mu, self.gap)
 
     def to_json_dict(self) -> dict:
-        return {
-            "h_top": self.h_top,
-            "best_h_mu": self.best_h_mu,
-            "gap": self.gap,
-            "periods_searched": self.periods_searched,
-            "center_dim": self.center_dim,
-            "measures_found": self.measures_found,
-            "center_ok": self.center_ok,
-            "scope_note": self.scope_note,
-        }
+        return asdict(self)
 
 
 def variational_gap(A: DenseMatrix, search_periods: int = 12) -> VariationalGapResult:

@@ -1,10 +1,13 @@
 """Symbolic operator descriptions with exact application and spectra.
 
-Operator kinds: weighted backward/forward shifts, diagonal operators,
-small dense matrices (d <= 32), scalar multiples, direct sums, and powers.
-Shifts and diagonals act on truncated sequence vectors; the backward shift
-shortens support by one step, the forward shift needs one coordinate of
-headroom.
+Each operator kind is one frozen dataclass deriving from `Operator`: a JSON
+name `kind` and the five methods `Operator` declares, which is all a new
+kind implements (its fields are its JSON fields; `serialize` lists it in its
+table of kinds).  The kinds are weighted backward and forward shifts,
+diagonal operators, small dense matrices (d <= 32), scalar multiples, direct
+sums and powers.  Shifts and diagonals act on truncated sequence vectors;
+the backward shift shortens support by one step, the forward shift needs
+one coordinate of headroom.
 
 Spectral machinery: operator-power norms on l^p (exact sliding-window
 products for shifts, LAPACK singular values for dense blocks), Gelfand-style
@@ -17,7 +20,8 @@ invariant subspaces by eigenvalue modulus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from abc import ABC, abstractmethod
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,340 +46,8 @@ _TINY = np.finfo(float).tiny  # smallest normal float
 # closed-form supremum
 DEFAULT_WINDOW = 128
 
-
-class Operator:
-    """Marker base class; concrete kinds are the dataclasses below."""
-
-
-@dataclass(frozen=True, eq=False)
-class BackwardShift(Operator):
-    """(B_w x)_n = w_{n+1} x_{n+1}."""
-
-    weights: rl.Rule
-
-    def __post_init__(self):
-        rl.check_nonvanishing(self.weights)
-
-
-@dataclass(frozen=True, eq=False)
-class ForwardShift(Operator):
-    """(F_w x)_{n+1} = x_n / w_{n+1}, first coordinate zero, so B_w F_w = I.
-
-    Applying it refuses, with UnderflowError, any nonzero coordinate whose
-    image has a modulus below the normal range: such an image has lost
-    bits (or flushed to zero) and B_w cannot restore x.  So for real
-    coordinates and power-of-two weights B_w F_w x = x holds exactly
-    wherever F_w returns.  `forward_shift_block` is the same action
-    without the refusal.
-    """
-
-    weights: rl.Rule
-
-    def __post_init__(self):
-        rl.check_nonvanishing(self.weights)
-
-
-@dataclass(frozen=True, eq=False)
-class Diagonal(Operator):
-    """(D x)_n = lambda_n x_n."""
-
-    eigenvalues: rl.Rule
-
-
-@dataclass(frozen=True, eq=False)
-class DenseMatrix(Operator):
-    entries: np.ndarray = field()
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValidationError("dense operator needs a square matrix")
-        if a.shape[0] > MAX_DENSE_DIM:
-            raise ValidationError(
-                f"dense operators are capped at d = {MAX_DENSE_DIM}, got {a.shape[0]}"
-            )
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-            raise ValidationError("matrix entries must be finite")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def d(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class Scaled(Operator):
-    alpha: complex
-    inner: Operator
-
-
-@dataclass(frozen=True, eq=False)
-class DirectSum(Operator):
-    parts: tuple[Operator, ...]
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ValidationError("direct sum needs at least one part")
-        object.__setattr__(self, "parts", tuple(self.parts))
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorPower(Operator):
-    base: Operator
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValidationError(f"operator power needs m >= 1, got {self.m}")
-
-
-def rolewicz(alpha: complex) -> Operator:
-    """alpha * B, the scalar multiple of the unweighted backward shift."""
-    return Scaled(alpha, BackwardShift(rl.ConstRule(1.0)))
-
-
-def rotation_matrix(theta: float) -> DenseMatrix:
-    c, s = math.cos(theta), math.sin(theta)
-    return DenseMatrix(np.array([[c, -s], [s, c]]))
-
-
-def diagonal_matrix(*diag: complex) -> DenseMatrix:
-    return DenseMatrix(np.diag(np.asarray(diag, dtype=complex)))
-
-
-def finite_dim(T: Operator) -> int | None:
-    """Intrinsic dimension of a finite-rank description, None for shifts and
-    generator-rule diagonals."""
-    if isinstance(T, DenseMatrix):
-        return T.d
-    if isinstance(T, Diagonal):
-        return rl.explicit_length(T.eigenvalues)
-    if isinstance(T, Scaled):
-        return finite_dim(T.inner)
-    if isinstance(T, OperatorPower):
-        return finite_dim(T.base)
-    if isinstance(T, DirectSum):
-        dims = [finite_dim(p) for p in T.parts]
-        return None if any(d is None for d in dims) else sum(dims)
-    return None
-
-
-def batch_apply(T: Operator, block: np.ndarray) -> np.ndarray:
-    """Apply T to every row of a (count, dim) coordinate block.  A product
-    that leaves the floating-point range comes out inf or nan without a
-    warning; `require_finite` judges the orbit it lands in."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _batch_apply(T, np.asarray(block, dtype=complex))
-
-
-def _batch_apply(T: Operator, block: np.ndarray) -> np.ndarray:
-    dim = block.shape[-1]
-    if isinstance(T, BackwardShift):
-        w = rl.values(T.weights, dim + 1)  # w_1..w_{dim+1}; w_1 unused
-        out = np.zeros_like(block)
-        out[..., :-1] = block[..., 1:] * w[1:dim]
-        return out
-    if isinstance(T, ForwardShift):
-        out = forward_shift_block(T.weights, block)
-        if np.any((block[..., :-1] != 0) & (np.abs(out[..., 1:]) < _TINY)):
-            raise UnderflowError(
-                "forward shift would round a nonzero coordinate into the "
-                "subnormal range or to zero"
-            )
-        return out
-    if isinstance(T, Diagonal):
-        L = rl.explicit_length(T.eigenvalues)
-        if L is not None and dim > L:
-            raise DimensionError(
-                f"diagonal rule defines {L} entries, vector has dim {dim}"
-            )
-        return block * rl.values(T.eigenvalues, dim)
-    if isinstance(T, DenseMatrix):
-        if dim != T.d:
-            raise DimensionError(f"matrix is {T.d}x{T.d}, vector has dim {dim}")
-        return block @ T.entries.T
-    if isinstance(T, Scaled):
-        return complex(T.alpha) * _batch_apply(T.inner, block)
-    if isinstance(T, DirectSum):
-        dims = [finite_dim(p) for p in T.parts]
-        if any(d is None for d in dims):
-            raise DimensionError("direct sum application needs finite-dimensional parts")
-        if sum(dims) != dim:
-            raise DimensionError(
-                f"direct sum dimension {sum(dims)} does not match vector dim {dim}"
-            )
-        pieces, at = [], 0
-        for part, d in zip(T.parts, dims):
-            pieces.append(_batch_apply(part, block[..., at : at + d]))
-            at += d
-        return np.concatenate(pieces, axis=-1)
-    if isinstance(T, OperatorPower):
-        for _ in range(T.m):
-            block = _batch_apply(T.base, block)
-        return block
-    raise ValidationError(f"unknown operator kind {type(T).__name__}")
-
-
-def forward_shift_block(weights: rl.Rule, block: np.ndarray) -> np.ndarray:
-    """F_w on every row of a (count, dim) block, images below the normal
-    range included (they round, and may flush to zero)."""
-    block = np.asarray(block, dtype=complex)
-    dim = block.shape[-1]
-    if np.any(block[..., -1] != 0):
-        raise HeadroomError(
-            "forward shift needs a zero last coordinate; extend the truncation"
-        )
-    w = rl.values(weights, dim + 1)
-    out = np.zeros_like(block)
-    out[..., 1:] = block[..., :-1] / w[1:dim]
-    return out
-
-
-def apply(T: Operator, x: Vector) -> Vector:
-    """Exact linear action of T on a truncated vector."""
-    return Vector(batch_apply(T, x.coords[np.newaxis, :])[0])
-
-
-def orbit_block(T: Operator, block: np.ndarray, steps: int) -> np.ndarray:
-    """Stack of T^i applied to each row, i = 0..steps-1; shape (count, steps, dim)."""
-    if steps < 1:
-        raise ValidationError("orbit needs at least one step")
-    block = np.asarray(block, dtype=complex)
-    out = np.empty((block.shape[0], steps, block.shape[1]), dtype=complex)
-    out[:, 0, :] = block
-    for i in range(1, steps):
-        out[:, i, :] = batch_apply(T, out[:, i - 1, :])
-    require_finite(out)
-    return out
-
-
-def require_finite(orbits: np.ndarray, what: str = "orbit") -> None:
-    """Refuse orbit arrays (or other computed values, named by `what`) that
-    left the floating-point range.
-
-    An inf or nan coordinate makes every later distance meaningless (nan
-    compares false both ways), so it is an error, checked once per grown
-    block rather than per step.
-    """
-    if not np.isfinite(orbits).all():
-        raise NonFiniteOrbitError(
-            f"{what} left the floating-point range (inf or nan coordinates)"
-        )
-
-
-# ---------------------------------------------------------------------------
-# operator-power norms and spectral radius
-
-
-def _require_lp(s: SpaceSpec, what: str) -> Lp:
-    if isinstance(s, FAggregate):
-        raise UnsupportedOperatorError(
-            f"{what} has closed form on l^p spaces only, not the aggregated norm"
-        )
-    return s
-
-
-def _sup_window_product(weights: np.ndarray, n: int) -> float:
-    """sup over start positions c >= 1 of prod_{l=c+1}^{c+n} |w_l|.
-
-    Uses plain products (not logs) so dyadic weights stay exact.  Every
-    window multiplies its factors left to right, one vector product per
-    offset; a nan window (an inf factor times a zero product) is skipped.
-    """
-    a = np.abs(weights)  # 0-based slot l is weight w_{l+1}
-    prods = np.ones(len(a) - n)
-    for l in range(1, n + 1):
-        prods *= a[l : l + prods.size]
-    return np.fmax.reduce(prods, initial=0.0)
-
-
-def power_norm(T: Operator, n: int, s: SpaceSpec | None = None) -> float:
-    """Operator norm of T^n.
-
-    Shift and diagonal branches are the exact l^p closed forms evaluated over
-    DEFAULT_WINDOW + n basis directions; dense blocks use the largest
-    singular value of A^n in the Euclidean norm, from LAPACK's SVD.
-    """
-    if n < 1:
-        raise ValidationError(f"power norm needs n >= 1, got {n}")
-    s = Lp(2.0) if s is None else s
-    if isinstance(T, (BackwardShift, ForwardShift)):
-        _require_lp(s, "shift power norm")
-        L = rl.explicit_length(T.weights)
-        probe = min(DEFAULT_WINDOW + n, L) if L is not None else DEFAULT_WINDOW + n
-        if probe <= n:
-            raise ValidationError("weight list too short for the requested power")
-        w = rl.values(T.weights, probe)
-        return _sup_window_product(w if isinstance(T, BackwardShift) else 1.0 / w, n)
-    if isinstance(T, Diagonal):
-        _require_lp(s, "diagonal power norm")
-        sup = rl.sup_abs(T.eigenvalues)
-        if math.isinf(sup):
-            raise UnsupportedOperatorError("diagonal rule is unbounded")
-        return sup**n
-    if isinstance(T, DenseMatrix):
-        return float(np.linalg.norm(np.linalg.matrix_power(T.entries, n), 2))
-    if isinstance(T, Scaled):
-        return abs(T.alpha) ** n * power_norm(T.inner, n, s)
-    if isinstance(T, DirectSum):
-        return max(power_norm(p, n, s) for p in T.parts)
-    if isinstance(T, OperatorPower):
-        return power_norm(T.base, T.m * n, s)
-    raise ValidationError(f"unknown operator kind {type(T).__name__}")
-
-
-def closed_form_spectral_radius(T: Operator) -> float | None:
-    """r(T) when a closed form is available (diagonals, constant-weight
-    shifts, and combinations thereof); None otherwise."""
-    if isinstance(T, Diagonal):
-        sup = rl.sup_abs(T.eigenvalues)
-        return None if math.isinf(sup) else sup
-    if isinstance(T, BackwardShift) and isinstance(T.weights, rl.ConstRule):
-        return abs(T.weights.value)
-    if isinstance(T, ForwardShift) and isinstance(T.weights, rl.ConstRule):
-        return 1.0 / abs(T.weights.value)
-    if isinstance(T, Scaled):
-        inner = closed_form_spectral_radius(T.inner)
-        return None if inner is None else abs(T.alpha) * inner
-    if isinstance(T, OperatorPower):
-        base = closed_form_spectral_radius(T.base)
-        return None if base is None else base**T.m
-    if isinstance(T, DirectSum):
-        parts = [closed_form_spectral_radius(p) for p in T.parts]
-        return None if any(p is None for p in parts) else max(parts)
-    if isinstance(T, DenseMatrix):
-        return float(np.max(np.abs(np.linalg.eigvals(T.entries))))
-    return None
-
-
-@dataclass(frozen=True)
-class SpectralRadiusCertificate:
-    """inf_n |T^n|^{1/n} certificate: an upper bound on r(T)."""
-
-    upper_bound: float
-    closed_form: float | None
-    sequence: tuple[float, ...]  # |T^n|^{1/n} for n = 1..n_max
-
-    @property
-    def value(self) -> float:
-        return self.closed_form if self.closed_form is not None else self.upper_bound
-
-
-def spectral_radius(T: Operator, n_max: int = 64) -> SpectralRadiusCertificate:
-    if n_max < 8:
-        raise ValidationError(f"spectral radius certificate needs n_max >= 8, got {n_max}")
-    seq = tuple(power_norm(T, n) ** (1.0 / n) for n in range(1, n_max + 1))
-    return SpectralRadiusCertificate(
-        upper_bound=min(seq),
-        closed_form=closed_form_spectral_radius(T),
-        sequence=seq,
-    )
-
-
-# ---------------------------------------------------------------------------
-# spectra
+_DIAG_SPECTRUM_WINDOW = 32
+EIG_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -414,47 +86,362 @@ class SpectrumDisc:
         return self.radius
 
 
-_DIAG_SPECTRUM_WINDOW = 32
-EIG_RESIDUAL_TOL = 1e-9
+class Operator(ABC):
+    """An operator kind: its JSON name `kind` and five methods.
+
+    - `apply_block(block)`: T on every row of a complex (count, dim) block.
+    - `finite_dim()`: the dimension of a finite-rank description, else None.
+    - `power_norm(n, s)`: |T^n| on the space s, for n >= 1.
+    - `radius()`: r(T) in closed form, None where there is none.
+    - `spectrum()`: eigenvalue data, or the disc of a constant-weight shift.
+    """
+
+    kind: str
+
+    @abstractmethod
+    def apply_block(self, block: np.ndarray) -> np.ndarray: ...
+    @abstractmethod
+    def finite_dim(self) -> int | None: ...
+    @abstractmethod
+    def power_norm(self, n: int, s: SpaceSpec) -> float: ...
+    @abstractmethod
+    def radius(self) -> float | None: ...
+    @abstractmethod
+    def spectrum(self) -> SpectralData | SpectrumDisc: ...
 
 
-def _rule_tail_sup(rule: rl.Rule, window: int) -> float:
-    """Bound on |lambda_n| for n > window (monotone-envelope rules only)."""
-    if isinstance(rule, rl.ConstRule):
-        return abs(rule.value)
-    if isinstance(rule, rl.GeometricRule):
-        if abs(rule.ratio) <= 1.0:
-            return abs(rl.value_at(rule, window + 1))
-        return math.inf
-    if isinstance(rule, rl.HarmonicRule):
-        return 1.0 / (window + 2)
-    return 0.0
+@dataclass(frozen=True, eq=False)
+class _Shift(Operator):
+    """A weighted shift: the weight check, the l^p window norm over the
+    kind's `_factors` of its weights, and the disc spectrum of constant weights."""
+
+    weights: rl.Rule
+
+    def __post_init__(self):
+        rl.check_nonvanishing(self.weights)
+
+    def finite_dim(self) -> None:
+        return None
+
+    def power_norm(self, n: int, s: SpaceSpec) -> float:
+        """sup over start positions c >= 1 of prod_{l=c+1}^{c+n} |w_l| (of
+        1/|w_l| for the forward shift), over the first DEFAULT_WINDOW + n
+        weights or the whole explicit list.
+
+        Uses plain products (not logs) so dyadic weights stay exact.  Every
+        window multiplies its factors left to right, one vector product per
+        offset; a nan window (an inf factor times a zero product) is skipped.
+        """
+        _require_lp(s, "shift power norm")
+        L = rl.explicit_length(self.weights)
+        probe = min(DEFAULT_WINDOW + n, L) if L is not None else DEFAULT_WINDOW + n
+        if probe <= n:
+            raise ValidationError("weight list too short for the requested power")
+        a = np.abs(self._factors(rl.values(self.weights, probe)))  # slot l is w_{l+1}
+        prods = np.ones(len(a) - n)
+        for l in range(1, n + 1):
+            prods *= a[l : l + prods.size]
+        return np.fmax.reduce(prods, initial=0.0)
+
+    def spectrum(self) -> SpectrumDisc:
+        radius = self.radius()
+        if radius is None:
+            raise UnsupportedOperatorError(
+                "spectrum of a non-constant-weight shift has no closed form here"
+            )
+        return SpectrumDisc(radius=radius)
 
 
-def _diagonal_spectrum(rule: rl.Rule) -> SpectralData:
-    L = rl.explicit_length(rule)
-    if L is not None:
-        eigs = tuple((complex(v), 1) for v in rl.values(rule, L))
+class BackwardShift(_Shift):
+    """(B_w x)_n = w_{n+1} x_{n+1}."""
+
+    kind = "backward_shift"
+
+    def apply_block(self, block: np.ndarray) -> np.ndarray:
+        dim = block.shape[-1]
+        w = rl.values(self.weights, dim + 1)  # w_1..w_{dim+1}; w_1 unused
+        out = np.zeros_like(block)
+        out[..., :-1] = block[..., 1:] * w[1:dim]
+        return out
+
+    @staticmethod
+    def _factors(w: np.ndarray) -> np.ndarray:
+        return w
+
+    def radius(self) -> float | None:
+        return abs(self.weights.value) if isinstance(self.weights, rl.ConstRule) else None
+
+
+class ForwardShift(_Shift):
+    """(F_w x)_{n+1} = x_n / w_{n+1}, first coordinate zero, so B_w F_w = I.
+
+    Applying it refuses, with UnderflowError, any nonzero coordinate whose
+    image has a modulus below the normal range: such an image has lost
+    bits (or flushed to zero) and B_w cannot restore x.  So for real
+    coordinates and power-of-two weights B_w F_w x = x holds exactly
+    wherever F_w returns.  `image` is the same action without the refusal.
+    """
+
+    kind = "forward_shift"
+
+    def image(self, block: np.ndarray) -> np.ndarray:
+        """F_w on every row of a complex (count, dim) block, images below the
+        normal range included (they round, and may flush to zero)."""
+        if np.any(block[..., -1] != 0):
+            raise HeadroomError(
+                "forward shift needs a zero last coordinate; extend the truncation"
+            )
+        dim = block.shape[-1]
+        w = rl.values(self.weights, dim + 1)
+        out = np.zeros_like(block)
+        out[..., 1:] = block[..., :-1] / w[1:dim]
+        return out
+
+    def apply_block(self, block: np.ndarray) -> np.ndarray:
+        out = self.image(block)
+        if np.any((block[..., :-1] != 0) & (np.abs(out[..., 1:]) < _TINY)):
+            raise UnderflowError(
+                "forward shift would round a nonzero coordinate into the "
+                "subnormal range or to zero"
+            )
+        return out
+
+    @staticmethod
+    def _factors(w: np.ndarray) -> np.ndarray:
+        return 1.0 / w
+
+    def radius(self) -> float | None:
+        return 1.0 / abs(self.weights.value) if isinstance(self.weights, rl.ConstRule) else None
+
+
+@dataclass(frozen=True, eq=False)
+class Diagonal(Operator):
+    """(D x)_n = lambda_n x_n."""
+
+    kind = "diagonal"
+    eigenvalues: rl.Rule
+
+    def apply_block(self, block: np.ndarray) -> np.ndarray:
+        dim, L = block.shape[-1], self.finite_dim()
+        if L is not None and dim > L:
+            raise DimensionError(
+                f"diagonal rule defines {L} entries, vector has dim {dim}"
+            )
+        return block * rl.values(self.eigenvalues, dim)
+
+    def finite_dim(self) -> int | None:
+        return rl.explicit_length(self.eigenvalues)
+
+    def power_norm(self, n: int, s: SpaceSpec) -> float:
+        _require_lp(s, "diagonal power norm")
+        sup = self.radius()
+        if sup is None:
+            raise UnsupportedOperatorError("diagonal rule is unbounded")
+        return sup**n
+
+    def radius(self) -> float | None:
+        sup = rl.sup_abs(self.eigenvalues)
+        return None if math.isinf(sup) else sup
+
+    def spectrum(self) -> SpectralData:
+        """An explicit list in full.  A generator rule lists its first
+        _DIAG_SPECTRUM_WINDOW terms, adjoins the limit 0, and bounds the
+        rest by the next term: its moduli never increase unless they grow
+        without bound."""
+        rule, L = self.eigenvalues, self.finite_dim()
+        window = L or _DIAG_SPECTRUM_WINDOW
+        # extend so every modulus > 1 is listed when the rule decays
+        if isinstance(rule, rl.GeometricRule) and 0 < abs(rule.ratio) < 1 and abs(rule.start) > 1:
+            need = int(math.log(abs(rule.start)) / -math.log(abs(rule.ratio))) + 4
+            window = max(window, need)
+        sup = rl.sup_abs(rule)
         return SpectralData(
-            eigenvalues=eigs,
+            eigenvalues=tuple((complex(v), 1) for v in rl.values(rule, window)),
             provenance="closed_form",
-            spectral_radius=max(abs(v) for v, _ in eigs),
-            includes_zero=False,
-            tail_sup=0.0,
+            spectral_radius=sup,
+            includes_zero=L is None,
+            tail_sup=0.0 if L else (sup if math.isinf(sup) else abs(rl.value_at(rule, window + 1))),
         )
-    window = _DIAG_SPECTRUM_WINDOW
-    # extend so every modulus > 1 is listed when the rule decays
-    if isinstance(rule, rl.GeometricRule) and 0 < abs(rule.ratio) < 1 and abs(rule.start) > 1:
-        need = int(math.log(abs(rule.start)) / -math.log(abs(rule.ratio))) + 4
-        window = max(window, need)
-    vals = rl.values(rule, window)
-    return SpectralData(
-        eigenvalues=tuple((complex(v), 1) for v in vals),
-        provenance="closed_form",
-        spectral_radius=rl.sup_abs(rule),
-        includes_zero=True,
-        tail_sup=_rule_tail_sup(rule, window),
-    )
+
+
+@dataclass(frozen=True, eq=False)
+class DenseMatrix(Operator):
+    """A d x d complex matrix, 1 <= d <= MAX_DENSE_DIM, with finite entries."""
+
+    kind = "dense"
+    entries: np.ndarray
+
+    def __post_init__(self):
+        try:
+            a = np.array(self.entries, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"dense operator needs a square matrix: {exc}") from exc
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+            raise ValidationError("dense operator needs a nonempty square matrix")
+        if a.shape[0] > MAX_DENSE_DIM:
+            raise ValidationError(
+                f"dense operators are capped at d = {MAX_DENSE_DIM}, got {a.shape[0]}"
+            )
+        if not np.isfinite(a).all():
+            raise ValidationError("matrix entries must be finite")
+        a.flags.writeable = False
+        object.__setattr__(self, "entries", a)
+
+    @property
+    def d(self) -> int:
+        return self.entries.shape[0]
+
+    def apply_block(self, block: np.ndarray) -> np.ndarray:
+        if block.shape[-1] != self.d:
+            raise DimensionError(f"matrix is {self.d}x{self.d}, vector has dim {block.shape[-1]}")
+        return block @ self.entries.T
+
+    def finite_dim(self) -> int:
+        return self.d
+
+    def power_norm(self, n: int, s: SpaceSpec) -> float:
+        """Largest singular value of A^n (Euclidean norm), from LAPACK's SVD."""
+        return float(np.linalg.norm(np.linalg.matrix_power(self.entries, n), 2))
+
+    def radius(self) -> float:
+        return float(np.max(np.abs(np.linalg.eigvals(self.entries))))
+
+    def spectrum(self) -> SpectralData:
+        A = self.entries
+        try:
+            vals, vecs = np.linalg.eig(A)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"dense eigenvalue iteration failed: {exc}") from exc
+        scale = float(np.linalg.norm(A, 2))
+        residuals = tuple(float(r) for r in np.linalg.norm(A @ vecs - vecs * vals, axis=0))
+        worst = max(residuals)
+        if not worst < EIG_RESIDUAL_TOL * max(1.0, scale):
+            raise ConvergenceError(
+                f"eigenpair residual {worst:.3e} exceeds {EIG_RESIDUAL_TOL:.0e}"
+            )
+        return SpectralData(
+            eigenvalues=tuple(_cluster_eigenvalues(vals, scale)),
+            provenance="numeric",
+            spectral_radius=float(np.max(np.abs(vals))),
+            residuals=residuals,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class Scaled(Operator):
+    """alpha * T for a finite scalar alpha."""
+
+    kind = "scaled"
+    alpha: complex
+    inner: Operator
+
+    def __post_init__(self):
+        rl.check_finite("scale factor", self.alpha)
+
+    def apply_block(self, block: np.ndarray) -> np.ndarray:
+        return complex(self.alpha) * self.inner.apply_block(block)
+
+    def finite_dim(self) -> int | None:
+        return self.inner.finite_dim()
+
+    def power_norm(self, n: int, s: SpaceSpec) -> float:
+        return abs(self.alpha) ** n * self.inner.power_norm(n, s)
+
+    def radius(self) -> float | None:
+        inner = self.inner.radius()
+        return None if inner is None else abs(self.alpha) * inner
+
+    def spectrum(self) -> SpectralData | SpectrumDisc:
+        a = complex(self.alpha)
+        return _mapped_spectrum(self.inner.spectrum(), lambda v: a * v, lambda r: abs(a) * r)
+
+
+@dataclass(frozen=True, eq=False)
+class DirectSum(Operator):
+    """The block-diagonal sum of its parts; their dimensions are read once,
+    when it is built."""
+
+    kind = "direct_sum"
+    parts: tuple[Operator, ...]
+
+    def __post_init__(self):
+        if not self.parts:
+            raise ValidationError("direct sum needs at least one part")
+        object.__setattr__(self, "parts", tuple(self.parts))
+        # the parts' dimensions (None for infinite); not a field, so not in the JSON
+        object.__setattr__(self, "dims", tuple(p.finite_dim() for p in self.parts))
+
+    def apply_block(self, block: np.ndarray) -> np.ndarray:
+        dim = self.finite_dim()
+        if dim is None:
+            raise DimensionError("direct sum application needs finite-dimensional parts")
+        if dim != block.shape[-1]:
+            raise DimensionError(
+                f"direct sum dimension {dim} does not match vector dim {block.shape[-1]}"
+            )
+        pieces = np.split(block, np.cumsum(self.dims[:-1]), axis=-1)
+        return np.concatenate([p.apply_block(b) for p, b in zip(self.parts, pieces)], axis=-1)
+
+    def finite_dim(self) -> int | None:
+        return None if None in self.dims else sum(self.dims)
+
+    def power_norm(self, n: int, s: SpaceSpec) -> float:
+        return max(p.power_norm(n, s) for p in self.parts)
+
+    def radius(self) -> float | None:
+        radii = [p.radius() for p in self.parts]
+        return None if None in radii else max(radii)
+
+    def spectrum(self) -> SpectralData:
+        parts = [p.spectrum() for p in self.parts]
+        if any(isinstance(p, SpectrumDisc) for p in parts):
+            raise UnsupportedOperatorError("direct sums with shift parts have no list spectrum")
+        return SpectralData(
+            eigenvalues=tuple(e for p in parts for e in p.eigenvalues),
+            provenance="numeric" if any(p.provenance == "numeric" for p in parts) else "closed_form",
+            spectral_radius=max(p.spectral_radius for p in parts),
+            includes_zero=any(p.includes_zero for p in parts),
+            tail_sup=max(p.tail_sup for p in parts),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorPower(Operator):
+    """T^m for an integer m >= 1."""
+
+    kind = "power"
+    base: Operator
+    m: int
+
+    def __post_init__(self):
+        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)) or self.m < 1:
+            raise ValidationError(f"operator power needs an integer m >= 1, got {self.m!r}")
+        object.__setattr__(self, "m", int(self.m))
+
+    def apply_block(self, block: np.ndarray) -> np.ndarray:
+        for _ in range(self.m):
+            block = self.base.apply_block(block)
+        return block
+
+    def finite_dim(self) -> int | None:
+        return self.base.finite_dim()
+
+    def power_norm(self, n: int, s: SpaceSpec) -> float:
+        return self.base.power_norm(self.m * n, s)
+
+    def radius(self) -> float | None:
+        base = self.base.radius()
+        return None if base is None else base**self.m
+
+    def spectrum(self) -> SpectralData | SpectrumDisc:
+        return _mapped_spectrum(self.base.spectrum(), lambda v: v**self.m, lambda r: r**self.m)
+
+
+def _require_lp(s: SpaceSpec, what: str) -> None:
+    if isinstance(s, FAggregate):
+        raise UnsupportedOperatorError(
+            f"{what} has closed form on l^p spaces only, not the aggregated norm"
+        )
 
 
 def _cluster_eigenvalues(vals: np.ndarray, scale: float) -> list[tuple[complex, int]]:
@@ -471,30 +458,6 @@ def _cluster_eigenvalues(vals: np.ndarray, scale: float) -> list[tuple[complex, 
     return [(complex(np.mean(g)), len(g)) for g in groups]
 
 
-def _dense_spectrum(A: np.ndarray) -> SpectralData:
-    d = A.shape[0]
-    try:
-        vals, vecs = np.linalg.eig(A)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"dense eigenvalue iteration failed: {exc}") from exc
-    scale = float(np.linalg.norm(A, 2)) if d else 0.0
-    residuals = tuple(float(r) for r in np.linalg.norm(A @ vecs - vecs * vals, axis=0))
-    worst = max(residuals, default=0.0)
-    if not worst < EIG_RESIDUAL_TOL * max(1.0, scale):
-        raise ConvergenceError(
-            f"eigenpair residual {worst:.3e} exceeds {EIG_RESIDUAL_TOL:.0e}"
-        )
-    clustered = _cluster_eigenvalues(vals, scale)
-    return SpectralData(
-        eigenvalues=tuple(clustered),
-        provenance="numeric",
-        spectral_radius=float(np.max(np.abs(vals))) if d else 0.0,
-        includes_zero=False,
-        tail_sup=0.0,
-        residuals=residuals,
-    )
-
-
 def _mapped_spectrum(inner, value, modulus) -> SpectralData | SpectrumDisc:
     """The spectrum of aT or T^m from that of T: eigenvalues mapped by
     `value`, radii and the tail bound by `modulus`."""
@@ -509,40 +472,93 @@ def _mapped_spectrum(inner, value, modulus) -> SpectralData | SpectrumDisc:
     )
 
 
+def rolewicz(alpha: complex) -> Operator:
+    """alpha * B, the scalar multiple of the unweighted backward shift."""
+    return Scaled(alpha, BackwardShift(rl.ConstRule(1.0)))
+
+
+def rotation_matrix(theta: float) -> DenseMatrix:
+    c, s = math.cos(theta), math.sin(theta)
+    return DenseMatrix(np.array([[c, -s], [s, c]]))
+
+
+def diagonal_matrix(*diag: complex) -> DenseMatrix:
+    return DenseMatrix(np.diag(np.asarray(diag, dtype=complex)))
+
+
+def batch_apply(T: Operator, block: np.ndarray) -> np.ndarray:
+    """Apply T to every row of a (count, dim) coordinate block.  A product
+    that leaves the floating-point range comes out inf or nan without a
+    warning; `require_finite` judges the orbit it lands in."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return T.apply_block(np.asarray(block, dtype=complex))
+
+
+def apply(T: Operator, x: Vector) -> Vector:
+    """Exact linear action of T on a truncated vector."""
+    return Vector(batch_apply(T, x.coords[np.newaxis, :])[0])
+
+
+def orbit_block(T: Operator, block: np.ndarray, steps: int) -> np.ndarray:
+    """Stack of T^i applied to each row, i = 0..steps-1; shape (count, steps, dim)."""
+    if steps < 1:
+        raise ValidationError("orbit needs at least one step")
+    block = np.asarray(block, dtype=complex)
+    out = np.empty((block.shape[0], steps, block.shape[1]), dtype=complex)
+    out[:, 0, :] = block
+    for i in range(1, steps):
+        out[:, i, :] = batch_apply(T, out[:, i - 1, :])
+    require_finite(out)
+    return out
+
+
+def require_finite(orbits: np.ndarray, what: str = "orbit") -> None:
+    """Refuse orbit arrays (or other computed values, named by `what`) that
+    left the floating-point range.
+
+    An inf or nan coordinate makes every later distance meaningless (nan
+    compares false both ways), so it is an error, checked once per grown
+    block rather than per step.
+    """
+    if not np.isfinite(orbits).all():
+        raise NonFiniteOrbitError(
+            f"{what} left the floating-point range (inf or nan coordinates)"
+        )
+
+
+def power_norm(T: Operator, n: int, s: SpaceSpec | None = None) -> float:
+    """Operator norm of T^n on s (l^2 by default), from the kind's
+    `power_norm`: exact l^p closed forms for shifts and diagonals, the
+    largest singular value of A^n for dense blocks."""
+    if n < 1:
+        raise ValidationError(f"power norm needs n >= 1, got {n}")
+    return T.power_norm(n, Lp(2.0) if s is None else s)
+
+
+@dataclass(frozen=True)
+class SpectralRadiusCertificate:
+    """inf_n |T^n|^{1/n} certificate: an upper bound on r(T)."""
+
+    upper_bound: float
+    closed_form: float | None
+    sequence: tuple[float, ...]  # |T^n|^{1/n} for n = 1..n_max
+
+    @property
+    def value(self) -> float:
+        return self.closed_form if self.closed_form is not None else self.upper_bound
+
+
+def spectral_radius(T: Operator, n_max: int = 64) -> SpectralRadiusCertificate:
+    if n_max < 8:
+        raise ValidationError(f"spectral radius certificate needs n_max >= 8, got {n_max}")
+    seq = tuple(power_norm(T, n) ** (1.0 / n) for n in range(1, n_max + 1))
+    return SpectralRadiusCertificate(upper_bound=min(seq), closed_form=T.radius(), sequence=seq)
+
+
 def spectrum(T: Operator) -> SpectralData | SpectrumDisc:
     """Eigenvalue data for list-like kinds, a disc description for
     constant-weight shifts."""
-    if isinstance(T, Diagonal):
-        return _diagonal_spectrum(T.eigenvalues)
-    if isinstance(T, DenseMatrix):
-        return _dense_spectrum(T.entries)
-    if isinstance(T, (BackwardShift, ForwardShift)):
-        radius = closed_form_spectral_radius(T)
-        if radius is None:
-            raise UnsupportedOperatorError(
-                "spectrum of a non-constant-weight shift has no closed form here"
-            )
-        return SpectrumDisc(radius=radius)
-    if isinstance(T, Scaled):
-        a = complex(T.alpha)
-        return _mapped_spectrum(spectrum(T.inner), lambda v: a * v, lambda r: abs(a) * r)
-    if isinstance(T, OperatorPower):
-        return _mapped_spectrum(spectrum(T.base), lambda v: v**T.m, lambda r: r**T.m)
-    if isinstance(T, DirectSum):
-        parts = [spectrum(p) for p in T.parts]
-        if any(isinstance(p, SpectrumDisc) for p in parts):
-            raise UnsupportedOperatorError("direct sums with shift parts have no list spectrum")
-        eigs: list[tuple[complex, int]] = []
-        for p in parts:
-            eigs.extend(p.eigenvalues)
-        return SpectralData(
-            eigenvalues=tuple(eigs),
-            provenance="numeric" if any(p.provenance == "numeric" for p in parts) else "closed_form",
-            spectral_radius=max(p.spectral_radius for p in parts),
-            includes_zero=any(p.includes_zero for p in parts),
-            tail_sup=max(p.tail_sup for p in parts),
-        )
-    raise ValidationError(f"unknown operator kind {type(T).__name__}")
+    return T.spectrum()
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +597,7 @@ def contraction_power(T: Operator, n_max: int = 64) -> ContractionReport:
         if pn < 1.0:
             return ContractionReport(n=n, norms=tuple(norms))
     hint = None
-    r = closed_form_spectral_radius(T)
+    r = T.radius()
     if r is not None and r < 1.0:
         hint = (
             f"spectral radius {r:.6g} < 1 guarantees a contracting power; increase n_max"
@@ -647,7 +663,7 @@ def riesz_split(A: DenseMatrix, circle_tol: float = 1e-6) -> Splitting:
     """Split along the unit circle; eigenvalues must either keep a
     `circle_tol` margin from modulus 1 or sit within circle_tol/2 of it
     (declared center)."""
-    sd = _dense_spectrum(A.entries)
+    sd = A.spectrum()
     d = A.entries.shape[0]
     classes: dict[str, list[tuple[complex, int]]] = {"u": [], "c": [], "s": []}
     for lam, mult in sd.eigenvalues:
@@ -692,7 +708,7 @@ def riesz_split(A: DenseMatrix, circle_tol: float = 1e-6) -> Splitting:
         size = blocks[k].shape[0]
         full_block[at : at + size, at : at + size] = blocks[k]
         at += size
-    residual = float(np.linalg.norm(conj - full_block, 2)) if d else 0.0
+    residual = float(np.linalg.norm(conj - full_block, 2))
     if residual >= SPLIT_RESIDUAL_TOL:
         raise ConvergenceError(
             f"block-diagonalisation residual {residual:.3e} exceeds {SPLIT_RESIDUAL_TOL:.0e}"

@@ -7,6 +7,7 @@ the harmonic-type decay 1/(n+1).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -15,15 +16,27 @@ import numpy as np
 from .errors import AdmissibilityError, ValidationError
 
 
+def check_finite(what: str, *values: complex) -> None:
+    """Refuse NaN and infinite scalar parameters."""
+    if not all(cmath.isfinite(complex(v)) for v in values):
+        raise ValidationError(f"{what} must be finite, got {values!r}")
+
+
 @dataclass(frozen=True)
 class ConstRule:
     value: complex
+
+    def __post_init__(self):
+        check_finite("constant rule value", self.value)
 
 
 @dataclass(frozen=True)
 class GeometricRule:
     ratio: complex
     first: complex | None = None  # defaults to ratio, giving x_n = ratio**n
+
+    def __post_init__(self):
+        check_finite("geometric rule ratio and first term", self.ratio, self.start)
 
     @property
     def start(self) -> complex:
@@ -42,6 +55,7 @@ class ExplicitRule:
     def __post_init__(self):
         if not self.values:
             raise ValidationError("explicit rule needs at least one value")
+        check_finite("explicit rule values", *self.values)
 
 
 Rule = ConstRule | GeometricRule | HarmonicRule | ExplicitRule
@@ -104,21 +118,17 @@ def sup_abs(rule: Rule) -> float:
         return math.inf
     if isinstance(rule, HarmonicRule):
         return 0.5
-    return max(abs(v) for v in rule.values)
+    return max(abs(complex(v)) for v in rule.values)
 
 
 def check_nonvanishing(rule: Rule) -> None:
-    """Weight sequences must have no zero entry (decided exactly for every
-    rule kind)."""
-    if isinstance(rule, ExplicitRule):
-        if any(v == 0 for v in rule.values):
-            raise ValidationError("weight sequence contains a zero")
-        return
-    if isinstance(rule, ConstRule) and rule.value == 0:
-        raise ValidationError("constant weight zero")
-    if isinstance(rule, GeometricRule) and (rule.start == 0 or rule.ratio == 0):
-        raise ValidationError("geometric weight rule vanishes")
-    # harmonic never vanishes
+    """Weight sequences must have no zero entry, decided exactly: a geometric
+    rule vanishes iff its first term or ratio is 0, a list iff some value is,
+    and constant and harmonic rules iff their first term is."""
+    geometric = isinstance(rule, GeometricRule)
+    terms = (rule.start, rule.ratio) if geometric else values(rule, explicit_length(rule) or 1)
+    if any(t == 0 for t in terms):
+        raise ValidationError("weight sequence contains a zero")
 
 
 @dataclass(frozen=True)

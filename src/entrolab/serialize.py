@@ -1,7 +1,8 @@
 """JSON schemas for vectors, spaces, operators, rules and schedules.
 
 Complex scalars travel as [re, im] pairs; plain numbers are accepted on
-input wherever a real value is meant.  Operator kinds:
+input wherever a real value is meant.  Operator kinds, by JSON name (the
+table `_KINDS`), with their dataclass fields as JSON fields:
 
     {"kind": "backward_shift", "weights": {"rule": "const", "value": 2}}
     {"kind": "forward_shift",  "weights": {...}}
@@ -19,6 +20,7 @@ Schedules: {"gap": N, "segments": [{"a": 0, "b": 1, "y": [[1,0],[1,0]]}]}.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -133,62 +135,51 @@ def rule_from_json(obj) -> rl.Rule:
     if name == "harmonic":
         return rl.HarmonicRule()
     if name == "explicit":
-        vals = obj.get("values", [])
+        vals = container_from_json(obj.get("values", []), "explicit rule values")
         return rl.ExplicitRule(tuple(complex_from_json(v) for v in vals))
     raise ValidationError(f"unknown rule {name!r}")
 
 
+_KINDS = {
+    kind.kind: kind
+    for kind in (op.BackwardShift, op.ForwardShift, op.Diagonal, op.DenseMatrix,
+                 op.Scaled, op.DirectSum, op.OperatorPower)
+}
+
+
 def operator_to_json(T: op.Operator) -> dict:
-    if isinstance(T, op.BackwardShift):
-        return {"kind": "backward_shift", "weights": rule_to_json(T.weights)}
-    if isinstance(T, op.ForwardShift):
-        return {"kind": "forward_shift", "weights": rule_to_json(T.weights)}
-    if isinstance(T, op.Diagonal):
-        return {"kind": "diagonal", "eigenvalues": rule_to_json(T.eigenvalues)}
-    if isinstance(T, op.DenseMatrix):
-        return {
-            "kind": "dense",
-            "entries": [[_scalar(v) for v in row] for row in T.entries],
-        }
-    if isinstance(T, op.Scaled):
-        return {
-            "kind": "scaled",
-            "alpha": complex_to_json(T.alpha),
-            "inner": operator_to_json(T.inner),
-        }
-    if isinstance(T, op.DirectSum):
-        return {"kind": "direct_sum", "parts": [operator_to_json(p) for p in T.parts]}
-    if isinstance(T, op.OperatorPower):
-        return {"kind": "power", "base": operator_to_json(T.base), "m": T.m}
-    raise ValidationError(f"unknown operator kind {type(T).__name__}")
+    fields = dataclasses.fields(T)
+    return {"kind": T.kind, **{f.name: _FIELDS[f.name][0](getattr(T, f.name)) for f in fields}}
 
 
 def operator_from_json(obj) -> op.Operator:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError(f"operator spec needs a 'kind' field: {obj!r}")
-    kind = obj["kind"]
-    if kind == "backward_shift":
-        return op.BackwardShift(rule_from_json(_field(obj, "weights")))
-    if kind == "forward_shift":
-        return op.ForwardShift(rule_from_json(_field(obj, "weights")))
-    if kind == "diagonal":
-        return op.Diagonal(rule_from_json(_field(obj, "eigenvalues")))
-    if kind == "dense":
-        entries = obj.get("entries")
-        if not entries:
-            raise ValidationError("dense operator needs an 'entries' matrix")
-        mat = [[complex_from_json(v) for v in row] for row in entries]
-        return op.DenseMatrix(np.array(mat))
-    if kind == "scaled":
-        return op.Scaled(
-            complex_from_json(_field(obj, "alpha")), operator_from_json(_field(obj, "inner"))
-        )
-    if kind == "direct_sum":
-        return op.DirectSum(tuple(operator_from_json(p) for p in obj.get("parts", [])))
-    if kind == "power":
-        m = number_from_json(_field(obj, "m"), "m", int)
-        return op.OperatorPower(operator_from_json(_field(obj, "base")), m)
-    raise ValidationError(f"unknown operator kind {kind!r}")
+    kind = _KINDS.get(obj["kind"]) if isinstance(obj["kind"], str) else None
+    if kind is None:
+        raise ValidationError(f"unknown operator kind {obj['kind']!r}")
+    return kind(*(_FIELDS[f.name][1](_field(obj, f.name)) for f in dataclasses.fields(kind)))
+
+
+def _matrix_from_json(obj) -> list[list[complex]]:
+    rows = container_from_json(obj, "dense entries")
+    return [[complex_from_json(v) for v in container_from_json(row, "dense row")] for row in rows]
+
+
+# each operator field's codec, by field name: (to_json, from_json)
+_FIELDS = {
+    "weights": (rule_to_json, rule_from_json),
+    "eigenvalues": (rule_to_json, rule_from_json),
+    "entries": (lambda a: [[_scalar(v) for v in row] for row in a], _matrix_from_json),
+    "alpha": (complex_to_json, complex_from_json),
+    "inner": (operator_to_json, operator_from_json),
+    "base": (operator_to_json, operator_from_json),
+    "parts": (
+        lambda parts: [operator_to_json(p) for p in parts],
+        lambda obj: tuple(operator_from_json(p) for p in container_from_json(obj, "direct-sum parts")),
+    ),
+    "m": (int, lambda obj: number_from_json(obj, "m", int)),
+}
 
 
 def operator_id(T: op.Operator) -> str:

@@ -40,11 +40,11 @@ from .errors import SampleSizeError, ScheduleError, ValidationError
 from .operators import (
     BackwardShift,
     DenseMatrix,
+    ForwardShift,
     Operator,
     OperatorPower,
     _nullspace,
     batch_apply,
-    forward_shift_block,
     orbit_block,
     require_finite,
 )
@@ -140,12 +140,13 @@ def _periodize(B: BackwardShift, z: np.ndarray, period: int) -> np.ndarray:
     one that leaves the range is refused by `require_finite`."""
     xi = z.copy()
     image = z.copy()
+    F = ForwardShift(B.weights)
     reps = z.shape[-1] // period + 1
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(reps):
             for _ in range(period):
                 image[:, -1] = 0.0  # truncation headroom: top coordinate falls away
-                image = forward_shift_block(B.weights, image)
+                image = F.image(image)
             if not np.any(image):
                 break
             xi = xi + image

@@ -249,6 +249,18 @@ def test_spectral_entropy_refuses_disc_spectrum(tmp_path, operator):
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+@pytest.mark.parametrize("operator", [
+    # Infinity was reported as h_top = inf with tail_certified true, NaN as
+    # h_top = log 2 with a NaN spectral radius, both with exit 0
+    {"kind": "diagonal", "eigenvalues": {"rule": "explicit", "values": [math.inf, 2]}},
+    {"kind": "diagonal", "eigenvalues": {"rule": "explicit", "values": [math.nan, 2]}},
+    {"kind": "scaled", "alpha": math.nan,
+     "inner": {"kind": "diagonal", "eigenvalues": {"rule": "explicit", "values": [2]}}},
+])
+def test_non_finite_operator_parameter_exit_code(tmp_path, operator):
+    assert run_cli(tmp_path, "spectral-entropy", {"operator": operator})[::2] == (2, None)
+
+
 @pytest.mark.parametrize("resolution", [math.inf, 0.0])
 def test_sample_resolution_exit_code(tmp_path, resolution):
     # an infinite resolution would be written as the non-JSON token Infinity

@@ -38,6 +38,7 @@ from entrolab.operators import (
 )
 from entrolab.rules import ConstRule, ExplicitRule, GeometricRule, values
 from entrolab.spaces import Lp, basis_vector, vector
+from entrolab.serialize import operator_id
 
 B2 = BackwardShift(ConstRule(2))
 F2 = ForwardShift(ConstRule(2))
@@ -486,3 +487,77 @@ def test_bad_small_eigenpair_refused(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", lambda a: wrong)
     with pytest.raises(ConvergenceError, match="eigenpair residual"):
         spectrum(DenseMatrix(np.diag([2.0, 3.0])))
+
+
+# ---------------------------------------------------------------- one table of kinds
+
+# operator, finite_dim, power_norm(T, 2), closed-form radius, spectrum (a disc
+# radius or the eigenvalues), operator_id; every kind appears, some nested
+KIND_TABLE = [
+    (BackwardShift(ConstRule(2.0)), None, 4.0, 2.0, 2.0,
+     '{"kind":"backward_shift","weights":{"rule":"const","value":2.0}}'),
+    (ForwardShift(ConstRule(0.5)), None, 4.0, 2.0, 2.0,
+     '{"kind":"forward_shift","weights":{"rule":"const","value":0.5}}'),
+    (Scaled(1.5, Diagonal(ExplicitRule((2.0, 0.5)))), 2, 9.0, 3.0, [3.0, 0.75],
+     '{"alpha":[1.5,0.0],"inner":{"eigenvalues":{"rule":"explicit","values":[2.0,0.5]},'
+     '"kind":"diagonal"},"kind":"scaled"}'),
+    (DirectSum((Diagonal(ExplicitRule((2.0,))), DenseMatrix([[0, 3], [1, 0]]))), 3, 4.0, 2.0,
+     [2.0, -math.sqrt(3), math.sqrt(3)],
+     '{"kind":"direct_sum","parts":[{"eigenvalues":{"rule":"explicit","values":[2.0]},'
+     '"kind":"diagonal"},{"entries":[[0.0,3.0],[1.0,0.0]],"kind":"dense"}]}'),
+    (OperatorPower(BackwardShift(ConstRule(2.0)), 3), None, 64.0, 8.0, 8.0,
+     '{"base":{"kind":"backward_shift","weights":{"rule":"const","value":2.0}},"kind":"power","m":3}'),
+]
+
+
+@pytest.mark.parametrize("T, dim, norm2, radius, spec, op_id", KIND_TABLE,
+                         ids=[row[0].kind for row in KIND_TABLE])
+def test_kind_table(T, dim, norm2, radius, spec, op_id):
+    assert T.finite_dim() == dim
+    assert power_norm(T, 2) == norm2
+    assert T.radius() == radius
+    assert spectral_radius(T).closed_form == radius
+    sd = spectrum(T)
+    if isinstance(spec, float):
+        assert sd == SpectrumDisc(radius=spec)
+    else:
+        assert [v for v, mult in sd.eigenvalues if mult == 1] == pytest.approx(spec, rel=1e-14)
+        assert sd.spectral_radius == radius and not sd.includes_zero and sd.tail_sup == 0.0
+    assert operator_id(T) == op_id
+
+
+def test_direct_sum_applies_each_part_on_its_coordinates():
+    rng = np.random.default_rng(5)
+    parts = (Diagonal(ExplicitRule((2.0,))), rotation_matrix(0.5), Diagonal(ExplicitRule((5.0, -1.0))))
+    block = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+    pieces = (block[:, :1], block[:, 1:3], block[:, 3:])
+    want = np.concatenate([p.apply_block(b) for p, b in zip(parts, pieces)], axis=1)
+    assert np.array_equal(DirectSum(parts).apply_block(block), want)
+    assert np.array_equal(DirectSum(parts[1:2]).apply_block(block[:, 1:3]), want[:, 1:3])
+
+
+def test_constructors_refuse_what_the_methods_disagree_on():
+    D = Diagonal(ExplicitRule((2.0,)))
+    # a fractional power would get 2^2.5 from power_norm and spectrum while
+    # apply had no such action; a boolean is not read as 1
+    for m in (2.5, True, 0, math.nan):
+        with pytest.raises(ValidationError, match="integer m"):
+            OperatorPower(D, m)
+    assert OperatorPower(D, np.int64(3)).m == 3
+    # a 0x0 matrix has no spectral radius, and a ragged one is not a matrix
+    for entries in (np.zeros((0, 0)), [[1, 2], [3]], [[]]):
+        with pytest.raises(ValidationError, match="square matrix"):
+            DenseMatrix(entries)
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: ConstRule(x),
+    lambda x: GeometricRule(x),
+    lambda x: GeometricRule(0.5, first=x),
+    lambda x: ExplicitRule((2.0, x)),
+    lambda x: Scaled(x, Diagonal(ExplicitRule((2.0,)))),
+])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)])
+def test_non_finite_parameters_refused(make, x):
+    with pytest.raises(ValidationError, match="must be finite"):
+        make(x)

@@ -113,6 +113,31 @@ def test_operator_bad_kind():
         operator_from_json({"weights": {}})
 
 
+DIAG2 = {"kind": "diagonal", "eigenvalues": {"rule": "explicit", "values": [2]}}
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "dense", "entries": 5},
+    {"kind": "dense", "entries": [1, 2]},
+    {"kind": "dense", "entries": [[1, 2], [3]]},
+    {"kind": "direct_sum", "parts": 5},
+    {"kind": "diagonal", "eigenvalues": {"rule": "explicit", "values": 5}},
+])
+def test_operator_malformed_containers(obj):
+    # each used to end in a TypeError or ValueError traceback (exit 1)
+    with pytest.raises(ValidationError):
+        operator_from_json(obj)
+    with pytest.raises(ValidationError):
+        operator_from_json({"kind": "direct_sum", "parts": [DIAG2, obj]})
+
+
+def test_operator_unknown_kind_value():
+    # a kind that is not a string is an unknown kind, not a TypeError
+    for kind in (["dense"], None, 3):
+        with pytest.raises(ValidationError, match="unknown operator kind"):
+            operator_from_json({"kind": kind})
+
+
 def test_schedule_schema():
     obj = {"gap": 4, "segments": [{"a": 0, "b": 1, "y": [[1, 0], [1, 0]]}]}
     sched = schedule_from_json(obj)
