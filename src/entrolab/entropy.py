@@ -30,25 +30,30 @@ every exact table) skips hashing: one running maximum over all pairs gives
 each (n, eps) cell a neighbour bitmask per row (`_conflict_graphs`), swept
 greedily (`_greedy_sweep`) or searched for a maximum set
 (`_max_independent_set`).  A larger greedy table is one carried pass
-(`_carried_pairs`), one loop over blocks of candidate rows: each block's
-pairs get their Bowen distances at the smallest n, and those within
-max(eps) are carried locally through every later n, extending their
-running maximum slice by slice and dropping the pairs that leave max(eps).
-Each pair records a hit bit per (n, eps) cell, and each row is swept once
-across every cell (`_carried_marks`), keeping exactly the rows a greedy
-scan of each cell keeps.  The sweep's marks steer the pass: a row's reach
-is the largest eps of a column where it is still unmarked at some n, read
-once every earlier block is swept; a row of reach 0 gets no candidates,
-and at the smallest n a pair is kept only within its first row's reach.
-So a table whose pairs neither prune nor drop (an isometry with one large
-eps) costs the pairs of the rows that stay live, not every pair: the 0.7
-rad rotation of a 64x64 grid (n 1-12, eps 0.5) takes 0.09 s, against
-2.5 s for the witness scan that once served such tables (BENCH_19.json).
-`near_pairs` is the same pass at one n, with every row reaching r.
-Maxima and ands over a short axis of many rows are elementwise folds
-(`spaces.fold`); with the folds and the single sweep per row, the
-`shift-cube` benchmark pass fell from 0.41 to 0.22 s and c1's four tables
-from 2.6 to 1.5 s (BENCH_18.json).
+(`_carried_pairs`), one loop over blocks of candidate rows: each row gets
+only its candidates j > i, as runs of its neighbouring cells' rows, each
+block's pairs get their Bowen distances at the smallest n (one slice,
+gathered with `take`), and those within max(eps) are carried locally
+through every later n, extending their running maximum slice by slice and
+dropping the pairs that leave max(eps).  Each pair records a hit bit per
+(n, eps) cell, and each row is swept once across every cell
+(`_carried_marks`), keeping exactly the rows a greedy scan of each cell
+keeps.  The sweep's marks steer the pass, read once every earlier block
+is swept.  A row's reach is the largest eps of a column where it is still
+unmarked at some n; a row of reach 0 gets no candidates, and at the
+smallest n a pair is kept only within its first row's reach.  So a table
+whose pairs neither prune nor drop (an isometry with one large eps) costs
+the pairs of the rows that stay live, not every pair: the 0.7 rad rotation
+of a 64x64 grid (n 1-12, eps 0.5) takes 0.09 s, against 2.5 s for the
+witness scan that once served such tables (BENCH_19.json).  A row already
+marked in every cell at the smallest n enters at the second n, with its
+candidates from the key plan there, which is tighter where the points lie
+closest at the first n: c3's N=3, depth-8 cube evaluates 2.6 M pairs
+instead of 7.2 M (BENCH_22.json).  `near_pairs` is the same pass at one n,
+with every row reaching r.  Maxima and ands over a short axis of many rows
+are elementwise folds (`spaces.fold`); with the folds and the single sweep
+per row, the `shift-cube` benchmark pass fell from 0.41 to 0.22 s and c1's
+four tables from 2.6 to 1.5 s (BENCH_18.json).
 `_kept_rows` chooses the path of every count from the table's size.
 
 Spectral side: sum of multiplicity * log|lambda| over eigenvalues of
@@ -173,7 +178,14 @@ def _sample_orbits(T: Operator, K: CompactSample, steps: int) -> np.ndarray:
 def bowen_distances(
     orbits: np.ndarray, I: np.ndarray, J: np.ndarray, n: int, s: SpaceSpec
 ) -> np.ndarray:
-    """Bowen distances max_{t<n} d(x_i(t), x_j(t)) of the row pairs (I, J)."""
+    """Bowen distances max_{t<n} d(x_i(t), x_j(t)) of the row pairs (I, J).
+
+    A single slice (n = 1) is gathered with `take`, 1.6-5x faster than fancy
+    indexing (8,192 pairs of the N=3, depth-7 cube's orbits: 0.16 against
+    0.43 ms); from n = 2 on `take` is no faster, and fancy indexing stays."""
+    if n == 1:
+        first = orbits[:, 0]
+        return norm_block(first.take(I, axis=0) - first.take(J, axis=0), s)
     return fold(np.maximum, norm_block(orbits[I, :n] - orbits[J, :n], s))
 
 
@@ -313,38 +325,85 @@ def _plan_keys(orbits: np.ndarray, n: int, r: float, s: SpaceSpec):
     return (cells[:, plan], filters), fewest
 
 
-def _candidate_blocks(cells: np.ndarray, reach, size: int):
-    """Candidate pairs (I, J), i < j, in blocks of consecutive rows i, with
-    the radius R of each pair's row i.  A block's rows have at most `size`
-    candidates (counted with the j <= i of their cells), or it is one row
-    with more.  reach(row, stop) gives the radii of the rows row..stop - 1,
-    read as their block is taken, so the marks of every block swept before
-    steer it (see `_carried_marks`); a row of radius 0 gets no candidates."""
+def _candidate_index(cells: np.ndarray):
+    """Each row i's candidates j > i under one plan's hashed cells, as runs
+    (start, length) into `order` (shapes (count, runs)), and the row's size:
+    its candidates counted with the j <= i of its cells (all pairs: j > i).
+
+    Codes are sorted stably, so the rows of one code are in index order:
+    each neighbouring code is one run, started after row i by a search on
+    (code rank, row).  A row's candidates are the j > i of its neighbour
+    ranges, in the same order, without building the j <= i."""
     count = cells.shape[0]
     if cells.shape[1] == 0:
         order = np.arange(count)
-        lo, hi = order[:, None] + 1, np.full((count, 1), count)
-    else:
-        codes, offsets = _codes(cells)
-        order = np.argsort(codes, kind="stable")
-        sc = codes[order]
-        lo = np.stack([np.searchsorted(sc, codes + o - 1, "left") for o in offsets], axis=1)
-        hi = np.stack([np.searchsorted(sc, codes + o + 1, "right") for o in offsets], axis=1)
-    lens = hi - lo
-    ends = np.cumsum(lens.sum(axis=1))
+        start = order[:, np.newaxis] + 1
+        return order, start, count - start, count - start[:, 0]
+    codes, offsets = _codes(cells)
+    order = np.argsort(codes, kind="stable")
+    sc = codes[order]
+    rank = np.concatenate(([0], np.cumsum(sc[1:] != sc[:-1])))
+    key, rows = rank * count + order, np.arange(count)[:, np.newaxis]  # key is sorted
+    start = np.empty((count, 3 * len(offsets)), dtype=np.int32)
+    lens, sizes = np.empty_like(start), 0
+    for k, o in enumerate(offsets):  # the runs of the codes o - 1, o and o + 1 away
+        edges = np.searchsorted(sc, codes[:, np.newaxis] + np.arange(o - 1, o + 3))
+        lo, hi = edges[:, :-1], edges[:, 1:]
+        begin = np.clip(np.searchsorted(key, rank[np.minimum(lo, count - 1)] * count + rows, "right"), lo, hi)
+        start[:, 3 * k : 3 * k + 3], lens[:, 3 * k : 3 * k + 3] = begin, hi - begin
+        sizes = sizes + edges[:, -1] - edges[:, 0]
+    return order, start, lens, sizes
+
+
+def _candidate_blocks(cells, reach, size: int):
+    """Candidate pairs (I, J), i < j, in blocks of consecutive rows i, with
+    the radius R of each pair's row i and the level E (0 or 1) at which
+    that row enters the pass.
+
+    reach(row, stop) gives the radii and entry levels of the rows
+    row..stop - 1, read as their block is taken, so the marks of every
+    block swept before steer it (see `_carried_marks`): a row of radius 0
+    gets no candidates, and a row entering at level k gets its j > i under
+    the plan whose hashed cells are cells(k) (`_candidate_index`), asked
+    for once, when a row first enters there.  A block's rows have at most
+    `size` candidates, each row counted by its size under the plan it
+    takes, or it is one row with more.  The window of rows read for a block
+    is sized by each row's smallest size under the plans asked for so far,
+    and cut where the sizes the rows take pass `size`: sized by the level-0
+    plan alone, blocks of rows entering at level 1 would hold a fraction of
+    `size`."""
+    order, start, lens, sizes = _candidate_index(cells(0))
+    count = order.size
+    start, lens, sizes = start[np.newaxis], lens[np.newaxis], sizes[np.newaxis]  # plan k's runs at [k]
+    ends = np.cumsum(sizes[0])
     row = 0
     while row < count:
         done = int(ends[row - 1]) if row else 0
         stop = max(row + 1, int(np.searchsorted(ends, done + size, "right")))
-        radii = reach(row, stop)
-        live = lens[row:stop] * (radii > 0)[:, np.newaxis]
+        radii, entry = reach(row, stop)
+        if entry.any() and sizes.shape[0] == 1:  # a first row enters at level 1: read the window again
+            more = _candidate_index(cells(1))
+            runs = max(start.shape[-1], more[1].shape[-1])
+
+            def pad(x):
+                return np.pad(x, ((0, 0), (0, runs - x.shape[-1])))
+
+            order = np.concatenate((order, more[0]))  # plan 1's starts index the second half
+            start = np.stack((pad(start[0]), pad(more[1] + count)))
+            lens = np.stack((pad(lens[0]), pad(more[2])))
+            sizes = np.stack((sizes[0], more[3]))
+            ends = np.cumsum(sizes.min(axis=0))
+            continue
+        rows = np.arange(row, stop)
+        taken = np.cumsum(sizes[entry, rows])
+        stop = row + max(1, int(np.searchsorted(taken, size, "right")))
+        rows, radii, entry = rows[: stop - row], radii[: stop - row], entry[: stop - row]
+        live = lens[entry, rows] * (radii > 0)[:, np.newaxis]
         span = live.ravel()
         tails = np.cumsum(span)
-        J = order[np.arange(int(tails[-1])) - np.repeat(tails - span - lo[row:stop].ravel(), span)]
-        I = np.repeat(np.arange(row, stop), live.sum(axis=1))
-        pick = J > I
-        I, J = I[pick], J[pick]
-        yield I, J, radii[I - row]
+        J = order[np.arange(int(tails[-1])) - np.repeat(tails - span - start[entry, rows].ravel(), span)]
+        per_row = live.sum(axis=1)
+        yield np.repeat(rows, per_row), J, np.repeat(radii, per_row), np.repeat(entry, per_row)
         row = stop
 
 
@@ -372,37 +431,54 @@ def near_pairs(orbits: np.ndarray, n: int, r: float, s: SpaceSpec):
 
 
 def _carried_pairs(orbits: np.ndarray, n_values, r: float, s: SpaceSpec, plan, reach=None):
-    """The pairs within r at n_values[0] (within reach(i) <= r when a reach
-    is given, see `_candidate_blocks`) as blocks (I, J, levels), I
-    nondecreasing over the whole stream; levels[k] = (at, D) holds the
-    block positions of the pairs within r at n_values[k - 1] (all for
-    k = 0) and their Bowen distances over t < n_values[k], until none is
-    left.  One loop over blocks of 2 fill candidates counted both ways,
-    fill = min(2 PAIR_BLOCK, BLOCK_ELEMS / dim): each block is filtered
-    (`_neighbours`), its distances at n_values[0] are taken BLOCK_ELEMS
-    coordinates at a time, and its pairs within reach are carried through
-    every later n, fill at a time (a row with more straddles blocks): the
-    running maximum of the pairs still within r is extended one time slice
-    at a time (all slices in between when `n_values` skips some), and pairs
-    beyond r drop, as Bowen distances only grow with n.  `norm_block` works
-    row by row and max is exact, so D is `bowen_distances` bit for bit.
-    The next block's reach is read once the consumer has taken every block
-    before it.
+    """The candidate pairs within r at n_values[0] (within reach(i) <= r
+    when a reach is given, see `_candidate_blocks`) as blocks (I, J,
+    levels), I nondecreasing over the whole stream; levels[k] = (at, D)
+    holds the block positions of the pairs within r at n_values[k - 1] (all
+    for k = 0) and their Bowen distances over t < n_values[k], until none
+    is left.  A row entering at level 0 (every row, without a reach) takes
+    its candidates from `plan`, the key plan at n_values[0], so its pairs
+    are every pair within r there; a row entering at level 1 takes them
+    from the plan at n_values[1] (`_plan_keys` with r), built the first
+    time a row enters there, which holds every pair within r over
+    t < n_values[1] but may miss pairs within r only at n_values[0].
+    Either way the pairs take their distances at n_values[0] (usually 1: a
+    single slice, which `bowen_distances` gathers fastest) and are carried
+    alike.
+
+    One loop over blocks of 2 fill candidates counted both ways, fill =
+    min(2 PAIR_BLOCK, BLOCK_ELEMS / dim): each block is filtered by the
+    filter keys of its rows' plans (`_neighbours`), its distances at
+    n_values[0] are taken BLOCK_ELEMS coordinates at a time, and its pairs
+    within reach are carried through every later n, fill at a time (a row
+    with more straddles blocks): the running maximum of the pairs still
+    within r is extended one time slice at a time (all slices in between
+    when `n_values` skips some), and pairs beyond r drop, as Bowen
+    distances only grow with n.  `norm_block` works row by row and max is
+    exact, so D is `bowen_distances` bit for bit.  The next block's reach
+    is read once the consumer has taken every block before it.
     """
-    hashed, filters = plan
     _, steps, dim = orbits.shape
     rows = orbits.reshape(-1, dim)  # row i * steps + t is orbits[i, t]; take() gathers 1.2-4x faster
     fill = max(1, min(2 * PAIR_BLOCK, BLOCK_ELEMS // dim))
     step = max(1, BLOCK_ELEMS // (n_values[0] * dim))
+    plans = [plan]
+
+    def cells(k):  # the hashed cells of the plan at n_values[k], built on first use
+        if k == len(plans):
+            plans.append(_plan_keys(orbits, n_values[k], r, s)[0])
+        return plans[k][0]
+
     if reach is None:
 
-        def reach(row, stop):  # every row reaches r
-            return np.full(stop - row, r)
+        def reach(row, stop):  # every row reaches r and enters at level 0
+            return np.full(stop - row, r), np.zeros(stop - row, dtype=np.intp)
 
-    for I, J, R in _candidate_blocks(hashed, reach, 2 * fill):
-        if filters.shape[1]:
-            near = _neighbours(filters, I, J)
-            I, J, R = I[near], J[near], R[near]
+    for I, J, R, E in _candidate_blocks(cells, reach, 2 * fill):
+        for k, (_, filters) in enumerate(plans):
+            if filters.shape[1]:
+                near = (E != k) | _neighbours(filters, I, J)
+                I, J, R, E = I[near], J[near], R[near], E[near]
         D = np.empty(I.size)
         for a in range(0, I.size, step):
             D[a : a + step] = bowen_distances(orbits, I[a : a + step], J[a : a + step], n_values[0], s)
@@ -453,30 +529,60 @@ def _carried_marks(orbits: np.ndarray, n_values, eps: np.ndarray, s: SpaceSpec, 
     (1.0, 0.1) 0.4-0.8 s instead of 2.5-5.4 s, and the identity on an
     800-point line (n 1, 2, eps 10) evaluates 15,790 pairs instead of all
     319,600 (BENCH_19.json).
+
+    The marks also choose where each row enters the pass.  A row of nonzero
+    reach marked in every column at n_values[0] when its block is read
+    enters at n_values[1]: its candidates come from the key plan there,
+    built the first time a row enters, which holds every pair within
+    max(eps) over t < n_values[1].  This drops no mark either: marks only
+    accumulate, so the row stays excluded from every cell at n_values[0]
+    and marks nothing there, and every pair that can hit a later cell is a
+    candidate.  Where the points lie closest at n_values[0] the later plan
+    is much tighter.  On the N=3, depth-7 cube (n 1-8, eps 0.4, 0.2, 0.1)
+    its plan predicts 264,627 candidates against 796,068, 1,502 of the
+    2,187 rows enter at n = 2, and the pairs evaluated fall from 796,068 to
+    433,512 (c3's depth-8 cube: 7,171,173 to 2,590,866; BENCH_22.json).  A
+    table where every row stays live at n_values[0], such as 1.5 R(1) with
+    eps down to 2^-7, builds one plan and takes the same path as before.
+    Entry stops at n_values[1]: each further plan costs a `_plan_keys` call
+    (3-6 ms on that cube, more at later n), and the cube's plans at n = 3
+    and 4 predict no fewer candidates than at n = 2.  With one word of
+    marks per row (at most 64 cells) the sweep runs on 1-D arrays.
     """
     count, K, E = orbits.shape[0], len(n_values), eps.size
     words, order = -(-K * E // 64), np.sort(eps)
     # cell (k, j) is bit k * E + j of a row's words; a distance above q of the
-    # eps hits (k, j) when q <= (eps below eps[j]): hit[q], padded to level k's words
+    # eps hits (k, j) when q <= (eps below eps[j]): hit[q], padded to level k's
+    # words and kept word by word
     hit = np.arange(E + 1)[:, np.newaxis] <= np.searchsorted(order, eps)
     spans = [(k * E // 64, np.pad(hit, ((0, 0), (k * E % 64, -(k + 1) * E % 64)))) for k in range(K)]
-    spans = [(w, np.packbits(bits, axis=-1, bitorder="little").view("<u8")) for w, bits in spans]
+    spans = [(w, np.packbits(bits, axis=-1, bitorder="little").view("<u8").T.copy()) for w, bits in spans]
     bit = np.arange(64 * words)
     columns = (bit % E == np.arange(E)[:, np.newaxis]) & (bit < K * E)  # column j's bits at every n
     columns = np.packbits(columns, axis=-1, bitorder="little").view("<u8")
+    first = np.packbits(bit < E, bitorder="little").view("<u8")  # every column at n_values[0]
     marked = np.zeros((count, words), dtype="<u8")
 
-    def reach(row, stop):  # the largest eps of a column where the row is unmarked at some n
+    def reach(row, stop):
+        """Each row's largest eps of a column where it is unmarked at some n,
+        and its entry level: 1 for a row of nonzero reach marked in every
+        column at n_values[0], else 0."""
         live = (~marked[row:stop, np.newaxis] & columns).any(axis=-1)
-        return np.where(live, eps, 0.0).max(axis=-1)
+        radii = np.where(live, eps, 0.0).max(axis=-1)
+        late = (radii > 0) & ~(~marked[row:stop] & first).any(axis=-1)
+        return radii, late.astype(np.intp)
 
     for I, J, levels in _carried_pairs(orbits, n_values, float(eps.max()), s, plan, reach):
         hits = np.zeros((I.size, words), dtype="<u8")
         for (w, bits), (at, D) in zip(spans, levels):
-            hits[at, w : w + bits.shape[1]] |= bits[np.searchsorted(order, D)]
+            q = np.searchsorted(order, D)
+            for c, word in enumerate(bits, w):  # word c of level k's bits, by distance rank q
+                hits[:, c][at] |= word[q]
+        # single words sweep as 1-D arrays, 1.6x faster than rows of one word
+        h, m = (hits[:, 0], marked[:, 0]) if words == 1 else (hits, marked)
         starts = np.flatnonzero(np.diff(I, prepend=-1)).tolist()
         for a, b in zip(starts, starts[1:] + [I.size]):
-            marked[J[a:b]] |= hits[a:b] & ~marked[I[a]]
+            m[J[a:b]] |= h[a:b] & ~m[I[a]]
     flat = np.unpackbits(marked.view(np.uint8), axis=-1, count=K * E, bitorder="little")
     return np.moveaxis(flat.reshape(count, K, E), 0, -1).astype(bool)
 
@@ -598,7 +704,8 @@ def _kept_rows(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec, method: s
     The one place that chooses how a table is counted, from its size alone.
     A greedy table of more than 91 rows (count(count - 1)/2 > PAIR_BLOCK)
     is one carried pass (`_carried_marks`) over the key plan at
-    (n_values[0], max eps).  Every other table, every exact one included,
+    (n_values[0], max eps), and at (n_values[1], max eps) for the rows
+    that enter there.  Every other table, every exact one included,
     takes its cells from `_conflict_graphs`: a greedy cell is a bitmask
     sweep (`_greedy_sweep`), an exact one the maximum independent set.
     This cut the `exact-oracle` benchmark pass from 0.93 to 0.65 s

@@ -10,7 +10,8 @@ the backward shift shortens support by one step, the forward shift needs
 one coordinate of headroom.
 
 Spectral machinery: operator-power norms on l^p (exact sliding-window
-products for shifts, LAPACK singular values for dense blocks), Gelfand-style
+products for shifts; for dense blocks, absolute column or row sums on l^1 or
+l^inf and LAPACK singular values on l^2), Gelfand-style
 spectral-radius certificates, eigenvalue multisets, the mini-norm
 m(A) = inf{|Ax| : |x| = 1} = 1/|A^{-1}| (LAPACK's smallest singular value),
 and the Riesz-style splitting of a matrix into unstable / center / stable
@@ -300,8 +301,15 @@ class DenseMatrix(Operator):
         return self.d
 
     def power_norm(self, n: int, s: SpaceSpec) -> float:
-        """Largest singular value of A^n (Euclidean norm), from LAPACK's SVD."""
-        return float(np.linalg.norm(np.linalg.matrix_power(self.entries, n), 2))
+        """|A^n| on l^1, l^2 or l^inf: the largest absolute column sum, the
+        largest singular value (LAPACK's SVD) or the largest absolute row sum."""
+        _require_lp(s, "dense power norm")
+        order = {1.0: 1, 2.0: 2, math.inf: math.inf}.get(s.p)
+        if order is None:
+            raise UnsupportedOperatorError(
+                f"dense power norm is taken on l^1, l^2 and l^inf only, not l^{s.p:g}"
+            )
+        return float(np.linalg.norm(np.linalg.matrix_power(self.entries, n), order))
 
     def radius(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.entries))))
@@ -528,8 +536,9 @@ def require_finite(orbits: np.ndarray, what: str = "orbit") -> None:
 
 def power_norm(T: Operator, n: int, s: SpaceSpec | None = None) -> float:
     """Operator norm of T^n on s (l^2 by default), from the kind's
-    `power_norm`: exact l^p closed forms for shifts and diagonals, the
-    largest singular value of A^n for dense blocks."""
+    `power_norm`: exact l^p closed forms for shifts and diagonals; for dense
+    blocks, the largest absolute column sum, singular value or row sum of
+    A^n on l^1, l^2 or l^inf."""
     if n < 1:
         raise ValidationError(f"power norm needs n >= 1, got {n}")
     return T.power_norm(n, Lp(2.0) if s is None else s)

@@ -1032,6 +1032,95 @@ def test_carried_pass_past_the_last_pair():
     assert [table.s(n, 0.125) for n in (6, 7, 8)] == [200] * 3
 
 
+def entry_work(monkeypatch, T, K, n_values, eps_values, s):
+    """The key plans a greedy table's carried pass builds, and the rows that
+    enter it at n_values[1] (marked in every cell at n_values[0] when their
+    block is read)."""
+    plans, late = [], set()
+    plan_keys, blocks = en._plan_keys, en._candidate_blocks
+
+    def entering(cells, reach, size):
+        def read(row, stop):  # a row entering at n_values[1] does so at every later read
+            radii, entry = reach(row, stop)
+            late.update((row + np.flatnonzero(entry)).tolist())
+            return radii, entry
+
+        return blocks(cells, read, size)
+
+    with monkeypatch.context() as m:
+        m.setattr(en, "_plan_keys", lambda o, n, *a: plans.append(n) or plan_keys(o, n, *a))
+        m.setattr(en, "_candidate_blocks", entering)
+        sn_table(T, K, n_values, eps_values, s)
+    return plans, late
+
+
+ENTRY_TABLES = {  # most rows die at n_values[0]
+    "diag(2) line": (DOUBLING_1D, np.linspace(0, 1, 300), (0.125, 0.0625), L2),
+    "N=3 cube": (BackwardShift(ConstRule(2)), None, (0.4, 0.2, 0.1), LINF),
+    "diag(2,3) grid": (Diagonal(ExplicitRule((2.0, 3.0))), (24, 24), (0.125,), LINF),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_TABLES))
+@pytest.mark.parametrize("n_values", [(1, 2, 3, 4, 5), (1, 3, 6), (2,)])
+@pytest.mark.parametrize("small_blocks", [False, True])
+def test_entry_levels_match_witness_scan(monkeypatch, name, n_values, small_blocks):
+    # rows marked in every cell at the first n when their block is read take
+    # their candidates from the plan at the second n (n = 3 for the skipped
+    # n values 1, 3, 6); a one-level table never builds a second plan.
+    # Blocks of 200 candidates (counted both ways) read the marks more often
+    T, points, eps_values, s = ENTRY_TABLES[name]
+    if points is None:
+        K = cube_sample(3, 6, ConstRule(2), base=LINF)
+    elif isinstance(points, tuple):
+        K = grid_sample(s, points)
+    else:
+        K = sample_of(points)
+    if small_blocks:
+        monkeypatch.setattr(en, "PAIR_BLOCK", 50)
+    plans, late = entry_work(monkeypatch, T, K, n_values, eps_values, s)
+    if len(n_values) == 1:
+        assert plans == list(n_values) and not late
+    else:
+        assert plans == list(n_values[:2]) and late
+    assert_pair_path_matches_scan(T, K, n_values, eps_values, s)
+
+
+def test_no_entry_level_builds_one_plan(monkeypatch):
+    # 0.01 lies below the grid spacing: every row stays unmarked in that
+    # column at n = 1, so every row enters there and one plan serves
+    T, K = rotation_matrix(0.7), grid_sample(L2, (24, 24))
+    assert entry_work(monkeypatch, T, K, (1, 2, 3, 4), (0.5, 0.01), L2) == ([1], set())
+    assert_pair_path_matches_scan(T, K, (1, 2, 3, 4), (0.5, 0.01), L2)
+
+
+def test_entry_level_needs_every_column_marked(monkeypatch):
+    # 120 points 0.04 apart under diag(16): at n = 2 no pair lies within 0.5,
+    # so the plan there has no candidates.  The 60 even rows are kept in the
+    # 0.05 column at n = 1, and 55 of them are excluded in the 0.5 column
+    # (which keeps every 13th row): live at n = 1 in one column only, they
+    # enter there and mark the odd row after them.  Sent to n = 2, they
+    # would mark nothing at n = 1
+    monkeypatch.setattr(en, "PAIR_BLOCK", 50)
+    T, K = Diagonal(ExplicitRule((16.0,))), sample_of(np.arange(120) * 0.04)
+    orbits = en._sample_orbits(T, K, 1)
+    one_column = sorted(set(witness_scan(orbits, 0.05, L2)) - set(witness_scan(orbits, 0.5, L2)))
+    assert len(one_column) == 55
+    assert_pair_path_matches_scan(T, K, (1, 2), (0.5, 0.05), L2)
+    assert sn_table(T, K, (1, 2), (0.5, 0.05), L2).s(1, 0.05) == 60
+    carried = en._carried_pairs
+
+    def sent_to_n1(*args):
+        def reach(row, stop):
+            radii, entry = args[-1](row, stop)
+            return radii, entry | np.isin(np.arange(row, stop), one_column)
+
+        return carried(*args[:-1], reach)
+
+    monkeypatch.setattr(en, "_carried_pairs", sent_to_n1)
+    assert sn_table(T, K, (1, 2), (0.5, 0.05), L2).s(1, 0.05) > 60
+
+
 # ---------------------------------------------------------------- maximum independent set
 
 

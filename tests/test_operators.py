@@ -204,6 +204,24 @@ def test_power_norm_faggregate_rejected():
         power_norm(B2, 2, FAggregate(Lp(2)))
 
 
+def test_power_norm_dense_honours_its_space():
+    # R(0.7)^2 = R(1.4): l^2 norm 1, l^1 and l^inf norms |cos 1.4| + |sin 1.4|;
+    # a triangular block tells l^1 (column sums) from l^inf (row sums)
+    R = rotation_matrix(0.7)
+    assert power_norm(R, 2) == pytest.approx(1.0, rel=1e-12)
+    for p in (1.0, math.inf):
+        assert power_norm(R, 1, Lp(p)) == pytest.approx(math.cos(0.7) + math.sin(0.7), rel=1e-12)
+        assert power_norm(R, 2, Lp(p)) == pytest.approx(math.cos(1.4) + math.sin(1.4), rel=1e-12)
+    A = DenseMatrix(np.array([[1.0, -3.0], [0.0, 2.0]]))
+    assert power_norm(A, 1, Lp(1.0)) == 5.0 and power_norm(A, 1, Lp(math.inf)) == 4.0
+    assert power_norm(A, 2, Lp(1.0)) == 13.0 and power_norm(A, 2, Lp(math.inf)) == 10.0
+    from entrolab.spaces import FAggregate
+
+    for s in (Lp(3.0), FAggregate(Lp(2.0))):
+        with pytest.raises(UnsupportedOperatorError):
+            power_norm(A, 1, s)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4))
 def test_power_norm_submultiplicative(m, n):
