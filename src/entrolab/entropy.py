@@ -32,8 +32,9 @@ greedily (`_greedy_sweep`) or searched for a maximum set
 (`_max_independent_set`).  A larger greedy table is one carried pass
 (`_carried_pairs`), one loop over blocks of candidate rows: each row gets
 only its candidates j > i, as runs of its neighbouring cells' rows, each
-block's pairs get their Bowen distances at the smallest n (one slice,
-gathered with `take`), and those within max(eps) are carried locally
+block's pairs get their Bowen distances at the smallest n one time slice
+at a time, a pair dropping at the first slice that puts it beyond its
+radius (`_pairs_within`), and those within max(eps) are carried locally
 through every later n, extending their running maximum slice by slice and
 dropping the pairs that leave max(eps).  Each pair records a hit bit per
 (n, eps) cell, and each row is swept once across every cell
@@ -178,21 +179,59 @@ def _sample_orbits(T: Operator, K: CompactSample, steps: int) -> np.ndarray:
 def bowen_distances(
     orbits: np.ndarray, I: np.ndarray, J: np.ndarray, n: int, s: SpaceSpec
 ) -> np.ndarray:
-    """Bowen distances max_{t<n} d(x_i(t), x_j(t)) of the row pairs (I, J).
-
-    A single slice (n = 1) is gathered with `take`, 1.6-5x faster than fancy
-    indexing (8,192 pairs of the N=3, depth-7 cube's orbits: 0.16 against
-    0.43 ms); from n = 2 on `take` is no faster, and fancy indexing stays."""
-    if n == 1:
-        first = orbits[:, 0]
-        return norm_block(first.take(I, axis=0) - first.take(J, axis=0), s)
+    """Bowen distances max_{t<n} d(x_i(t), x_j(t)) of the row pairs (I, J)."""
     return fold(np.maximum, norm_block(orbits[I, :n] - orbits[J, :n], s))
 
 
-def _key_cells(orbits: np.ndarray, r: float, s: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
+def _pairs_within(orbits: np.ndarray, I: np.ndarray, J: np.ndarray, n: int, R: np.ndarray, s: SpaceSpec):
+    """Positions of the row pairs (I, J) whose Bowen distance over t < n is
+    at most R (one radius per pair), and those distances.
+
+    Slices are taken one at a time, BLOCK_ELEMS coordinates at a time: the
+    latest (t = n - 1), the first, then t = n - 2 down to 1.  A pair drops
+    as soon as its running maximum passes its radius: the distance only
+    grows with more slices, so it stays beyond.  The kept distances are
+    `bowen_distances` bit for bit, because max is exact in any order and
+    `norm_block` works row by row.  An expanding map is widest at its
+    latest slice and a contracting one at its first, so under either most
+    far pairs drop within two slices.  The direct verification of the
+    `sp-family` benchmark's m = 6 family (221 rows, 11 steps, 2,903
+    candidate pairs, none within the radius) takes 1.46 slices a pair
+    instead of 11, and 7.9 ms instead of 28.6 ms (BENCH_23.json).
+    """
+    _, steps, dim = orbits.shape
+    rows = orbits.reshape(-1, dim)  # row i * steps + t is orbits[i, t]; take() gathers 1.2-4x faster
+    step = max(1, BLOCK_ELEMS // dim)
+    slices = [n - 1, 0][: min(n, 2)] + list(range(n - 2, 0, -1))
+    kept, distances = np.empty(0, dtype=np.intp), np.empty(0)
+    for a in range(0, len(I), step):
+        at = np.arange(a, min(a + step, len(I)))
+        i, j, r = I[a : a + step] * steps, J[a : a + step] * steps, R[a : a + step]
+        for k, t in enumerate(slices):
+            d = norm_block(rows.take(i + t, axis=0) - rows.take(j + t, axis=0), s)
+            D = d if k == 0 else np.maximum(D, d)
+            close = D <= r
+            if not close.all():
+                at, D = at[close], D[close]
+                if k < n - 1:
+                    i, j, r = i[close], j[close], r[close]
+        kept, distances = (at, D) if a == 0 else (np.concatenate((kept, at)), np.concatenate((distances, D)))
+    return kept, distances
+
+
+def _key_coefficients(dim: int) -> np.ndarray:
+    """2^{1-c} - 2^{-dim} for c = 1..dim: under the aggregated norm,
+    min(1, |D_c(t)|) times coefficient c bounds d_t from below (see
+    `_key_cells`)."""
+    return 2.0 ** (1 - np.arange(1, dim + 1)) - 2.0**-dim
+
+
+def _key_cells(orbits: np.ndarray, dim: int, r: float, s: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
     """Cell indices (count, steps * keys per step, shifted to start at 0) of
     the (time t, coordinate c) keys for the radius r, ordered by t, and
-    which of them are usable.
+    which of them are usable.  `orbits` (shape (count, steps, coordinates))
+    need only hold the leading coordinates the keys read (the real parts
+    will do); dim is the space's.
 
     A key's value is Re x_c(t).  Its difference over a pair bounds the
     pair's distance at time t from below: |Re D_c| <= d_t in l^p, and
@@ -219,14 +258,14 @@ def _key_cells(orbits: np.ndarray, r: float, s: SpaceSpec) -> tuple[np.ndarray, 
     instead of 0, 1 and 2 cut the predicted candidates of the N=3, depth-8
     cube from 16,737,111 to 7,171,173.
     """
-    count, steps, dim = orbits.shape
+    count, steps, _ = orbits.shape
     widths = np.empty(0)
     if _TINY <= r < math.inf:
         width = r * (1.0 + KEY_MARGIN)
         if isinstance(s, Lp):
             widths = np.full(dim, width)
         else:
-            coef = 2.0 ** (1 - np.arange(1, dim + 1)) - 2.0**-dim
+            coef = _key_coefficients(dim)
             widths = width / coef[width < coef]
             if widths.size == 0 and r < float(norm_block(np.ones((1, dim)), s)[0]):
                 widths = np.array([1.0 + KEY_MARGIN])
@@ -303,7 +342,7 @@ def _plan_keys(orbits: np.ndarray, n: int, r: float, s: SpaceSpec):
     none = np.empty((count, 0), dtype=np.int32)
     if everything <= PAIR_BLOCK:
         return (none, none), everything
-    cells, usable = _key_cells(orbits[:, :n], r, s)
+    cells, usable = _key_cells(orbits[:, :n], dim, r, s)
     if not usable.any():
         return (none, none), everything
     sub = cells[:: -(-count // JOINT_ROWS)].astype(np.int64)
@@ -421,8 +460,8 @@ def near_pairs(orbits: np.ndarray, n: int, r: float, s: SpaceSpec):
     the j of one i come in cell order.  Candidates come from fixed-radius
     near-neighbour cell hashing (Bentley, Stanat & Williams, IPL 6(6),
     1977) on exact lower bounds of the Bowen distance (see `_key_cells` and
-    `_plan_keys`); D is computed by `bowen_distances`, bit for bit a direct
-    evaluation.  This is the one-level carried pass: n_values = (n,), and
+    `_plan_keys`); D is computed by `_pairs_within`, bit for bit
+    `bowen_distances`.  This is the one-level carried pass: n_values = (n,), and
     every row reaches r.
     """
     plan, _ = _plan_keys(orbits, n, r, s)
@@ -442,26 +481,25 @@ def _carried_pairs(orbits: np.ndarray, n_values, r: float, s: SpaceSpec, plan, r
     from the plan at n_values[1] (`_plan_keys` with r), built the first
     time a row enters there, which holds every pair within r over
     t < n_values[1] but may miss pairs within r only at n_values[0].
-    Either way the pairs take their distances at n_values[0] (usually 1: a
-    single slice, which `bowen_distances` gathers fastest) and are carried
-    alike.
+    Either way the pairs take their distances at n_values[0] and are
+    carried alike.
 
     One loop over blocks of 2 fill candidates counted both ways, fill =
     min(2 PAIR_BLOCK, BLOCK_ELEMS / dim): each block is filtered by the
-    filter keys of its rows' plans (`_neighbours`), its distances at
-    n_values[0] are taken BLOCK_ELEMS coordinates at a time, and its pairs
-    within reach are carried through every later n, fill at a time (a row
-    with more straddles blocks): the running maximum of the pairs still
-    within r is extended one time slice at a time (all slices in between
-    when `n_values` skips some), and pairs beyond r drop, as Bowen
-    distances only grow with n.  `norm_block` works row by row and max is
+    filter keys of its rows' plans (`_neighbours`), its pairs within reach
+    at n_values[0] are found one slice at a time by `_pairs_within`, which
+    drops a pair at the first slice that puts it beyond its reach, and they
+    are carried through every later n, fill at a time (a row with more
+    straddles blocks): the running maximum of the pairs still within r is
+    extended one time slice at a time (all slices in between when
+    `n_values` skips some), and pairs beyond r drop, as Bowen distances
+    only grow with n.  `norm_block` works row by row and max is
     exact, so D is `bowen_distances` bit for bit.  The next block's reach
     is read once the consumer has taken every block before it.
     """
     _, steps, dim = orbits.shape
     rows = orbits.reshape(-1, dim)  # row i * steps + t is orbits[i, t]; take() gathers 1.2-4x faster
     fill = max(1, min(2 * PAIR_BLOCK, BLOCK_ELEMS // dim))
-    step = max(1, BLOCK_ELEMS // (n_values[0] * dim))
     plans = [plan]
 
     def cells(k):  # the hashed cells of the plan at n_values[k], built on first use
@@ -479,11 +517,8 @@ def _carried_pairs(orbits: np.ndarray, n_values, r: float, s: SpaceSpec, plan, r
             if filters.shape[1]:
                 near = (E != k) | _neighbours(filters, I, J)
                 I, J, R, E = I[near], J[near], R[near], E[near]
-        D = np.empty(I.size)
-        for a in range(0, I.size, step):
-            D[a : a + step] = bowen_distances(orbits, I[a : a + step], J[a : a + step], n_values[0], s)
-        close = D <= R
-        I, J, D = I[close], J[close], D[close]
+        kept, D = _pairs_within(orbits, I, J, n_values[0], R, s)
+        I, J = I[kept], J[kept]
         for a in range(0, I.size, fill):
             pairs = i, j = I[a : a + fill], J[a : a + fill]
             at, d = np.arange(i.size), D[a : a + fill]

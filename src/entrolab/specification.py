@@ -19,11 +19,17 @@ multiples of the period.  Periodisation is linear, so the shadow of a tuple
 (c_0, .., c_{n-1}) is the sum over i of the periodised piece of anchor c_i
 at segment i.  Every coordinate of that sum has at most one nonzero addend,
 so it involves no rounding and equals the shadow built from the tuple's own
-pattern bit for bit.  Only the m*n pieces are periodised.  The family and
-its anchors are grown once under B_w^k over the Bowen window: that cube
-gives every deviation, every periodicity check (its last slice continued
-to the period) and the separation.  `shadow_point` likewise grows its one
-shadow once, to the period.
+pattern bit for bit.  Only the m*n pieces are periodised.  Every shadow
+is certified from its orbit under B_w^k over the Bowen window: its
+deviations against its anchors' orbits at the segment times, and its
+periodicity from its last slice continued to the period.  A family of at
+most DIRECT_VERIFY_CAP rows is grown once into one orbit cube, which also
+gives the separation by a direct scan.  A larger one never holds its cube:
+the anchors are grown once and the shadows in row blocks, each block kept
+only as its deviations, periodicity flags and the few leading coordinates
+the separation certificate hashes on; the rows the certificate checks
+exactly are grown again.  `shadow_point` grows its one shadow once, to
+the period.
 """
 
 from __future__ import annotations
@@ -35,7 +41,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rules as rl
-from .entropy import BLOCK_ELEMS, CompactSample, _key_cells, _neighbours, bowen_distances, near_pairs
+from .entropy import (
+    BLOCK_ELEMS,
+    CompactSample,
+    _key_cells,
+    _key_coefficients,
+    _neighbours,
+    bowen_distances,
+    near_pairs,
+)
 from .errors import SampleSizeError, ScheduleError, ValidationError
 from .operators import (
     BackwardShift,
@@ -53,6 +67,7 @@ from .spaces import (
     SpaceSpec,
     Vector,
     faggregate_l2,
+    fold,
     norm_block,
     norm_tail_bound,
     padded_block,
@@ -311,40 +326,46 @@ def _family_shadows(
 
 
 def _family_certification(
-    B_w: BackwardShift, orbits: np.ndarray, combos: np.ndarray, anchor_rows: list[int],
-    period: int, gap: int, epsilon: float, space: FAggregate,
-) -> tuple[np.ndarray, np.ndarray]:
+    B_w: BackwardShift, grow, anchors: np.ndarray, combos: np.ndarray,
+    period: int, gap: int, epsilon: float, space: FAggregate, lead: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deviations (F, n) and certification flags (F,) of the F shadows, the
-    values `shadow_point` gives for each tuple's own schedule.
+    values `shadow_point` gives for each tuple's own schedule, and the real
+    parts of the first `lead` coordinates of every shadow's orbit, shape
+    (F, steps, lead): the keys `_certificate_min_pairwise` hashes.
 
-    `orbits` is the family's cube under B_w^k over the Bowen window (shape
-    (rows, steps, dim), the shadows first).  Segment i's time t_i is Bowen
-    step i*(gap+1), and anchor c's orbit is row anchor_rows[c] of the same
-    cube, so a deviation is one distance between two of its slices.  The
-    last slice (time t_{n-1}) is continued `gap` steps of B_w to the period
-    and compared with the shadows on the representable window.  Both run
-    in row blocks of BLOCK_ELEMS coordinates.
+    grow(rows) gives the orbits of the family rows `rows` (a slice; the
+    shadows come first) under B_w^k over the Bowen window, and `anchors` is
+    the anchors' orbits there.  The shadows are grown BLOCK_ELEMS
+    coordinates per step at a time, and each block is kept only as its
+    deviations, flags and keys.  Segment i's time t_i is Bowen step
+    i*(gap+1), so a deviation is one distance between a shadow's slice and
+    its anchor's.  The last slice (time t_{n-1}) is continued `gap` steps
+    of B_w to the period and compared with the shadows on the representable
+    window.
     """
     F, n = combos.shape
-    dim = orbits.shape[2]
-    of_anchor = np.asarray(anchor_rows)[combos]
+    steps, dim = anchors.shape[1:]
     dev = np.empty((F, n))
     periodic = np.empty(F, dtype=bool)
+    keys = np.empty((F, steps, lead))
     window = dim - period
-    step = max(1, BLOCK_ELEMS // dim)
+    step = max(1, BLOCK_ELEMS // (steps * dim))
     for lo in range(0, F, step):
         rows = slice(lo, min(lo + step, F))
+        orbits = grow(rows)
+        keys[rows] = orbits[:, :, :lead].real
         for i in range(n):
             at = i * (gap + 1)
-            dev[rows, i] = norm_block(orbits[rows, at] - orbits[of_anchor[rows, i], at], space)
-        orbit = orbits[rows, -1]
+            dev[rows, i] = norm_block(orbits[:, at] - anchors[combos[rows, i], at], space)
+        orbit = orbits[:, -1]
         for _ in range(gap):
             orbit = batch_apply(B_w, orbit)
         require_finite(orbit)
-        periodic[rows] = (orbit[:, :window] == orbits[rows, 0, :window]).all(axis=1)
+        periodic[rows] = (orbit[:, :window] == orbits[:, 0, :window]).all(axis=1)
     admissible = rl.weight_admissibility(B_w.weights).admissible
     tail = norm_tail_bound(dim, space)
-    return dev, periodic & (dev + tail < epsilon).all(axis=1) & admissible
+    return dev, periodic & (dev + tail < epsilon).all(axis=1) & admissible, keys
 
 
 def sp_separated_family(
@@ -364,14 +385,18 @@ def sp_separated_family(
     pieces are periodised once and summed per tuple, which is exact because
     the pieces and their periodic images have disjoint supports.  The
     family's rows (`_family_rows`: the shadows, then the anchors that are
-    not shadows) are grown once under B_w^k over the Bowen window; that
-    cube certifies every shadow (`_family_certification`) and verifies
-    separation.  A tuple whose shadow fails certification is named, the
-    first in product order; then two tuples with equal shadows are refused.
-    Verification computes pairwise dynamical distances directly up to a
-    size cap; above it, a certified triangle-inequality lower bound stands
-    in for the shadow pairs, and each anchor is checked exactly against the
-    rows that could come closer than that bound (`_certificate_min_pairwise`).
+    not shadows) are grown under B_w^k over the Bowen window, and every
+    shadow is certified from its orbit (`_family_certification`).  A tuple
+    whose shadow fails certification is named, the first in product order;
+    then two tuples with equal shadows are refused.
+    Up to a size cap the rows are grown once into one orbit cube, and
+    separation is verified by pairwise dynamical distances taken directly
+    from it.  Above the cap no cube is held: the anchors are grown once,
+    the shadows block by block, each block kept only as its certification
+    and the leading coordinates `_certificate_min_pairwise` hashes on.  A
+    certified triangle-inequality lower bound stands in for the shadow
+    pairs, and each anchor is checked exactly against the rows that could
+    come closer than that bound, regrown for it.
     """
     if not isinstance(B_w, BackwardShift):
         raise ValidationError("families are built over weighted backward shifts")
@@ -395,11 +420,21 @@ def sp_separated_family(
 
     combos, family_block = _family_shadows(B_w, anchor_block, times, N)
     rows, anchor_rows, twins = _family_rows(combos, family_block, anchor_block)
+    del family_block
     T_eff: Operator = B_w if k == 1 else OperatorPower(B_w, k)
     steps = (n - 1) * (N + 1) + 1  # Bowen window in T^k steps
-    orbits = orbit_block(T_eff, rows, steps)
-    dev, certified = _family_certification(
-        B_w, orbits, combos, anchor_rows, times[-1] + N, N, epsilon, space
+    direct = rows.shape[0] <= DIRECT_VERIFY_CAP
+    if direct:
+        cube = orbit_block(T_eff, rows, steps)
+        grow, anchor_orbits, lead = cube.__getitem__, cube[anchor_rows], 0
+    else:
+
+        def grow(which):
+            return orbit_block(T_eff, rows[which], steps)
+
+        anchor_orbits, lead = orbit_block(T_eff, anchor_block, steps), _key_lead(dim, epsilon)
+    dev, certified, keys = _family_certification(
+        B_w, grow, anchor_orbits, combos, times[-1] + N, N, epsilon, space, lead
     )
     if not certified.all():
         combo = tuple(int(c) for c in combos[np.argmin(certified)])
@@ -407,11 +442,13 @@ def sp_separated_family(
     if twins is not None:
         raise ValidationError(f"tuples {twins[0]} and {twins[1]} give the same shadow")
 
-    if rows.shape[0] <= DIRECT_VERIFY_CAP:
-        min_pair, verification = _direct_min_pairwise(space, orbits), "direct"
+    if direct:
+        min_pair, verification = _direct_min_pairwise(space, cube), "direct"
     else:
+        extra = anchor_orbits[[c for c, row in enumerate(anchor_rows) if row >= len(combos)]]
+        keys = np.concatenate((keys, extra[:, :, :lead].real))
         min_pair = _certificate_min_pairwise(
-            space, orbits, anchor_rows, float(dev.max()), d_min_anchor, epsilon
+            space, keys, grow, anchor_orbits, anchor_rows, float(dev.max()), d_min_anchor, epsilon
         )
         verification = "certificate"
     if not (min_pair > epsilon):
@@ -426,7 +463,7 @@ def sp_separated_family(
     )
     return SeparatedFamily(
         sample=sample,
-        family_size=len(family_block),
+        family_size=len(combos),
         schedule_times=times,
         gap=N,
         epsilon=epsilon,
@@ -460,45 +497,64 @@ def _family_rows(
     return np.concatenate([family_block, anchor_block[extra]]), anchor_rows, twins
 
 
+def _key_lead(dim: int, epsilon: float) -> int:
+    """How many leading coordinates `_key_cells` can read under the
+    aggregated norm at a radius above epsilon: those whose coefficient
+    2^{1-c} - 2^{-dim} exceeds epsilon.  The saturated key reads coordinate
+    1 below the saturated value 1 - 2^{-dim}, which is coordinate 1's
+    coefficient, so it adds none."""
+    return int((_key_coefficients(dim) > epsilon).sum())
+
+
 def _certificate_min_pairwise(
     space: SpaceSpec,
-    orbits: np.ndarray,
+    keys: np.ndarray,
+    grow,
+    anchors: np.ndarray,
     anchor_rows: list[int],
     dev_max: float,
     d_min_anchor: float,
     epsilon: float,
 ) -> float:
     """Certified lower bound on every pairwise dynamical distance of the
-    family's orbits (shape (rows, steps, dim)), over all their steps.
+    family's rows over the Bowen window.
+
+    `keys` holds one row per family row: the real parts of its orbit's
+    leading coordinates at every step, at least those `_key_cells` reads at
+    any radius above epsilon.  grow(rows) grows the orbits of the family
+    rows `rows`, and `anchors` holds the anchors' orbits (anchor c is family
+    row anchor_rows[c]).
 
     Two shadows with tuples differing at schedule position p satisfy, at
     that time, d >= d(anchor, anchor') - dev - dev' - drift - drift', every
     term a computed number (d_min_anchor is the smallest anchor distance).
     The family-wide bound uses the worst of each term.  When it fails, the
-    result is the exact minimum from the full direct scan, which the caller
-    judges.  The anchors' orbits are rows `anchor_rows` of the cube.
+    result is the exact minimum from the full direct scan over the regrown
+    orbit cube, which the caller judges.
 
     Anchor pairs are checked exactly where they can lower the result
     min(global bound, closest anchor pair): a pair within the global bound
     shares or neighbours a cell on every usable key of `_key_cells`, so
-    only those rows get a Bowen distance, row by row that of a full scan.
+    only those rows are regrown and get a Bowen distance, row by row that
+    of a full scan.
     """
-    steps = orbits.shape[1]
-    orbits_a = orbits[anchor_rows]
-    drift_max = float(norm_block(orbits_a - orbits_a[:, :1], space).max())
+    dim = anchors.shape[2]
+    drift_max = float(norm_block(anchors - anchors[:, :1], space).max())
     global_bound = d_min_anchor - 2.0 * dev_max - 2.0 * drift_max
     if not (global_bound > epsilon):
         # certificate too weak: fall back to the exact (slow) scan
-        return _direct_min_pairwise(space, orbits)
+        return _direct_min_pairwise(space, grow(slice(None)))
 
     # anchors against the rows that could come closer than global_bound
-    cells, usable = _key_cells(orbits, global_bound, space)
-    filters, every = cells[:, usable], np.arange(orbits.shape[0])
+    cells, usable = _key_cells(keys, dim, global_bound, space)
+    filters, every = cells[:, usable], np.arange(keys.shape[0])
+    near = [every[_neighbours(filters, every, r) & (every != r)] for r in anchor_rows]
+    regrown = np.unique(np.concatenate(near))
+    orbits = grow(regrown) if regrown.size else None
     best_direct = math.inf
-    for r in anchor_rows:
-        near = every[_neighbours(filters, every, r) & (every != r)]
-        if near.size:
-            d = bowen_distances(orbits, near, r, steps, space)
+    for anchor, rows in zip(anchors, near):
+        if rows.size:
+            d = fold(np.maximum, norm_block(orbits[np.searchsorted(regrown, rows)] - anchor, space))
             best_direct = min(best_direct, float(d.min()))
     if not (best_direct > epsilon):
         raise ValidationError(

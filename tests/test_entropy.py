@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -668,7 +669,7 @@ def test_faggregate_all_pairs_fallback():
     s = FAggregate(L2)
     orbits = en._sample_orbits(T, K, 2)
     for r in (1.0, 2.0):
-        _, usable = en._key_cells(orbits, r, s)
+        _, usable = en._key_cells(orbits, 3, r, s)
         assert not usable.any()
         (hashed, filters), pred = en._plan_keys(orbits, 2, r, s)
         assert hashed.shape[1] == filters.shape[1] == 0
@@ -685,7 +686,7 @@ def test_faggregate_saturated_key():
         block = np.full((7, 3, dim), 1.5) * np.array([1, -1, 2])[:, None]
         assert (norm_block(block, s) == U).all()
         orbits = np.random.default_rng(dim).random((120, 2, dim)) * 3
-        _, usable = en._key_cells(orbits, float(np.nextafter(U, 0)), s)
+        _, usable = en._key_cells(orbits, dim, float(np.nextafter(U, 0)), s)
         assert usable.tolist() == [True, True]
         r = float(np.nextafter(U, 0))
         got = {(int(i), int(j)) for bi, bj, _ in en.near_pairs(orbits, 2, r, s) for i, j in zip(bi, bj)}
@@ -698,12 +699,46 @@ def pass_work(monkeypatch, T, K, n_values, eps_values, s):
     """The pairs whose Bowen distance a greedy table's carried pass takes
     (all at the first n), and the pairs it carries from there."""
     taken, carried = [], []
-    bowen, pairs = en.bowen_distances, en._carried_pairs
-    monkeypatch.setattr(en, "bowen_distances", lambda o, I, *a: taken.append(I.size) or bowen(o, I, *a))
+    within, pairs = en._pairs_within, en._carried_pairs
+    monkeypatch.setattr(en, "_pairs_within", lambda o, I, *a: taken.append(I.size) or within(o, I, *a))
     monkeypatch.setattr(en, "_carried_pairs", lambda *a: (carried.append(b[0].size) or b for b in pairs(*a)))
     sn_table(T, K, n_values, eps_values, s)
     monkeypatch.undo()
     return sum(taken), sum(carried)
+
+
+N0_OPERATORS = {
+    "expanding": Diagonal(ExplicitRule((2.0, 1.5))),
+    "contracting": Diagonal(ExplicitRule((0.5, 0.5))),
+    "rotation": rotation_matrix(0.7),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(sorted(N0_OPERATORS)),
+    st.sampled_from([L1, L2, LINF, FAggregate(L2)]),
+    st.integers(1, 6),
+    st.booleans(),
+)
+def test_pairs_within_keeps_exactly_the_close_pairs(seed, kind, s, n, small_blocks):
+    # the n0 step keeps the pairs with D <= R, one radius per pair, and their
+    # D bit for bit `bowen_distances`; radii are random, a pair's exact
+    # distance (kept) or the float just below it (dropped), in pairs of
+    # random order; 8-pair chunks when small_blocks
+    rng = np.random.default_rng(seed)
+    pts = np.unique(rng.integers(0, 64, size=(60, 2)) / 32.0, axis=0)
+    orbits = en._sample_orbits(N0_OPERATORS[kind], CompactSample(pts, 0.1), n)
+    I, J = np.triu_indices(len(pts), 1)
+    order = rng.permutation(I.size)
+    I, J = I[order], J[order]
+    D = en.bowen_distances(orbits, I, J, n, s)
+    R = np.choose(rng.integers(0, 3, I.size), [rng.random(I.size) * 2 * D.max(), D, np.nextafter(D, 0)])
+    with mock.patch.object(en, "BLOCK_ELEMS", 16 if small_blocks else en.BLOCK_ELEMS):
+        at, got = en._pairs_within(orbits, I, J, n, R, s)
+    assert at.tolist() == np.flatnonzero(D <= R).tolist()
+    assert got.tobytes() == D[at].tobytes()
 
 
 def test_unpruned_line_matches_witness_scan():
@@ -932,7 +967,7 @@ def test_key_gaps_at_cell_width_edges():
         orbits[:, :, 0] = np.append(quotient_preimages(u, width), 4 + step * np.arange(4))[:, None]
         orbits[:, :, 0] *= [1, 2, 4]
         orbits[: u.size, :, 1] = (np.arange(u.size) % 3)[:, None] * 0.0625
-        cells, usable = en._key_cells(orbits[:, :1], r, s)
+        cells, usable = en._key_cells(orbits[:, :1], 2, r, s)
         assert usable[0] and [cells[j, 0] - cells[i, 0] for i, j in edges] == [1, 1, 2]
         assert en._plan_keys(orbits, 1, r, s)[0][0].shape[1] >= 1  # rows are hashed
         refs = assert_pairs_match_brute_force(orbits, (1, 2, 3), r, s)
@@ -976,7 +1011,7 @@ def test_gap_numbering_halves_the_cube_candidates():
         assert en._plan_keys(orbits, 1, 0.4, LINF)[1] == predicted
     # dense values have no gap wider than a cell: cells stay floor(u) - min
     x = np.linspace(-4.0, -3.0, 2048)
-    cells, usable = en._key_cells(x[:, None, None], 2.0**-3, L2)
+    cells, usable = en._key_cells(x[:, None, None], 1, 2.0**-3, L2)
     q = np.floor(x / (2.0**-3 * (1 + en.KEY_MARGIN)))
     assert usable.all() and (cells[:, 0] == q - q.min()).all()
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,8 +227,10 @@ def test_family_names_uncertified_tuple_before_equal_shadows():
 
 @pytest.mark.parametrize("cap", [spec.DIRECT_VERIFY_CAP, 4])
 def test_family_grows_its_orbits_once(monkeypatch, cap):
-    # one orbit cube certifies the shadows and verifies separation, on the
-    # direct path and on the certificate path
+    # on the direct path one orbit cube certifies the shadows and verifies
+    # separation; on the certificate path the anchors are grown once, each
+    # shadow once in the block pass, and then only the rows near an anchor
+    # (none in this family: every shadow leaves its anchors in the gaps)
     calls = []
     grow = spec.orbit_block
 
@@ -239,8 +242,25 @@ def test_family_grows_its_orbits_once(monkeypatch, cap):
     monkeypatch.setattr(spec, "DIRECT_VERIFY_CAP", cap)
     x1 = fixed_vector(B2, 64)
     fam = sp_separated_family(B2, [zero_vector(64), x1, Vector(2 * x1.coords)], 2, 0.1)
-    assert fam.verification == ("direct" if cap > 4 else "certificate")
-    assert calls == [len(fam.sample)] == [9 + 3 - 1]
+    if cap > 4:
+        assert fam.verification == "direct"
+        assert calls == [len(fam.sample)] == [9 + 3 - 1]
+    else:
+        assert fam.verification == "certificate"
+        assert calls == [3, fam.family_size] == [3, 9]
+
+
+def test_family_block_pass_grows_each_shadow_once(monkeypatch):
+    # the m = 13, n = 3 family (2,197 shadows, 11 steps, dim 64) is grown in
+    # blocks of BLOCK_ELEMS // (steps * dim) = 93 rows, after its 13 anchors
+    calls = []
+    grow = spec.orbit_block
+    monkeypatch.setattr(spec, "orbit_block", lambda T, b, s: calls.append(b.shape[0]) or grow(T, b, s))
+    anchors, _, _, _ = _anchor_family(B2, 13, 3, 1)
+    fam = sp_separated_family(B2, anchors, 3, 0.1)
+    assert fam.verification == "certificate"
+    assert calls == [13] + [93] * 23 + [58]
+    assert sum(calls[1:]) == fam.family_size == 13**3
 
 
 def _spy_direct(monkeypatch):
@@ -279,6 +299,54 @@ def test_family_certificate_falls_back_when_anchors_move(monkeypatch):
     # the anchors' separation (2 rows), then the family's 5 rows
     assert (direct.verification, cert.verification, calls) == ("direct", "certificate", [2, 5])
     assert cert.min_pairwise == direct.min_pairwise > 0.1
+
+
+@pytest.mark.parametrize(
+    "heads,n", [([(1.0, 0.0)], 3), ([(1.0, 0.0), (0.0, 1.0)], 3), ([(1.0, 0.0), (0.0, 1.0)], 2)]
+)
+def test_weak_certificate_fallback_matches_direct_scan(monkeypatch, heads, n):
+    # 2-periodic anchors drift as far as they are apart, so the global bound
+    # fails: the certificate path regrows the family's whole cube once, after
+    # the anchors and the shadows' block pass, and its direct minimum is the
+    # direct path's, or both refuse the family alike (the last case)
+    anchors = [zero_vector(64)] + [periodic_vector(B2, head, 64) for head in heads]
+
+    def build():
+        try:
+            fam = sp_separated_family(B2, anchors, n, 0.1)
+        except ValidationError as exc:
+            return str(exc), None
+        return (fam.min_pairwise.hex(), fam.sample.rows.tobytes()), fam.verification
+
+    direct = build()
+    calls = []
+    grow = spec.orbit_block
+    monkeypatch.setattr(spec, "orbit_block", lambda T, b, s: calls.append(b.shape[0]) or grow(T, b, s))
+    monkeypatch.setattr(spec, "DIRECT_VERIFY_CAP", 4)
+    cert = build()
+    m, F = len(anchors), len(anchors) ** n
+    assert cert[0] == direct[0]
+    if direct[1] is None:
+        assert "family separation failed: min pairwise distance" in direct[0]
+    else:
+        assert (direct[1], cert[1]) == ("direct", "certificate")
+    assert calls == [m, F, F + m - 1]
+
+
+def test_certificate_family_build_memory():
+    # the m = 13, n = 3 family (2,197 shadows, 11 steps, dim 64) is verified
+    # without its 24.9 MB orbit cube: its build peaks at 9.3 MB of traced
+    # allocations, against 34.3 MB with the cube
+    anchors, _, _, _ = _anchor_family(B2, 13, 3, 1)
+    sp_separated_family(B2, anchors, 3, 0.1)
+    tracemalloc.start()
+    try:
+        fam = sp_separated_family(B2, anchors, 3, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fam.verification == "certificate"
+    assert peak <= 12e6
 
 
 @pytest.mark.parametrize("s", [Lp(2.0), Lp(math.inf), FA])
@@ -348,11 +416,45 @@ def _full_scan_certificate(rows, anchor_rows, dev_max, d_min_anchor, steps, eps)
     return global_bound, best, min(global_bound, best)
 
 
+def _certificate_args(rows, anchor_rows, dev_max, d_min_anchor, steps, eps):
+    """The arguments of `_certificate_min_pairwise` as the certificate path
+    builds them: the real parts of the leading coordinates it keeps as keys,
+    the anchors' orbits grown on their own, and a grow that records the
+    rows it regrows (the returned list)."""
+    dim = rows.shape[1]
+    keys = orbit_block(B2, rows, steps)[:, :, : spec._key_lead(dim, eps)].real.copy()
+    regrown = []
+
+    def grow(which):
+        regrown.extend(np.arange(len(rows))[which].tolist())
+        return orbit_block(B2, rows[which], steps)
+
+    anchors = orbit_block(B2, rows[anchor_rows], steps)
+    return (FA, keys, grow, anchors, anchor_rows, dev_max, d_min_anchor, eps), regrown
+
+
+@pytest.mark.parametrize("dim", [3, 8, 64])
+def test_key_lead_holds_every_key_above_eps(dim):
+    # the certificate path keeps _key_lead(dim, eps) leading coordinates of
+    # every orbit: _key_cells reads no more at any radius above eps, and
+    # exactly that many one ulp above eps when eps lies just below a
+    # coefficient's window or in the saturated key's, below U = coef[0]
+    coef = en._key_coefficients(dim)
+    U = float(norm_block(np.ones((1, dim)), FA)[0])
+    assert U == coef[0]
+    orbits = np.zeros((2, 1, dim))
+    for eps, tight in [*((c / (1 + 4e-9), True) for c in coef[:5]), *((c, False) for c in coef[:5]),
+                       (U * (1 - 5e-10), True), (U, False), (0.1, False)]:
+        lead = spec._key_lead(dim, eps)
+        read = [en._key_cells(orbits, dim, r, FA)[0].shape[1] for r in (float(np.nextafter(eps, 2)), 1.5 * eps)]
+        assert max(read) <= lead and (read[0] == lead or not tight)
+
+
 def _key_regime(rows, steps, r):
     """Which keys `_key_cells` hashes on at radius r: per-coordinate
     coefficient keys, the saturated coordinate-1 key only, or none."""
     dim = rows.shape[1]
-    cells, _ = en._key_cells(orbit_block(B2, rows, steps), r, FA)
+    cells, _ = en._key_cells(orbit_block(B2, rows, steps), dim, r, FA)
     if cells.shape[1] == 0:
         return "none"
     return "coefficient" if r * (1 + en.KEY_MARGIN) < 1 - 2.0**-dim else "saturated"
@@ -388,34 +490,39 @@ def test_certificate_anchor_query_matches_full_scan(data):
     assert _key_regime(rows, steps, global_bound) == regime
     assert global_bound > eps  # the certificate path, not the direct fallback
     event(f"{regime}: " + ("an anchor pair decides" if best < global_bound else "the global bound decides"))
-    args = (FA, orbit_block(B2, rows, steps), anchor_rows, dev_max, d_min_anchor, eps)
+    args, regrown = _certificate_args(rows, anchor_rows, dev_max, d_min_anchor, steps, eps)
     if not best > eps:
         with pytest.raises(ValidationError, match="anchor-related distance"):
             spec._certificate_min_pairwise(*args)
     else:
         assert spec._certificate_min_pairwise(*args).hex() == want.hex()
+    assert len(regrown) == len(set(regrown))  # each near row once
 
 
 @pytest.mark.parametrize("regime,bound", [("coefficient", 0.5), ("saturated", 1 - 2.0**-4), ("none", 1.0)])
 def test_certificate_anchor_pair_decides(regime, bound):
     # row 2 differs from anchor row 0 only at coordinate 3 (distance 0.1875
-    # at t = 0, 0.4375 at t = 1), closer than the global bound in every regime
+    # at t = 0, 0.4375 at t = 1), closer than the global bound in every
+    # regime; the anchor query regrows it and no anchor
     rows = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]], dtype=complex)
     if regime == "saturated":
         bound *= 1 - 5e-10
     assert _key_regime(rows, 2, bound) == regime
     global_bound, best, want = _full_scan_certificate(rows, [0], 0.0, bound, 2, 0.1)
     assert best == 0.4375 < global_bound == bound
-    got = spec._certificate_min_pairwise(FA, orbit_block(B2, rows, 2), [0], 0.0, bound, 0.1)
-    assert got.hex() == want.hex()
+    args, regrown = _certificate_args(rows, [0], 0.0, bound, 2, 0.1)
+    assert spec._certificate_min_pairwise(*args).hex() == want.hex()
+    assert 2 in regrown and 0 not in regrown
 
 
 def test_certificate_refuses_close_anchor_pair():
     # the global bound (0.9) clears eps, but anchor row 0 and row 1 are
     # 2^-8 apart: the anchor query finds the pair and refuses the family
     rows = np.array([[0, 0, 0, 0], [0, 0, 0, 1 / 16]], dtype=complex)
+    args, regrown = _certificate_args(rows, [0], 0.0, 0.9, 1, 0.1)
     with pytest.raises(ValidationError, match="anchor-related distance 0.0039"):
-        spec._certificate_min_pairwise(FA, orbit_block(B2, rows, 1), [0], 0.0, 0.9, 0.1)
+        spec._certificate_min_pairwise(*args)
+    assert regrown == [1]
 
 
 def test_family_close_anchors_rejected():
@@ -480,7 +587,11 @@ def test_family_batch_matches_tuple_shadows(m, n, k, weight):
     assert twins is None
     T = B if k == 1 else OperatorPower(B, k)
     orbits = orbit_block(T, rows, (n - 1) * (N + 1) + 1)
-    dev, certified = spec._family_certification(B, orbits, combos, anchor_rows, times[-1] + N, N, eps, FA)
+    lead = spec._key_lead(orbits.shape[2], eps)
+    dev, certified, keys = spec._family_certification(
+        B, orbits.__getitem__, orbits[anchor_rows], combos, times[-1] + N, N, eps, FA, lead
+    )
+    assert keys.tobytes() == orbits[: len(combos), :, :lead].real.tobytes()
     expected = list(_tuple_shadows(B, anchors, times, N, eps, dim))
     assert [tuple(c) for c in combos] == [combo for combo, _ in expected]
     assert xi.tobytes() == np.stack([rep.xi.coords for _, rep in expected]).tobytes()
