@@ -70,10 +70,10 @@ def main() -> int:
             "eps_list": [2.0**-k for k in range(3, 8)],
         }
         out = args.out / name
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            json.dump(config, fh)
-            cfg_path = fh.name
-        code = cli_main(["estimate-entropy", "--config", cfg_path, "--out", str(out)])
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = str(Path(tmp) / "config.json")
+            Path(cfg_path).write_text(json.dumps(config))
+            code = cli_main(["estimate-entropy", "--config", cfg_path, "--out", str(out)])
         if code != 0:
             print(f"{name}: runner failed with exit {code}")
             failures += 1

@@ -27,21 +27,21 @@ def main() -> int:
             "random_schedules": {"count": args.count, "max_segments": 3},
         }
         out = args.out / f"eps{eps}"
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            json.dump(config, fh)
-            cfg_path = fh.name
-        code = cli_main(
-            [
-                "shadow",
-                "--config",
-                cfg_path,
-                "--out",
-                str(out),
-                "--seed",
-                str(args.seed),
-                "--require-certified",
-            ]
-        )
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = str(Path(tmp) / "config.json")
+            Path(cfg_path).write_text(json.dumps(config))
+            code = cli_main(
+                [
+                    "shadow",
+                    "--config",
+                    cfg_path,
+                    "--out",
+                    str(out),
+                    "--seed",
+                    str(args.seed),
+                    "--require-certified",
+                ]
+            )
         report = json.loads((out / "report.json").read_text())
         worst = max(
             (d for rep in report["reports"] for _, d in rep["deviations"]),

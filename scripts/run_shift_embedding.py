@@ -32,10 +32,10 @@ def main() -> int:
             "eps_list": [0.4, 0.2, 0.1],
         }
         out = args.out / f"N{N}"
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            json.dump(config, fh)
-            cfg_path = fh.name
-        code = cli_main(["embed-shift", "--config", cfg_path, "--out", str(out)])
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = str(Path(tmp) / "config.json")
+            Path(cfg_path).write_text(json.dumps(config))
+            code = cli_main(["embed-shift", "--config", cfg_path, "--out", str(out)])
         if code != 0:
             print(f"N={N}: runner failed with exit {code}")
             return 1

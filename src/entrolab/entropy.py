@@ -31,30 +31,20 @@ each (n, eps) cell a neighbour bitmask per row (`_conflict_graphs`), swept
 greedily (`_greedy_sweep`) or searched for a maximum set
 (`_max_independent_set`).  A larger greedy table is one carried pass
 (`_carried_pairs`), one loop over blocks of candidate rows: each row gets
-only its candidates j > i, as runs of its neighbouring cells' rows, each
-block's pairs get their Bowen distances at the smallest n one time slice
-at a time, a pair dropping at the first slice that puts it beyond its
-radius (`_pairs_within`), and those within max(eps) are carried locally
-through every later n, extending their running maximum slice by slice and
-dropping the pairs that leave max(eps).  Each pair records a hit bit per
-(n, eps) cell, and each row is swept once across every cell
-(`_carried_marks`), keeping exactly the rows a greedy scan of each cell
-keeps.  The sweep's marks steer the pass, read once every earlier block
-is swept.  A row's reach is the largest eps of a column where it is still
-unmarked at some n; a row of reach 0 gets no candidates, and at the
-smallest n a pair is kept only within its first row's reach.  So a table
-whose pairs neither prune nor drop (an isometry with one large eps) costs
-the pairs of the rows that stay live, not every pair: the 0.7 rad rotation
-of a 64x64 grid (n 1-12, eps 0.5) takes 0.09 s, against 2.5 s for the
-witness scan that once served such tables (BENCH_19.json).  A row already
-marked in every cell at the smallest n enters at the second n, with its
-candidates from the key plan there, which is tighter where the points lie
-closest at the first n: c3's N=3, depth-8 cube evaluates 2.6 M pairs
-instead of 7.2 M (BENCH_22.json).  `near_pairs` is the same pass at one n,
-with every row reaching r.  Maxima and ands over a short axis of many rows
-are elementwise folds (`spaces.fold`); with the folds and the single sweep
-per row, the `shift-cube` benchmark pass fell from 0.41 to 0.22 s and c1's
-four tables from 2.6 to 1.5 s (BENCH_18.json).
+only its candidates j > i, as runs of its neighbouring cells' rows, and
+each block's pairs go through `_pairs_within`, the one kernel that takes
+Bowen distances from orbit slices.  It takes them one slice at a time at
+the smallest n, dropping a pair at the first slice that puts it beyond its
+radius, and carries the pairs within max(eps) through every later n.  Each
+pair records a hit bit per (n, eps) cell, and each row is swept once
+across every cell (`_carried_marks`), keeping exactly the rows a greedy
+scan of each cell keeps.  The sweep's marks steer the pass: a row's reach
+is the largest eps of a column where it is still unmarked at some n, a
+row of reach 0 gets no candidates, and a row already marked in every cell
+at the smallest n enters at the second n, with its candidates from the
+key plan there.  `near_pairs` is the same pass at one n, with every row
+reaching r.  Maxima and ands over a short axis of many rows are
+elementwise folds (`spaces.fold`).
 `_kept_rows` chooses the path of every count from the table's size.
 
 Spectral side: sum of multiplicity * log|lambda| over eigenvalues of
@@ -183,40 +173,60 @@ def bowen_distances(
     return fold(np.maximum, norm_block(orbits[I, :n] - orbits[J, :n], s))
 
 
-def _pairs_within(orbits: np.ndarray, I: np.ndarray, J: np.ndarray, n: int, R: np.ndarray, s: SpaceSpec):
-    """Positions of the row pairs (I, J) whose Bowen distance over t < n is
-    at most R (one radius per pair), and those distances.
+def _pairs_within(orbits: np.ndarray, I: np.ndarray, J: np.ndarray, n_values, R: np.ndarray, r: float, s: SpaceSpec):
+    """The row pairs (I, J) within R (one radius per pair) at n_values[0],
+    carried through every later n while they stay within r, as blocks
+    (kept, levels): kept holds the positions in I of the pairs within R,
+    and levels[k] = (at, D) the block positions of the pairs within r at
+    n_values[k - 1] (all for k = 0) and their Bowen distances over
+    t < n_values[k], until none is left.
 
-    Slices are taken one at a time, BLOCK_ELEMS coordinates at a time: the
-    latest (t = n - 1), the first, then t = n - 2 down to 1.  A pair drops
-    as soon as its running maximum passes its radius: the distance only
-    grows with more slices, so it stays beyond.  The kept distances are
-    `bowen_distances` bit for bit, because max is exact in any order and
-    `norm_block` works row by row.  An expanding map is widest at its
-    latest slice and a contracting one at its first, so under either most
-    far pairs drop within two slices.  The direct verification of the
-    `sp-family` benchmark's m = 6 family (221 rows, 11 steps, 2,903
-    candidate pairs, none within the radius) takes 1.46 slices a pair
-    instead of 11, and 7.9 ms instead of 28.6 ms (BENCH_23.json).
+    This is the one kernel that takes Bowen distances from orbit slices.
+    Pairs are taken BLOCK_ELEMS coordinates at a time, one slice at a time:
+    at n_values[0] the latest slice (t = n - 1), the first, then t = n - 2
+    down to 1, then every slice up to each later n (all slices in between
+    when `n_values` skips some).  A pair drops as soon as its running
+    maximum passes its radius, R at n_values[0] and r after: the distance
+    only grows with more slices, so it stays beyond.  D is `bowen_distances`
+    bit for bit, because max is exact in any order and `norm_block` works
+    row by row.  An expanding map is widest at its latest slice and a
+    contracting one at its first, so under either most far pairs drop
+    within two slices.  The direct verification of the `sp-family`
+    benchmark's m = 6 family (221 rows, 11 steps, 2,903 candidate pairs,
+    none within the radius) takes 1.46 slices a pair instead of 11, and
+    7.9 ms instead of 28.6 ms (BENCH_23.json).
     """
     _, steps, dim = orbits.shape
     rows = orbits.reshape(-1, dim)  # row i * steps + t is orbits[i, t]; take() gathers 1.2-4x faster
+
+    def at_slice(i, j, t):  # the distances at time t of the pairs with flat rows i, j
+        return norm_block(rows.take(i + t, axis=0) - rows.take(j + t, axis=0), s)
+
     step = max(1, BLOCK_ELEMS // dim)
+    n = n_values[0]
     slices = [n - 1, 0][: min(n, 2)] + list(range(n - 2, 0, -1))
-    kept, distances = np.empty(0, dtype=np.intp), np.empty(0)
     for a in range(0, len(I), step):
-        at = np.arange(a, min(a + step, len(I)))
-        i, j, r = I[a : a + step] * steps, J[a : a + step] * steps, R[a : a + step]
+        kept = np.arange(a, min(a + step, len(I)))
+        i, j, radius = I[a : a + step] * steps, J[a : a + step] * steps, R[a : a + step]
         for k, t in enumerate(slices):
-            d = norm_block(rows.take(i + t, axis=0) - rows.take(j + t, axis=0), s)
-            D = d if k == 0 else np.maximum(D, d)
+            D = at_slice(i, j, t) if k == 0 else np.maximum(D, at_slice(i, j, t))
+            close = D <= radius
+            if not close.all():
+                kept, D, i, j, radius = kept[close], D[close], i[close], j[close], radius[close]
+        if not kept.size:
+            continue
+        at = np.arange(kept.size)
+        levels = [(at, D)]
+        for n, m in zip(n_values, n_values[1:]):
             close = D <= r
             if not close.all():
-                at, D = at[close], D[close]
-                if k < n - 1:
-                    i, j, r = i[close], j[close], r[close]
-        kept, distances = (at, D) if a == 0 else (np.concatenate((kept, at)), np.concatenate((distances, D)))
-    return kept, distances
+                at, D, i, j = at[close], D[close], i[close], j[close]
+                if not at.size:
+                    break
+            for t in range(n, m):
+                D = np.maximum(D, at_slice(i, j, t))
+            levels.append((at, D))
+        yield kept, levels
 
 
 def _key_coefficients(dim: int) -> np.ndarray:
@@ -331,11 +341,10 @@ def _plan_keys(orbits: np.ndarray, n: int, r: float, s: SpaceSpec):
     pairs are the plan when no key prunes or when they fit one block.
 
     Filters, measured with one thread (2 cores, numpy 2.4.6): they fire in
-    practice only under the aggregated norm, and there cut the `sp-family`
-    workload's task_s from 0.90 to 0.82 s (medians of 10 alternating runs,
-    quartile distance 0.04 s), the c5 family m=5, n=4 build from 3.7 to
-    1.4 s and the m=10, n=4 count from 9.0 to 1.1 s.  Filtering by every
-    key instead, on the l^p grids of `grid-slopes`, cost 25% of task_s.
+    practice only under the aggregated norm, and there cut the c5
+    acceptance test (nine families built and counted) from 1.81 to 0.91 s
+    (medians of six in-process runs).  Filtering by every key instead, on
+    the l^p grids of `grid-slopes`, cost 25% of task_s.
     """
     count, _, dim = orbits.shape
     everything = count * (count - 1) // 2
@@ -410,7 +419,9 @@ def _candidate_blocks(cells, reach, size: int):
     is sized by each row's smallest size under the plans asked for so far,
     and cut where the sizes the rows take pass `size`: sized by the level-0
     plan alone, blocks of rows entering at level 1 would hold a fraction of
-    `size`."""
+    `size`.  A window whose rows all have radius 0 yields nothing and is
+    passed over whole: with one thread, diag(0.5, 0.5) on a 64x64 grid
+    (n 1-8, eps 0.5) takes 20 ms instead of 35 ms."""
     order, start, lens, sizes = _candidate_index(cells(0))
     count = order.size
     start, lens, sizes = start[np.newaxis], lens[np.newaxis], sizes[np.newaxis]  # plan k's runs at [k]
@@ -420,6 +431,9 @@ def _candidate_blocks(cells, reach, size: int):
         done = int(ends[row - 1]) if row else 0
         stop = max(row + 1, int(np.searchsorted(ends, done + size, "right")))
         radii, entry = reach(row, stop)
+        if not radii.any():  # no row of the window gets a candidate
+            row = stop
+            continue
         if entry.any() and sizes.shape[0] == 1:  # a first row enters at level 1: read the window again
             more = _candidate_index(cells(1))
             runs = max(start.shape[-1], more[1].shape[-1])
@@ -472,10 +486,8 @@ def near_pairs(orbits: np.ndarray, n: int, r: float, s: SpaceSpec):
 def _carried_pairs(orbits: np.ndarray, n_values, r: float, s: SpaceSpec, plan, reach=None):
     """The candidate pairs within r at n_values[0] (within reach(i) <= r
     when a reach is given, see `_candidate_blocks`) as blocks (I, J,
-    levels), I nondecreasing over the whole stream; levels[k] = (at, D)
-    holds the block positions of the pairs within r at n_values[k - 1] (all
-    for k = 0) and their Bowen distances over t < n_values[k], until none
-    is left.  A row entering at level 0 (every row, without a reach) takes
+    levels), I nondecreasing over the whole stream, with `_pairs_within`'s
+    levels.  A row entering at level 0 (every row, without a reach) takes
     its candidates from `plan`, the key plan at n_values[0], so its pairs
     are every pair within r there; a row entering at level 1 takes them
     from the plan at n_values[1] (`_plan_keys` with r), built the first
@@ -484,22 +496,13 @@ def _carried_pairs(orbits: np.ndarray, n_values, r: float, s: SpaceSpec, plan, r
     Either way the pairs take their distances at n_values[0] and are
     carried alike.
 
-    One loop over blocks of 2 fill candidates counted both ways, fill =
-    min(2 PAIR_BLOCK, BLOCK_ELEMS / dim): each block is filtered by the
-    filter keys of its rows' plans (`_neighbours`), its pairs within reach
-    at n_values[0] are found one slice at a time by `_pairs_within`, which
-    drops a pair at the first slice that puts it beyond its reach, and they
-    are carried through every later n, fill at a time (a row with more
-    straddles blocks): the running maximum of the pairs still within r is
-    extended one time slice at a time (all slices in between when
-    `n_values` skips some), and pairs beyond r drop, as Bowen distances
-    only grow with n.  `norm_block` works row by row and max is
-    exact, so D is `bowen_distances` bit for bit.  The next block's reach
-    is read once the consumer has taken every block before it.
+    One loop over blocks of 2 min(2 PAIR_BLOCK, BLOCK_ELEMS / dim)
+    candidates counted both ways: each block is filtered by the filter keys
+    of its rows' plans (`_neighbours`), and its pairs go through
+    `_pairs_within`, which bounds every distance temporary.  The next
+    block's reach is read once the consumer has taken every block before
+    it.
     """
-    _, steps, dim = orbits.shape
-    rows = orbits.reshape(-1, dim)  # row i * steps + t is orbits[i, t]; take() gathers 1.2-4x faster
-    fill = max(1, min(2 * PAIR_BLOCK, BLOCK_ELEMS // dim))
     plans = [plan]
 
     def cells(k):  # the hashed cells of the plan at n_values[k], built on first use
@@ -512,27 +515,14 @@ def _carried_pairs(orbits: np.ndarray, n_values, r: float, s: SpaceSpec, plan, r
         def reach(row, stop):  # every row reaches r and enters at level 0
             return np.full(stop - row, r), np.zeros(stop - row, dtype=np.intp)
 
-    for I, J, R, E in _candidate_blocks(cells, reach, 2 * fill):
+    size = 2 * max(1, min(2 * PAIR_BLOCK, BLOCK_ELEMS // orbits.shape[2]))
+    for I, J, R, E in _candidate_blocks(cells, reach, size):
         for k, (_, filters) in enumerate(plans):
             if filters.shape[1]:
                 near = (E != k) | _neighbours(filters, I, J)
                 I, J, R, E = I[near], J[near], R[near], E[near]
-        kept, D = _pairs_within(orbits, I, J, n_values[0], R, s)
-        I, J = I[kept], J[kept]
-        for a in range(0, I.size, fill):
-            pairs = i, j = I[a : a + fill], J[a : a + fill]
-            at, d = np.arange(i.size), D[a : a + fill]
-            levels = [(at, d)]
-            for n, m in zip(n_values, n_values[1:]):
-                close = d <= r
-                at, d, i, j = at[close], d[close], i[close], j[close]
-                if not at.size:
-                    break
-                for t in range(n, m):
-                    diff = rows.take(i * steps + t, axis=0) - rows.take(j * steps + t, axis=0)
-                    d = np.maximum(d, norm_block(diff, s))
-                levels.append((at, d))
-            yield *pairs, levels
+        for kept, levels in _pairs_within(orbits, I, J, n_values, R, r, s):
+            yield I[kept], J[kept], levels
 
 
 def _carried_marks(orbits: np.ndarray, n_values, eps: np.ndarray, s: SpaceSpec, plan) -> np.ndarray:

@@ -47,6 +47,7 @@ from .entropy import (
     _key_cells,
     _key_coefficients,
     _neighbours,
+    _pairs_within,
     bowen_distances,
     near_pairs,
 )
@@ -67,7 +68,6 @@ from .spaces import (
     SpaceSpec,
     Vector,
     faggregate_l2,
-    fold,
     norm_block,
     norm_tail_bound,
     padded_block,
@@ -535,8 +535,10 @@ def _certificate_min_pairwise(
     Anchor pairs are checked exactly where they can lower the result
     min(global bound, closest anchor pair): a pair within the global bound
     shares or neighbours a cell on every usable key of `_key_cells`, so
-    only those rows are regrown and get a Bowen distance, row by row that
-    of a full scan.
+    only those rows are regrown, and `_pairs_within` takes their Bowen
+    distances with the global bound as radius, row by row those of a full
+    scan.  A pair it drops lies beyond the bound, so it can lower neither
+    the result nor the separation below epsilon.
     """
     dim = anchors.shape[2]
     drift_max = float(norm_block(anchors - anchors[:, :1], space).max())
@@ -550,11 +552,12 @@ def _certificate_min_pairwise(
     filters, every = cells[:, usable], np.arange(keys.shape[0])
     near = [every[_neighbours(filters, every, r) & (every != r)] for r in anchor_rows]
     regrown = np.unique(np.concatenate(near))
-    orbits = grow(regrown) if regrown.size else None
     best_direct = math.inf
-    for anchor, rows in zip(anchors, near):
-        if rows.size:
-            d = fold(np.maximum, norm_block(orbits[np.searchsorted(regrown, rows)] - anchor, space))
+    if regrown.size:  # anchor c is row regrown.size + c, beside the regrown rows
+        I = np.repeat(regrown.size + np.arange(len(near)), [rows.size for rows in near])
+        J = np.searchsorted(regrown, np.concatenate(near))
+        orbits, bound = np.concatenate((grow(regrown), anchors)), np.full(I.size, global_bound)
+        for _, ((_, d),) in _pairs_within(orbits, I, J, (anchors.shape[1],), bound, global_bound, space):
             best_direct = min(best_direct, float(d.min()))
     if not (best_direct > epsilon):
         raise ValidationError(

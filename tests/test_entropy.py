@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrolab.entropy import (
@@ -719,26 +719,48 @@ N0_OPERATORS = {
     st.integers(0, 10_000),
     st.sampled_from(sorted(N0_OPERATORS)),
     st.sampled_from([L1, L2, LINF, FAggregate(L2)]),
-    st.integers(1, 6),
+    st.lists(st.integers(1, 7), min_size=1, max_size=4, unique=True).map(sorted).map(tuple),
     st.booleans(),
 )
-def test_pairs_within_keeps_exactly_the_close_pairs(seed, kind, s, n, small_blocks):
-    # the n0 step keeps the pairs with D <= R, one radius per pair, and their
-    # D bit for bit `bowen_distances`; radii are random, a pair's exact
-    # distance (kept) or the float just below it (dropped), in pairs of
-    # random order; 8-pair chunks when small_blocks
+@example(0, "expanding", L2, (2, 3, 5, 6), True)
+@example(1, "contracting", FAggregate(L2), (1, 4), False)
+def test_pairs_within_keeps_exactly_the_close_pairs(seed, kind, s, n_values, small_blocks):
+    # at n_values[0] the kernel keeps the pairs with D <= R, one radius per
+    # pair, and carries them: level k holds the pairs within r at
+    # n_values[k - 1], with D bit for bit `bowen_distances` at n_values[k],
+    # until none is left.  Radii are random, a pair's exact distance (kept)
+    # or the float just below it (dropped), in pairs of random order; r is
+    # random or one pair's exact distance at a random n; every block comes
+    # from one chunk of BLOCK_ELEMS // dim pairs, 16-element blocks when
+    # small_blocks
     rng = np.random.default_rng(seed)
     pts = np.unique(rng.integers(0, 64, size=(60, 2)) / 32.0, axis=0)
-    orbits = en._sample_orbits(N0_OPERATORS[kind], CompactSample(pts, 0.1), n)
+    orbits = en._sample_orbits(N0_OPERATORS[kind], CompactSample(pts, 0.1), n_values[-1])
     I, J = np.triu_indices(len(pts), 1)
     order = rng.permutation(I.size)
     I, J = I[order], J[order]
-    D = en.bowen_distances(orbits, I, J, n, s)
-    R = np.choose(rng.integers(0, 3, I.size), [rng.random(I.size) * 2 * D.max(), D, np.nextafter(D, 0)])
-    with mock.patch.object(en, "BLOCK_ELEMS", 16 if small_blocks else en.BLOCK_ELEMS):
-        at, got = en._pairs_within(orbits, I, J, n, R, s)
-    assert at.tolist() == np.flatnonzero(D <= R).tolist()
-    assert got.tobytes() == D[at].tobytes()
+    D = [en.bowen_distances(orbits, I, J, n, s) for n in n_values]
+    R = np.choose(rng.integers(0, 3, I.size), [rng.random(I.size) * 2 * D[0].max(), D[0], np.nextafter(D[0], 0)])
+    r = float(rng.random() * 2 * D[-1].max() if rng.random() < 0.5 else rng.choice(D[rng.integers(len(D))]))
+    elems = 16 if small_blocks else en.BLOCK_ELEMS
+    with mock.patch.object(en, "BLOCK_ELEMS", elems):
+        blocks = list(en._pairs_within(orbits, I, J, n_values, R, r, s))
+    step = elems // orbits.shape[2]
+    assert all(kept.size and kept[0] // step == kept[-1] // step for kept, _ in blocks)
+    at = np.concatenate([kept for kept, _ in blocks]) if blocks else np.empty(0, dtype=np.intp)
+    assert at.tolist() == np.flatnonzero(D[0] <= R).tolist()
+    for kept, levels in blocks:
+        assert len(levels) <= len(D)
+        within = np.arange(kept.size)
+        for k, Dn in enumerate(D):
+            if k:
+                within = np.flatnonzero(D[k - 1][kept] <= r)
+            if k == len(levels):
+                assert within.size == 0
+                break
+            got_at, got = levels[k]
+            assert got_at.tolist() == within.tolist()
+            assert got.tobytes() == Dn[kept][within].tobytes()
 
 
 def test_unpruned_line_matches_witness_scan():
@@ -1035,12 +1057,12 @@ def test_carried_pass_more_than_64_cells(s):
 
 
 def test_carried_rows_straddle_blocks():
-    # at a first n of 40 and dim 8, distances are taken 204 pairs at a time
-    # and carried 8,192 at a time: nearly every pair of 300 points lies
-    # within 0.9 and, under a diagonal that does not expand, stays there, so
-    # a block of 16,384 candidates carries more than 8,192 pairs and its
-    # rows' pairs straddle the carried blocks
-    assert en.BLOCK_ELEMS // (40 * 8) == 204
+    # at dim 8 the kernel takes distances and carries pairs 8,192 at a time:
+    # nearly every pair of 300 points lies within 0.9 at a first n of 40
+    # and, under a diagonal that does not expand, stays there, so a block
+    # of 16,384 candidates counted both ways carries more than 8,192 pairs
+    # and its rows' pairs straddle the kernel's chunks
+    assert en.BLOCK_ELEMS // 8 == 8192
     rng = np.random.default_rng(6)
     K = CompactSample(rng.random((300, 8)), 0.1)
     T = Diagonal(ExplicitRule((1.0, 0.5) * 4))
