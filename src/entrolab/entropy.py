@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -163,7 +163,7 @@ def _sample_orbits(T: Operator, K: CompactSample, steps: int) -> np.ndarray:
     twice as fast.
     """
     orbits = orbit_block(T, K.rows, steps)
-    return orbits if np.any(orbits.imag) else orbits.real.copy()
+    return orbits if orbits.imag.any() else orbits.real.copy()
 
 
 def bowen_distances(
@@ -629,32 +629,50 @@ def greedy_separated(
     return [K.points[i] for i in np.flatnonzero(kept)]
 
 
+@lru_cache(maxsize=None)
+def _pair_layout(count: int):
+    """The pairs I < J of `count` rows (row-major), the flat map from each
+    ordered pair to its position there (the diagonal to one past the last)
+    and the rows' bit weights, bit j of word j // 64; read-only, cached."""
+    I, J = np.triu_indices(count, 1)
+    where = np.full((count, count), I.size)
+    where[I, J] = where[J, I] = np.arange(I.size)
+    rows = np.arange(count)
+    weights = np.zeros((count, -(-count // 64)), dtype=np.uint64)
+    weights[rows, rows // 64] = np.uint64(1) << (rows % 64).astype(np.uint64)
+    for a in (I, J, where, weights):
+        a.flags.writeable = False
+    return I, J, where.ravel(), weights
+
+
 def _conflict_graphs(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec) -> list:
     """Conflict graphs (Bowen distance <= eps) of every (n, eps) cell, as
     graphs[k][j][row], one bitmask of neighbours per row, for the ascending
-    `n_values`: every pair's distances over t < max(n), BLOCK_ELEMS
-    coordinates at a time, their running maximum read at each n (that is
-    `bowen_distances` bit for bit: `norm_block` works row by row), and each
-    cell's adjacency packed into 64-bit words per row."""
+    `n_values`: every pair's distances over t < max(n), in one `norm_block`
+    call when they fit BLOCK_ELEMS coordinates, their running maximum read
+    at each n (that is `bowen_distances` bit for bit: `norm_block` works
+    row by row), and each cell's masks one integer product, its symmetric
+    0/1 adjacency times the rows' bit weights (`_pair_layout`)."""
     orbits = orbits[:, : n_values[-1]]
-    count, last, _ = orbits.shape
-    rows = np.arange(count)
-    I, J = np.nonzero(rows[:, np.newaxis] < rows)
+    count = orbits.shape[0]
+    I, J, where, weights = _pair_layout(count)
     step = max(1, BLOCK_ELEMS // orbits[0].size)
-    D = np.empty((I.size, last))
-    for a in range(0, I.size, step):
-        D[a : a + step] = norm_block(orbits[I[a : a + step]] - orbits[J[a : a + step]], s)
-    D = fold(np.maximum, D, running=True)[:, np.subtract(n_values, 1)]
-    close = D.T[:, np.newaxis] <= np.array(eps_values)[:, np.newaxis]
-    words = -(-count // 64)
-    adjacent = np.zeros((len(n_values), len(eps_values), count, 64 * words), dtype=bool)
-    adjacent[..., I, J] = adjacent[..., J, I] = close
-    packed = np.packbits(adjacent, axis=-1, bitorder="little").view("<u8")
-    masks = packed[..., 0].ravel().tolist()
-    for w in range(1, words):
-        masks = [m | h << 64 * w for m, h in zip(masks, packed[..., w].ravel().tolist())]
-    cells = [masks[a : a + count] for a in range(0, len(masks), count)]
-    return [cells[a : a + len(eps_values)] for a in range(0, len(cells), len(eps_values))]
+
+    def pair_norms(i, j):
+        return norm_block(orbits.take(i, axis=0) - orbits.take(j, axis=0), s)
+
+    if I.size <= step:
+        D = pair_norms(I, J)
+    else:
+        D = np.concatenate([pair_norms(I[a : a + step], J[a : a + step]) for a in range(0, I.size, step)])
+    square = np.full((len(n_values), I.size + 1), np.inf)  # `where` sends the diagonal to inf
+    square[:, :-1] = fold(np.maximum, D, running=True)[:, np.subtract(n_values, 1)].T
+    square = square.take(where, axis=1).reshape(-1, 1, count, count)
+    adjacent = square <= np.array(eps_values)[:, np.newaxis, np.newaxis]
+    masks = adjacent.astype(np.uint64) @ weights
+    if weights.shape[1] > 1:  # above 64 rows: join each row's words into one Python int
+        masks = np.bitwise_or.reduce(masks.astype(object) << 64 * np.arange(weights.shape[1]), axis=-1, keepdims=True)
+    return masks[..., 0].tolist()
 
 
 def _greedy_sweep(masks: list[int]) -> int:
@@ -733,8 +751,8 @@ def _kept_rows(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec, method: s
     that enter there.  Every other table, every exact one included,
     takes its cells from `_conflict_graphs`: a greedy cell is a bitmask
     sweep (`_greedy_sweep`), an exact one the maximum independent set.
-    This cut the `exact-oracle` benchmark pass from 0.93 to 0.65 s
-    (BENCH_16.json).
+    The `exact-oracle` benchmark pass (3,840 such tables) takes 0.30 s
+    (BENCH_25.json), against 0.93 s before this path (BENCH_16.json).
     """
     count = orbits.shape[0]
     if method == "greedy" and count * (count - 1) // 2 > PAIR_BLOCK:
@@ -742,7 +760,9 @@ def _kept_rows(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec, method: s
         return ~_carried_marks(orbits, n_values, np.array(eps_values), s, plan)
     search = _max_independent_set if method == "exact" else _greedy_sweep
     sets = [[search(masks) for masks in cells] for cells in _conflict_graphs(orbits, n_values, eps_values, s)]
-    return np.array([[[best >> i & 1 for i in range(count)] for best in cells] for cells in sets], dtype=bool)
+    size = -(-count // 8)
+    chosen = np.frombuffer(b"".join(best.to_bytes(size, "little") for cells in sets for best in cells), np.uint8)
+    return np.unpackbits(chosen.reshape(len(sets), -1, size), axis=-1, count=count, bitorder="little").view(bool)
 
 
 @dataclass(frozen=True)

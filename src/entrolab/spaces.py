@@ -71,12 +71,11 @@ class Vector:
     coords: np.ndarray = field()
 
     def __post_init__(self):
-        arr = np.asarray(self.coords, dtype=complex)
+        arr = np.array(self.coords, dtype=complex)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("vector needs a one-dimensional, nonempty coordinate list")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise ValidationError("vector coordinates must be finite")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coords", arr)
 
@@ -111,7 +110,7 @@ class Vector:
 
 
 def vector(values) -> Vector:
-    return Vector(np.asarray(values, dtype=complex))
+    return Vector(values)
 
 
 def basis_vector(n: int, dim: int) -> Vector:
@@ -248,12 +247,12 @@ def padded_block(points, dim: int | None = None) -> np.ndarray:
     rows = [p.coords if isinstance(p, Vector) else np.asarray(p) for p in points]
     if any(r.ndim != 1 or r.size == 0 for r in rows):
         raise ValidationError("a point needs a one-dimensional, nonempty coordinate list")
-    dim = max(r.size for r in rows) if dim is None else dim
+    sizes = np.array([r.size for r in rows])
+    dim = int(sizes.max()) if dim is None else dim
+    if (sizes > dim).any():
+        raise ValidationError("vector longer than the working truncation")
     block = np.zeros((len(rows), dim), dtype=complex)
-    for i, r in enumerate(rows):
-        if r.size > dim:
-            raise ValidationError("vector longer than the working truncation")
-        block[i, : r.size] = r
+    block[np.arange(dim) < sizes[:, np.newaxis]] = np.concatenate(rows) if rows else ()
     if not np.isfinite(block).all():
         raise ValidationError("point coordinates must be finite")
     return block

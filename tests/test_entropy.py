@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -515,6 +516,19 @@ def test_overflowed_orbits_raise():
         orbit_block(T, np.array([[1e10]]), 2)
 
 
+# the orbit overflows on purpose and ends in NonFiniteOrbitError
+def test_overflowing_orbit_raises_without_warning():
+    # 1e200 squared leaves the range at the second step, in a complex
+    # product that gives inf and nan; the error is raised, no warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteOrbitError):
+            orbit_block(Diagonal(ConstRule(1e200)), np.array([[1.0, 1j]]), 3)
+        with pytest.raises(NonFiniteOrbitError):
+            greedy_separated(Diagonal(ConstRule(1e200)), sample_of([1.0, 2.0]), 3, 0.1, L2)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 # ---------------------------------------------------------------- near-pair kernel
 
 from entrolab import entropy as en  # noqa: E402
@@ -813,10 +827,15 @@ def test_reach_prunes_candidate_rows(monkeypatch):
     st.sampled_from(KERNEL_SPACES),
     st.integers(1, 3),
     st.booleans(),
-    st.sampled_from([24, 65, 91]),
+    st.sampled_from([1, 2, 24, 63, 64, 65, 91]),
 )
+@example(7, L2, 2, True, 1)
+@example(8, LINF, 1, False, 2)
+@example(9, FAggregate(L2), 2, False, 63)
+@example(10, L1, 3, True, 64)
+@example(11, L3, 2, True, 65)
 def test_conflict_masks_match_per_row_graph(seed, s, dim, rotate, count):
-    # 65 and 91 rows need a second 64-bit word per mask
+    # 65 and 91 rows need a second 64-bit word per mask; 63 and 64 fill one
     T, K = kernel_sample(seed, dim, 200, dyadic=seed % 2 == 0, rotate=rotate)
     K = rows_of(K, count)
     orbits = en._sample_orbits(T, K, 9)
@@ -826,6 +845,21 @@ def test_conflict_masks_match_per_row_graph(seed, s, dim, rotate, count):
         for n, cells in zip(n_values, graphs):
             for eps, masks in zip(eps_values, cells):
                 assert masks == old_conflict_masks(orbits[:, :n], eps, s)
+
+
+def test_kept_rows_decode_every_bit_across_the_word_boundary():
+    # each cell's chosen set, read bit by bit, is the kept rows of the
+    # dense path, around the 64-row word boundary and for both methods
+    T = Diagonal(ExplicitRule((2.0,)))
+    for count in (63, 64, 65):
+        orbits = en._sample_orbits(T, sample_of(np.arange(count) * 0.25), 2)
+        n_values, eps_values = (1, 2), (0.6, 0.25)
+        graphs = en._conflict_graphs(orbits, n_values, eps_values, L2)
+        for method, search in (("exact", en._max_independent_set), ("greedy", en._greedy_sweep)):
+            kept = en._kept_rows(orbits, n_values, eps_values, L2, method)
+            bits = [[[search(masks) >> i & 1 for i in range(count)] for masks in cells] for cells in graphs]
+            assert kept.dtype == bool and kept.tolist() == np.array(bits, dtype=bool).tolist()
+            assert kept[:, :, count - 1].any() and not kept.all()
 
 
 def test_dense_path_size_rule(monkeypatch):

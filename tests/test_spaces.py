@@ -161,6 +161,26 @@ def test_norm_rejects_nan():
         Vector(np.array([1.0, float("inf")]))
 
 
+def test_vector_refuses_bad_coordinates_and_owns_a_copy():
+    nan, inf = float("nan"), float("inf")
+    for bad in ([nan], [1.0, inf], [complex(1.0, nan)], [complex(0.0, -inf)], [complex(inf, nan)]):
+        with pytest.raises(ValidationError, match="finite"):
+            Vector(np.array(bad, dtype=complex))
+        with pytest.raises(ValidationError, match="finite"):
+            vector(bad)
+    for bad in ([], [[1.0, 2.0]], np.zeros((2, 2))):
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            vector(bad)
+    source = np.array([1.0, 2j])
+    v = Vector(source)
+    assert not v.coords.flags.writeable and v.coords.dtype == complex
+    with pytest.raises(ValueError):
+        v.coords[0] = 5.0
+    source[0] = 7.0
+    assert v.coords.tolist() == [1.0, 2j]
+    assert not np.shares_memory(Vector(v.coords).coords, v.coords)
+
+
 def test_lp_requires_p_at_least_one():
     with pytest.raises(ValidationError):
         Lp(0.5)
@@ -195,6 +215,30 @@ def test_padded_block_takes_vectors_and_arrays():
             padded_block(bad)
     with pytest.raises(ValidationError):
         padded_block(rows, 1)
+
+
+def looped_padded_block(points, dim=None):
+    """The block row by row: each point written into its zero-padded row."""
+    rows = [p.coords if isinstance(p, Vector) else np.asarray(p) for p in points]
+    dim = max(r.size for r in rows) if dim is None else dim
+    block = np.zeros((len(rows), dim), dtype=complex)
+    for i, r in enumerate(rows):
+        block[i, : r.size] = r
+    return block
+
+
+def test_padded_block_matches_row_by_row_padding():
+    rng = np.random.default_rng(3)
+    equal = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+    ragged = [vector(rng.normal(size=k)) for k in (3, 1, 4, 2, 4)] + [rng.normal(size=2), [1j, -0.0]]
+    for points, dim in ((equal, None), (equal, 6), (list(equal), 3), (ragged, None), (ragged, 7)):
+        block = padded_block(points, dim)
+        want = looped_padded_block(points, dim)
+        assert block.shape == want.shape and block.tobytes() == want.tobytes()
+    assert padded_block([], 2).shape == (0, 2)
+    for points, dim in ((equal, 2), (ragged, 3)):
+        with pytest.raises(ValidationError, match="longer than the working truncation"):
+            padded_block(points, dim)
 
 
 def test_distance_identity():
