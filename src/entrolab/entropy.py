@@ -648,23 +648,20 @@ def _pair_layout(count: int):
 def _conflict_graphs(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec) -> list:
     """Conflict graphs (Bowen distance <= eps) of every (n, eps) cell, as
     graphs[k][j][row], one bitmask of neighbours per row, for the ascending
-    `n_values`: every pair's distances over t < max(n), in one `norm_block`
-    call when they fit BLOCK_ELEMS coordinates, their running maximum read
-    at each n (that is `bowen_distances` bit for bit: `norm_block` works
-    row by row), and each cell's masks one integer product, its symmetric
-    0/1 adjacency times the rows' bit weights (`_pair_layout`)."""
+    `n_values`: every pair's distances over t < max(n), BLOCK_ELEMS
+    coordinates a `norm_block` call (one call when they fit), their running
+    maximum read at each n (that is `bowen_distances` bit for bit:
+    `norm_block` works row by row), and each cell's masks one integer
+    product, its symmetric 0/1 adjacency times the rows' bit weights
+    (`_pair_layout`)."""
     orbits = orbits[:, : n_values[-1]]
     count = orbits.shape[0]
     I, J, where, weights = _pair_layout(count)
     step = max(1, BLOCK_ELEMS // orbits[0].size)
-
-    def pair_norms(i, j):
-        return norm_block(orbits.take(i, axis=0) - orbits.take(j, axis=0), s)
-
-    if I.size <= step:
-        D = pair_norms(I, J)
-    else:
-        D = np.concatenate([pair_norms(I[a : a + step], J[a : a + step]) for a in range(0, I.size, step)])
+    D = np.empty((I.size, orbits.shape[1]))
+    for a in range(0, I.size, step):
+        i, j = I[a : a + step], J[a : a + step]
+        D[a : a + step] = norm_block(orbits.take(i, axis=0) - orbits.take(j, axis=0), s)
     square = np.full((len(n_values), I.size + 1), np.inf)  # `where` sends the diagonal to inf
     square[:, :-1] = fold(np.maximum, D, running=True)[:, np.subtract(n_values, 1)].T
     square = square.take(where, axis=1).reshape(-1, 1, count, count)
@@ -751,8 +748,8 @@ def _kept_rows(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec, method: s
     that enter there.  Every other table, every exact one included,
     takes its cells from `_conflict_graphs`: a greedy cell is a bitmask
     sweep (`_greedy_sweep`), an exact one the maximum independent set.
-    The `exact-oracle` benchmark pass (3,840 such tables) takes 0.30 s
-    (BENCH_25.json), against 0.93 s before this path (BENCH_16.json).
+    This cut the `exact-oracle` benchmark pass from 0.93 to 0.65 s
+    (BENCH_16.json), and integer masks by a further 18% (BENCH_25.json).
     """
     count = orbits.shape[0]
     if method == "greedy" and count * (count - 1) // 2 > PAIR_BLOCK:

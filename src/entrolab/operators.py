@@ -514,9 +514,8 @@ def orbit_block(T: Operator, block: np.ndarray, steps: int) -> np.ndarray:
     block = np.asarray(block, dtype=complex)
     out = np.empty((block.shape[0], steps, block.shape[1]), dtype=complex)
     out[:, 0, :] = block
-    with np.errstate(over="ignore", invalid="ignore"):  # as in `batch_apply`, once for every step
-        for i in range(1, steps):
-            out[:, i, :] = T.apply_block(out[:, i - 1, :])
+    for i in range(1, steps):
+        out[:, i, :] = batch_apply(T, out[:, i - 1, :])
     require_finite(out)
     return out
 

@@ -251,8 +251,12 @@ def padded_block(points, dim: int | None = None) -> np.ndarray:
     dim = int(sizes.max()) if dim is None else dim
     if (sizes > dim).any():
         raise ValidationError("vector longer than the working truncation")
-    block = np.zeros((len(rows), dim), dtype=complex)
-    block[np.arange(dim) < sizes[:, np.newaxis]] = np.concatenate(rows) if rows else ()
+    flat = np.concatenate(rows, dtype=complex, casting="unsafe") if rows else np.zeros(0, dtype=complex)
+    if flat.size == sizes.size * dim:  # no row is padded: the rows joined are the block
+        block = flat.reshape(sizes.size, dim)
+    else:  # scatter the rows by their lengths
+        block = np.zeros((sizes.size, dim), dtype=complex)
+        block[np.arange(dim) < sizes[:, np.newaxis]] = flat
     if not np.isfinite(block).all():
         raise ValidationError("point coordinates must be finite")
     return block

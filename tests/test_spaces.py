@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -231,7 +232,10 @@ def test_padded_block_matches_row_by_row_padding():
     rng = np.random.default_rng(3)
     equal = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
     ragged = [vector(rng.normal(size=k)) for k in (3, 1, 4, 2, 4)] + [rng.normal(size=2), [1j, -0.0]]
-    for points, dim in ((equal, None), (equal, 6), (list(equal), 3), (ragged, None), (ragged, 7)):
+    whole = np.arange(6).reshape(2, 3)  # integer rows, and object rows cast as a row write casts them
+    mixed = [np.array([1, Fraction(1, 2)], dtype=object), [3, 4]]
+    cases = ((equal, None), (equal, 6), (list(equal), 3), (ragged, None), (ragged, 7), (whole, None), (mixed, 3))
+    for points, dim in cases:
         block = padded_block(points, dim)
         want = looped_padded_block(points, dim)
         assert block.shape == want.shape and block.tobytes() == want.tobytes()
