@@ -12,6 +12,7 @@ import numpy as np
 
 from . import rules as rl
 from .entropy import (
+    CompactSample,
     entropy_estimate,
     greedy_separated,
     grid_sample,
@@ -140,8 +141,6 @@ def _check_greedy_vs_exact() -> bool:
         pts = np.unique(rng.random(int(rng.integers(3, 10))))
         if len(pts) < 2:
             continue
-        from .entropy import CompactSample
-
         K = CompactSample(tuple(vector([p]) for p in pts), 0.05, "chk")
         for eps in (0.1, 0.3):
             g = len(greedy_separated(T, K, 2, eps, L2))

@@ -26,10 +26,10 @@ periodicity from its last slice continued to the period.  A family of at
 most DIRECT_VERIFY_CAP rows is grown once into one orbit cube, which also
 gives the separation by a direct scan.  A larger one never holds its cube:
 the anchors are grown once and the shadows in row blocks, each block kept
-only as its deviations, periodicity flags and the few leading coordinates
-the separation certificate hashes on; the rows the certificate checks
-exactly are grown again.  `shadow_point` grows its one shadow once, to
-the period.
+only as its deviations and periodicity flags; the separation certificate
+clears anchor pairs by the triangle inequality of its global bound, and
+grows again only the rows it leaves uncleared.  `shadow_point` grows its
+one shadow once, to the period.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ from . import rules as rl
 from .entropy import (
     BLOCK_ELEMS,
     CompactSample,
-    _key_cells,
-    _key_coefficients,
-    _neighbours,
     _pairs_within,
     bowen_distances,
     near_pairs,
@@ -327,18 +324,16 @@ def _family_shadows(
 
 def _family_certification(
     B_w: BackwardShift, grow, anchors: np.ndarray, combos: np.ndarray,
-    period: int, gap: int, epsilon: float, space: FAggregate, lead: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    period: int, gap: int, epsilon: float, space: FAggregate,
+) -> tuple[np.ndarray, np.ndarray]:
     """Deviations (F, n) and certification flags (F,) of the F shadows, the
-    values `shadow_point` gives for each tuple's own schedule, and the real
-    parts of the first `lead` coordinates of every shadow's orbit, shape
-    (F, steps, lead): the keys `_certificate_min_pairwise` hashes.
+    values `shadow_point` gives for each tuple's own schedule.
 
     grow(rows) gives the orbits of the family rows `rows` (a slice; the
     shadows come first) under B_w^k over the Bowen window, and `anchors` is
     the anchors' orbits there.  The shadows are grown BLOCK_ELEMS
     coordinates per step at a time, and each block is kept only as its
-    deviations, flags and keys.  Segment i's time t_i is Bowen step
+    deviations and flags.  Segment i's time t_i is Bowen step
     i*(gap+1), so a deviation is one distance between a shadow's slice and
     its anchor's.  The last slice (time t_{n-1}) is continued `gap` steps
     of B_w to the period and compared with the shadows on the representable
@@ -348,13 +343,11 @@ def _family_certification(
     steps, dim = anchors.shape[1:]
     dev = np.empty((F, n))
     periodic = np.empty(F, dtype=bool)
-    keys = np.empty((F, steps, lead))
     window = dim - period
     step = max(1, BLOCK_ELEMS // (steps * dim))
     for lo in range(0, F, step):
         rows = slice(lo, min(lo + step, F))
         orbits = grow(rows)
-        keys[rows] = orbits[:, :, :lead].real
         for i in range(n):
             at = i * (gap + 1)
             dev[rows, i] = norm_block(orbits[:, at] - anchors[combos[rows, i], at], space)
@@ -365,7 +358,7 @@ def _family_certification(
         periodic[rows] = (orbit[:, :window] == orbits[:, 0, :window]).all(axis=1)
     admissible = rl.weight_admissibility(B_w.weights).admissible
     tail = norm_tail_bound(dim, space)
-    return dev, periodic & (dev + tail < epsilon).all(axis=1) & admissible, keys
+    return dev, periodic & (dev + tail < epsilon).all(axis=1) & admissible
 
 
 def sp_separated_family(
@@ -392,11 +385,11 @@ def sp_separated_family(
     Up to a size cap the rows are grown once into one orbit cube, and
     separation is verified by pairwise dynamical distances taken directly
     from it.  Above the cap no cube is held: the anchors are grown once,
-    the shadows block by block, each block kept only as its certification
-    and the leading coordinates `_certificate_min_pairwise` hashes on.  A
-    certified triangle-inequality lower bound stands in for the shadow
-    pairs, and each anchor is checked exactly against the rows that could
-    come closer than that bound, regrown for it.
+    the shadows block by block, each block kept only as its certification.
+    A certified triangle-inequality lower bound stands in for the shadow
+    pairs (`_certificate_min_pairwise`), and each anchor is checked exactly
+    against the rows the same inequality leaves within that bound, regrown
+    for it.
     """
     if not isinstance(B_w, BackwardShift):
         raise ValidationError("families are built over weighted backward shifts")
@@ -426,15 +419,15 @@ def sp_separated_family(
     direct = rows.shape[0] <= DIRECT_VERIFY_CAP
     if direct:
         cube = orbit_block(T_eff, rows, steps)
-        grow, anchor_orbits, lead = cube.__getitem__, cube[anchor_rows], 0
+        grow, anchor_orbits = cube.__getitem__, cube[anchor_rows]
     else:
 
         def grow(which):
             return orbit_block(T_eff, rows[which], steps)
 
-        anchor_orbits, lead = orbit_block(T_eff, anchor_block, steps), _key_lead(dim, epsilon)
-    dev, certified, keys = _family_certification(
-        B_w, grow, anchor_orbits, combos, times[-1] + N, N, epsilon, space, lead
+        anchor_orbits = orbit_block(T_eff, anchor_block, steps)
+    dev, certified = _family_certification(
+        B_w, grow, anchor_orbits, combos, times[-1] + N, N, epsilon, space
     )
     if not certified.all():
         combo = tuple(int(c) for c in combos[np.argmin(certified)])
@@ -445,10 +438,13 @@ def sp_separated_family(
     if direct:
         min_pair, verification = _direct_min_pairwise(space, cube), "direct"
     else:
-        extra = anchor_orbits[[c for c, row in enumerate(anchor_rows) if row >= len(combos)]]
-        keys = np.concatenate((keys, extra[:, :, :lead].real))
+        # an anchor that is no shadow is its own orbit: its tuple is
+        # constant and its deviations are 0
+        extra = np.array([c for c, row in enumerate(anchor_rows) if row >= len(combos)], dtype=np.intp)
+        tuples = np.concatenate((combos, np.repeat(extra[:, np.newaxis], n, axis=1)))
+        dev = np.concatenate((dev, np.zeros((extra.size, n))))
         min_pair = _certificate_min_pairwise(
-            space, keys, grow, anchor_orbits, anchor_rows, float(dev.max()), d_min_anchor, epsilon
+            space, tuples, dev, grow, anchor_orbits, anchor_rows, N, d_min_anchor, epsilon
         )
         verification = "certificate"
     if not (min_pair > epsilon):
@@ -497,60 +493,61 @@ def _family_rows(
     return np.concatenate([family_block, anchor_block[extra]]), anchor_rows, twins
 
 
-def _key_lead(dim: int, epsilon: float) -> int:
-    """How many leading coordinates `_key_cells` can read under the
-    aggregated norm at a radius above epsilon: those whose coefficient
-    2^{1-c} - 2^{-dim} exceeds epsilon.  The saturated key reads coordinate
-    1 below the saturated value 1 - 2^{-dim}, which is coordinate 1's
-    coefficient, so it adds none."""
-    return int((_key_coefficients(dim) > epsilon).sum())
-
-
 def _certificate_min_pairwise(
     space: SpaceSpec,
-    keys: np.ndarray,
+    tuples: np.ndarray,
+    dev: np.ndarray,
     grow,
     anchors: np.ndarray,
     anchor_rows: list[int],
-    dev_max: float,
+    gap: int,
     d_min_anchor: float,
     epsilon: float,
 ) -> float:
     """Certified lower bound on every pairwise dynamical distance of the
     family's rows over the Bowen window.
 
-    `keys` holds one row per family row: the real parts of its orbit's
-    leading coordinates at every step, at least those `_key_cells` reads at
-    any radius above epsilon.  grow(rows) grows the orbits of the family
-    rows `rows`, and `anchors` holds the anchors' orbits (anchor c is family
-    row anchor_rows[c]).
+    Row r follows anchor tuples[r, i] at segment i, the Bowen step
+    i*(gap+1), within the deviation dev[r, i] (shapes (rows, n)).
+    grow(rows) grows the orbits of the family rows `rows`, and `anchors`
+    holds the anchors' orbits (anchor c is family row anchor_rows[c]).
 
-    Two shadows with tuples differing at schedule position p satisfy, at
-    that time, d >= d(anchor, anchor') - dev - dev' - drift - drift', every
-    term a computed number (d_min_anchor is the smallest anchor distance).
-    The family-wide bound uses the worst of each term.  When it fails, the
+    Two shadows with tuples differing at segment i satisfy, at that time,
+    d >= d(anchor, anchor') - dev - dev' - drift - drift', every term a
+    computed number (d_min_anchor is the smallest anchor distance).  The
+    family-wide bound uses the worst of each term.  When it fails, the
     result is the exact minimum from the full direct scan over the regrown
     orbit cube, which the caller judges.
 
     Anchor pairs are checked exactly where they can lower the result
-    min(global bound, closest anchor pair): a pair within the global bound
-    shares or neighbours a cell on every usable key of `_key_cells`, so
-    only those rows are regrown, and `_pairs_within` takes their Bowen
-    distances with the global bound as radius, row by row those of a full
-    scan.  A pair it drops lies beyond the bound, so it can lower neither
-    the result nor the separation below epsilon.
+    min(global bound, closest anchor pair).  By the same inequality row r
+    is at least apart - dev[r, i] from anchor c, where apart is the
+    distance of anchors tuples[r, i] and c at segment i; r is cleared
+    against c when some segment has apart > (global bound + dev[r, i]) *
+    (1 + 1e-9).  Every computed norm is a sum of nonnegative terms within
+    a relative few dim ulps of the exact norm of its stored difference
+    (scaled, not underflowed), far inside that margin, so a cleared pair's
+    computed distance stays beyond the bound.  The uncleared rows are
+    regrown, and `_pairs_within` takes their Bowen distances with the
+    global bound as radius, row by row those of a full scan.  A pair it
+    drops lies beyond the bound, so it can lower neither the result nor
+    the separation below epsilon.
     """
-    dim = anchors.shape[2]
     drift_max = float(norm_block(anchors - anchors[:, :1], space).max())
-    global_bound = d_min_anchor - 2.0 * dev_max - 2.0 * drift_max
+    global_bound = d_min_anchor - 2.0 * float(dev.max()) - 2.0 * drift_max
     if not (global_bound > epsilon):
         # certificate too weak: fall back to the exact (slow) scan
         return _direct_min_pairwise(space, grow(slice(None)))
 
-    # anchors against the rows that could come closer than global_bound
-    cells, usable = _key_cells(keys, dim, global_bound, space)
-    filters, every = cells[:, usable], np.arange(keys.shape[0])
-    near = [every[_neighbours(filters, every, r) & (every != r)] for r in anchor_rows]
+    # anchors against the rows the triangle inequality leaves within global_bound
+    segments, at = anchors[:, :: gap + 1], np.arange(tuples.shape[1])
+    clear_above = (global_bound + dev) * (1 + 1e-9)
+    near = []
+    for c, row in enumerate(anchor_rows):
+        apart = norm_block(segments - segments[c], space)  # (anchors, n)
+        uncleared = ~(apart[tuples, at] > clear_above).any(axis=1)
+        uncleared[row] = False
+        near.append(np.flatnonzero(uncleared))
     regrown = np.unique(np.concatenate(near))
     best_direct = math.inf
     if regrown.size:  # anchor c is row regrown.size + c, beside the regrown rows

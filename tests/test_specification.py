@@ -18,7 +18,7 @@ from entrolab.operators import (
     rotation_matrix,
 )
 from entrolab.rules import _RATIO_CAP, ConstRule, ExplicitRule, GeometricRule, weight_admissibility
-from entrolab.spaces import FAggregate, Lp, Vector, norm_block, padded_block, vector, zero_vector
+from entrolab.spaces import FAggregate, Lp, Vector, basis_vector, norm_block, padded_block, vector, zero_vector
 from entrolab.specification import (
     SegmentSchedule,
     fixed_vector,
@@ -29,7 +29,6 @@ from entrolab.specification import (
     sp_entropy_lower_bound,
     sp_separated_family,
 )
-from entrolab import entropy as en
 from entrolab import specification as spec
 from entrolab.specification import _family_shadows
 
@@ -202,15 +201,26 @@ def test_family_collapses_anchor_equal_by_value():
         plain.family_size, plain.min_pairwise, plain.verification)
 
 
-def test_family_refuses_tuples_with_equal_shadows():
+def test_family_refuses_tuples_with_equal_shadows(monkeypatch):
     # x1 and x1' differ only on coordinates 1..4, which segment 1 (time
     # N + 1 = 5, coordinates 6..9) never copies: tuples (c, 1) and (c, 2)
-    # give byte-equal shadows, and collapsing them left s = 8 < 3^2
-    x1 = fixed_vector(B2, 64)
+    # give byte-equal shadows, and collapsing them left s = 8 < 3^2.  Segment
+    # i >= 1 copies coordinates from i(N+1)+1 on, where 0, e_1 and 2 e_1 all
+    # vanish: the first twins are (0, .., 0) and (0, .., 0, 1).  Either
+    # verification path refuses them.
+    x1, e1 = fixed_vector(B2, 64), basis_vector(1, 64)
     head = x1.coords.copy()
     head[:4] *= 3
-    with pytest.raises(ValidationError, match=r"tuples \(0, 1\) and \(0, 2\)"):
-        sp_separated_family(B2, [zero_vector(64), x1, Vector(head)], 2, 0.1)
+    cases = [
+        ([zero_vector(64), x1, Vector(head)], 2, r"\(0, 1\) and \(0, 2\)"),
+        ([zero_vector(64), e1, Vector(2 * e1.coords)], 2, r"\(0, 0\) and \(0, 1\)"),
+        ([zero_vector(64), e1, Vector(2 * e1.coords)], 3, r"\(0, 0, 0\) and \(0, 0, 1\)"),
+    ]
+    for cap in (spec.DIRECT_VERIFY_CAP, 4):
+        monkeypatch.setattr(spec, "DIRECT_VERIFY_CAP", cap)
+        for anchors, n, twins in cases:
+            with pytest.raises(ValidationError, match=f"tuples {twins} give the same shadow"):
+                sp_separated_family(B2, anchors, n, 0.1)
 
 
 def test_family_names_uncertified_tuple_before_equal_shadows():
@@ -229,8 +239,9 @@ def test_family_names_uncertified_tuple_before_equal_shadows():
 def test_family_grows_its_orbits_once(monkeypatch, cap):
     # on the direct path one orbit cube certifies the shadows and verifies
     # separation; on the certificate path the anchors are grown once, each
-    # shadow once in the block pass, and then only the rows near an anchor
-    # (none in this family: every shadow leaves its anchors in the gaps)
+    # shadow once in the block pass, and then only the rows the anchor
+    # query leaves uncleared: the shadows of (1, 1) and (2, 2) against
+    # their own anchors, which they follow at every segment
     calls = []
     grow = spec.orbit_block
 
@@ -247,20 +258,22 @@ def test_family_grows_its_orbits_once(monkeypatch, cap):
         assert calls == [len(fam.sample)] == [9 + 3 - 1]
     else:
         assert fam.verification == "certificate"
-        assert calls == [3, fam.family_size] == [3, 9]
+        assert calls == [3, fam.family_size, 2] == [3, 9, 2]
 
 
 def test_family_block_pass_grows_each_shadow_once(monkeypatch):
     # the m = 13, n = 3 family (2,197 shadows, 11 steps, dim 64) is grown in
-    # blocks of BLOCK_ELEMS // (steps * dim) = 93 rows, after its 13 anchors
+    # blocks of BLOCK_ELEMS // (steps * dim) = 93 rows, after its 13 anchors;
+    # the anchor query then regrows the 12 constant tuples' shadows that are
+    # not anchors, uncleared against their own anchors
     calls = []
     grow = spec.orbit_block
     monkeypatch.setattr(spec, "orbit_block", lambda T, b, s: calls.append(b.shape[0]) or grow(T, b, s))
     anchors, _, _, _ = _anchor_family(B2, 13, 3, 1)
     fam = sp_separated_family(B2, anchors, 3, 0.1)
     assert fam.verification == "certificate"
-    assert calls == [13] + [93] * 23 + [58]
-    assert sum(calls[1:]) == fam.family_size == 13**3
+    assert calls == [13] + [93] * 23 + [58] + [12]
+    assert sum(calls[1:-1]) == fam.family_size == 13**3
 
 
 def _spy_direct(monkeypatch):
@@ -335,8 +348,8 @@ def test_weak_certificate_fallback_matches_direct_scan(monkeypatch, heads, n):
 
 def test_certificate_family_build_memory():
     # the m = 13, n = 3 family (2,197 shadows, 11 steps, dim 64) is verified
-    # without its 24.9 MB orbit cube: its build peaks at 9.3 MB of traced
-    # allocations, against 34.3 MB with the cube
+    # without its 24.9 MB orbit cube: its build peaks at 7.3 MB of traced
+    # allocations, against 32.1 MB with the cube
     anchors, _, _, _ = _anchor_family(B2, 13, 3, 1)
     sp_separated_family(B2, anchors, 3, 0.1)
     tracemalloc.start()
@@ -400,14 +413,35 @@ def test_weight_admissibility_geometric_moduli():
         sp_separated_family(BackwardShift(GeometricRule(0.5, first=3.0)), [zero_vector(64)], 1, 0.1)
 
 
-def _full_scan_certificate(rows, anchor_rows, dev_max, d_min_anchor, steps, eps):
-    """The certificate with its anchors checked against every row, one
-    full norm_block over the orbit cube per anchor: the reference for the
-    bounded anchor query.  Returns (global_bound, anchor minimum, result)."""
-    orbits = orbit_block(B2, rows, steps)
-    orbits_a = orbits[anchor_rows]
-    drift_max = float(norm_block(orbits_a - orbits_a[:, :1], FA).max())
-    global_bound = d_min_anchor - 2.0 * dev_max - 2.0 * drift_max
+def _certificate_args(rows, anchor_rows, tuples, gap, bound, eps):
+    """The arguments of `_certificate_min_pairwise` for global bound `bound`:
+    row r follows anchor tuples[r][i] at Bowen step i*(gap+1), within the
+    distance of their orbits there, and grow records the rows it regrows
+    (the returned list)."""
+    tuples = np.array(tuples, dtype=np.intp)
+    steps = (tuples.shape[1] - 1) * (gap + 1) + 1
+    anchors = orbit_block(B2, rows[anchor_rows], steps)
+    at = np.arange(tuples.shape[1]) * (gap + 1)
+    dev = norm_block(orbit_block(B2, rows, steps)[:, at] - anchors[tuples, at], FA)
+    regrown = []
+
+    def grow(which):
+        regrown.extend(np.arange(len(rows))[which].tolist())
+        return orbit_block(B2, rows[which], steps)
+
+    drift_max = float(norm_block(anchors - anchors[:, :1], FA).max())
+    d_min_anchor = bound + 2.0 * float(dev.max()) + 2.0 * drift_max
+    return (FA, tuples, dev, grow, anchors, anchor_rows, gap, d_min_anchor, eps), regrown
+
+
+def _full_scan_certificate(rows, args):
+    """The certificate of `args` with its anchors checked against every
+    row, one full norm_block over the orbit cube per anchor: the reference
+    for the anchor query.  Returns (global_bound, anchor minimum, result)."""
+    _, _, dev, _, anchors, anchor_rows, _, d_min_anchor, _ = args
+    orbits = orbit_block(B2, rows, anchors.shape[1])
+    drift_max = float(norm_block(anchors - anchors[:, :1], FA).max())
+    global_bound = d_min_anchor - 2.0 * float(dev.max()) - 2.0 * drift_max
     best = math.inf
     for r in anchor_rows:
         d = norm_block(orbits - orbits[r], FA).max(axis=1)
@@ -416,110 +450,75 @@ def _full_scan_certificate(rows, anchor_rows, dev_max, d_min_anchor, steps, eps)
     return global_bound, best, min(global_bound, best)
 
 
-def _certificate_args(rows, anchor_rows, dev_max, d_min_anchor, steps, eps):
-    """The arguments of `_certificate_min_pairwise` as the certificate path
-    builds them: the real parts of the leading coordinates it keeps as keys,
-    the anchors' orbits grown on their own, and a grow that records the
-    rows it regrows (the returned list)."""
-    dim = rows.shape[1]
-    keys = orbit_block(B2, rows, steps)[:, :, : spec._key_lead(dim, eps)].real.copy()
-    regrown = []
-
-    def grow(which):
-        regrown.extend(np.arange(len(rows))[which].tolist())
-        return orbit_block(B2, rows[which], steps)
-
-    anchors = orbit_block(B2, rows[anchor_rows], steps)
-    return (FA, keys, grow, anchors, anchor_rows, dev_max, d_min_anchor, eps), regrown
-
-
-@pytest.mark.parametrize("dim", [3, 8, 64])
-def test_key_lead_holds_every_key_above_eps(dim):
-    # the certificate path keeps _key_lead(dim, eps) leading coordinates of
-    # every orbit: _key_cells reads no more at any radius above eps, and
-    # exactly that many one ulp above eps when eps lies just below a
-    # coefficient's window or in the saturated key's, below U = coef[0]
-    coef = en._key_coefficients(dim)
-    U = float(norm_block(np.ones((1, dim)), FA)[0])
-    assert U == coef[0]
-    orbits = np.zeros((2, 1, dim))
-    for eps, tight in [*((c / (1 + 4e-9), True) for c in coef[:5]), *((c, False) for c in coef[:5]),
-                       (U * (1 - 5e-10), True), (U, False), (0.1, False)]:
-        lead = spec._key_lead(dim, eps)
-        read = [en._key_cells(orbits, dim, r, FA)[0].shape[1] for r in (float(np.nextafter(eps, 2)), 1.5 * eps)]
-        assert max(read) <= lead and (read[0] == lead or not tight)
-
-
-def _key_regime(rows, steps, r):
-    """Which keys `_key_cells` hashes on at radius r: per-coordinate
-    coefficient keys, the saturated coordinate-1 key only, or none."""
-    dim = rows.shape[1]
-    cells, _ = en._key_cells(orbit_block(B2, rows, steps), dim, r, FA)
-    if cells.shape[1] == 0:
-        return "none"
-    return "coefficient" if r * (1 + en.KEY_MARGIN) < 1 - 2.0**-dim else "saturated"
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_certificate_anchor_query_matches_full_scan(data):
     dim = data.draw(st.integers(3, 6), label="dim")
     coord = st.integers(-4, 4).map(lambda v: v / 4)
     rows = np.array(
-        data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=2, max_size=12)),
-        dtype=complex,
+        data.draw(st.lists(st.tuples(*[coord] * dim), min_size=2, max_size=12, unique=True)), dtype=complex
     )
-    anchor_rows = data.draw(
-        st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=len(rows), unique=True)
-    )
-    steps = data.draw(st.integers(1, 3), label="steps")
-    regime = data.draw(st.sampled_from(["coefficient", "saturated", "none"]), label="regime")
-    U = float(norm_block(np.ones((1, dim)), FA)[0])  # the saturated distance
-    target = {
-        "coefficient": lambda: data.draw(st.floats(0.05, 0.8), label="bound"),  # below 1 - 2^-dim
-        "saturated": lambda: U * (1 - 5e-10),  # inside the key's window [U / (1 + KEY_MARGIN), U)
-        "none": lambda: data.draw(st.floats(U * (1 + 1e-9), 1.5), label="bound"),
-    }[regime]()
-    dev_max = data.draw(st.sampled_from([0.0, 0.01, 0.125]), label="dev_max")
-    orbits_a = orbit_block(B2, rows[anchor_rows], steps)
-    drift_max = float(norm_block(orbits_a - orbits_a[:, :1], FA).max())
-    d_min_anchor = target + 2.0 * dev_max + 2.0 * drift_max
-    eps = min(target, 1.0) * data.draw(st.floats(0.05, 0.95), label="eps share")
-
-    global_bound, best, want = _full_scan_certificate(rows, anchor_rows, dev_max, d_min_anchor, steps, eps)
-    assert _key_regime(rows, steps, global_bound) == regime
+    n, gap = data.draw(st.integers(1, 3), label="n"), data.draw(st.integers(1, 2), label="gap")
+    # every row an anchor following itself, so no deviation (and with n = 1
+    # no drift): each row's clearing bound is the global bound itself; or
+    # any anchors and tuples
+    if data.draw(st.booleans(), label="rows are anchors"):
+        anchor_rows, tuples = list(range(len(rows))), [[r] * n for r in range(len(rows))]
+    else:
+        anchor_rows = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=len(rows), unique=True))
+        symbol = st.integers(0, len(anchor_rows) - 1)
+        tuples = data.draw(st.lists(st.lists(symbol, min_size=n, max_size=n), min_size=len(rows), max_size=len(rows)))
+    bound = data.draw(st.floats(0.05, 1.5), label="bound")
+    eps = min(bound, 1.0) * data.draw(st.floats(0.05, 0.95), label="eps share")
+    args, regrown = _certificate_args(rows, anchor_rows, tuples, gap, bound, eps)
+    global_bound, best, want = _full_scan_certificate(rows, args)
     assert global_bound > eps  # the certificate path, not the direct fallback
-    event(f"{regime}: " + ("an anchor pair decides" if best < global_bound else "the global bound decides"))
-    args, regrown = _certificate_args(rows, anchor_rows, dev_max, d_min_anchor, steps, eps)
+    event("an anchor pair decides" if best < global_bound else "the global bound decides")
+    event("dev_max = 0" if args[2].max() == 0 else "dev_max > 0")
     if not best > eps:
         with pytest.raises(ValidationError, match="anchor-related distance"):
             spec._certificate_min_pairwise(*args)
     else:
         assert spec._certificate_min_pairwise(*args).hex() == want.hex()
-    assert len(regrown) == len(set(regrown))  # each near row once
+    assert len(regrown) == len(set(regrown))  # each uncleared row once
 
 
-@pytest.mark.parametrize("regime,bound", [("coefficient", 0.5), ("saturated", 1 - 2.0**-4), ("none", 1.0)])
-def test_certificate_anchor_pair_decides(regime, bound):
-    # row 2 differs from anchor row 0 only at coordinate 3 (distance 0.1875
-    # at t = 0, 0.4375 at t = 1), closer than the global bound in every
-    # regime; the anchor query regrows it and no anchor
+@pytest.mark.parametrize(
+    "bound,regrown_rows", [(0.5, [2]), (0.9375 * (1 - 5e-10), [0, 1, 2]), (1.0, [0, 1, 2])],
+    ids=["0.5", "0.9375", "1.0"],
+)
+def test_certificate_anchor_pair_decides(bound, regrown_rows):
+    # anchors 0 and e_1 (rows 0 and 1, 0.9375 apart), and row 2 = e_3,
+    # 0.1875 from anchor 0 (n = 1: the deviation is the distance), which
+    # decides.  The anchors clear each other while 0.9375 > bound * (1 + 1e-9),
+    # row 2 clears e_1 while 0.9375 > (bound + 0.1875) * (1 + 1e-9)
     rows = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]], dtype=complex)
-    if regime == "saturated":
-        bound *= 1 - 5e-10
-    assert _key_regime(rows, 2, bound) == regime
-    global_bound, best, want = _full_scan_certificate(rows, [0], 0.0, bound, 2, 0.1)
-    assert best == 0.4375 < global_bound == bound
-    args, regrown = _certificate_args(rows, [0], 0.0, bound, 2, 0.1)
+    args, regrown = _certificate_args(rows, [0, 1], [[0], [1], [0]], 1, bound, 0.1)
+    global_bound, best, want = _full_scan_certificate(rows, args)
+    assert args[2].tolist() == [[0.0], [0.0], [0.1875]] and best == 0.1875 < global_bound
     assert spec._certificate_min_pairwise(*args).hex() == want.hex()
-    assert 2 in regrown and 0 not in regrown
+    assert sorted(regrown) == regrown_rows
+
+
+def test_certificate_margin_covers_rounding():
+    # row 2 = 0.3 x lies between anchors 0 and x (rows 0, 1), where the
+    # triangle inequality is tight: its distance D to anchor 0 is apart - dev
+    # exactly, but the computed apart - dev exceeds D.  One float above D,
+    # the bound would clear row 2 against anchor 0 without the margin
+    x = np.array([1 / 16, 1 / 16, 0])
+    rows = np.array([0 * x, x, 0.3 * x], dtype=complex)
+    D, apart, dev = (float(norm_block(v, FA)) for v in (rows[2], rows[1], rows[2] - rows[1]))
+    bound = float(np.nextafter(D, 1))
+    args, regrown = _certificate_args(rows, [0, 1], [[0], [1], [1]], 1, bound, 0.01)
+    assert bound + dev < apart and _full_scan_certificate(rows, args)[0] == bound
+    assert spec._certificate_min_pairwise(*args) == D < bound and regrown == [2]
 
 
 def test_certificate_refuses_close_anchor_pair():
     # the global bound (0.9) clears eps, but anchor row 0 and row 1 are
     # 2^-8 apart: the anchor query finds the pair and refuses the family
     rows = np.array([[0, 0, 0, 0], [0, 0, 0, 1 / 16]], dtype=complex)
-    args, regrown = _certificate_args(rows, [0], 0.0, 0.9, 1, 0.1)
+    args, regrown = _certificate_args(rows, [0], [[0], [0]], 1, 0.9, 0.1)
     with pytest.raises(ValidationError, match="anchor-related distance 0.0039"):
         spec._certificate_min_pairwise(*args)
     assert regrown == [1]
@@ -587,11 +586,9 @@ def test_family_batch_matches_tuple_shadows(m, n, k, weight):
     assert twins is None
     T = B if k == 1 else OperatorPower(B, k)
     orbits = orbit_block(T, rows, (n - 1) * (N + 1) + 1)
-    lead = spec._key_lead(orbits.shape[2], eps)
-    dev, certified, keys = spec._family_certification(
-        B, orbits.__getitem__, orbits[anchor_rows], combos, times[-1] + N, N, eps, FA, lead
+    dev, certified = spec._family_certification(
+        B, orbits.__getitem__, orbits[anchor_rows], combos, times[-1] + N, N, eps, FA
     )
-    assert keys.tobytes() == orbits[: len(combos), :, :lead].real.tobytes()
     expected = list(_tuple_shadows(B, anchors, times, N, eps, dim))
     assert [tuple(c) for c in combos] == [combo for combo, _ in expected]
     assert xi.tobytes() == np.stack([rep.xi.coords for _, rep in expected]).tobytes()
