@@ -33,7 +33,10 @@ greedily (`_greedy_sweep`) or searched for a maximum set
 (`_carried_pairs`), one loop over blocks of candidate rows: each row gets
 only its candidates j > i, as runs of its neighbouring cells' rows, and
 each block's pairs go through `_pairs_within`, the one kernel that takes
-Bowen distances from orbit slices.  It takes them one slice at a time at
+Bowen distances from orbit slices.  Orbits are grown time-major
+(`orbit_block`): the points of every row at time t are one contiguous
+slab, so the slice at time t of a block's pairs is gathered from slab t,
+with no copy of the orbits.  It takes them one slice at a time at
 the smallest n, dropping a pair at the first slice that puts it beyond its
 radius, and carries the pairs within max(eps) through every later n.  Each
 pair records a hit bit per (n, eps) cell, and each row is swept once
@@ -163,7 +166,7 @@ def _sample_orbits(T: Operator, K: CompactSample, steps: int) -> np.ndarray:
     twice as fast.
     """
     orbits = orbit_block(T, K.rows, steps)
-    return orbits if orbits.imag.any() else orbits.real.copy()
+    return orbits if orbits.imag.any() else orbits.real.copy(order="K")  # "K" keeps the slabs
 
 
 def bowen_distances(
@@ -173,7 +176,14 @@ def bowen_distances(
     return fold(np.maximum, norm_block(orbits[I, :n] - orbits[J, :n], s))
 
 
-def _pairs_within(orbits: np.ndarray, I: np.ndarray, J: np.ndarray, n_values, R: np.ndarray, r: float, s: SpaceSpec):
+def _time_major(orbits: np.ndarray) -> np.ndarray:
+    """The orbits (count, steps, dim) as contiguous time-major slabs (steps,
+    count, dim), slab t holding every row's point at time t: a view of
+    orbits laid out as `orbit_block` grows them, a copy of any other."""
+    return np.ascontiguousarray(orbits.transpose(1, 0, 2))
+
+
+def _pairs_within(slabs: np.ndarray, I: np.ndarray, J: np.ndarray, n_values, R: np.ndarray, r: float, s: SpaceSpec):
     """The row pairs (I, J) within R (one radius per pair) at n_values[0],
     carried through every later n while they stay within r, as blocks
     (kept, levels): kept holds the positions in I of the pairs within R,
@@ -182,6 +192,13 @@ def _pairs_within(orbits: np.ndarray, I: np.ndarray, J: np.ndarray, n_values, R:
     t < n_values[k], until none is left.
 
     This is the one kernel that takes Bowen distances from orbit slices.
+    It reads the orbits as time-major slabs (steps, count, dim)
+    (`_time_major`, a view of the orbits `orbit_block` grows), so the slice
+    at time t of the pairs is two `take`s of rows I and J from the one
+    contiguous slab t, with no per-slice index arithmetic.  On the
+    `sp-family` m = 6 family a copy of the slabs would cost more than it
+    saves: 11.5 ms against 8.2 ms for its direct verification, from the
+    first touch of the copy's 2.5 MB.
     Pairs are taken BLOCK_ELEMS coordinates at a time, one slice at a time:
     at n_values[0] the latest slice (t = n - 1), the first, then t = n - 2
     down to 1, then every slice up to each later n (all slices in between
@@ -196,18 +213,17 @@ def _pairs_within(orbits: np.ndarray, I: np.ndarray, J: np.ndarray, n_values, R:
     none within the radius) takes 1.46 slices a pair instead of 11, and
     7.9 ms instead of 28.6 ms (BENCH_23.json).
     """
-    _, steps, dim = orbits.shape
-    rows = orbits.reshape(-1, dim)  # row i * steps + t is orbits[i, t]; take() gathers 1.2-4x faster
+    dim = slabs.shape[2]
 
-    def at_slice(i, j, t):  # the distances at time t of the pairs with flat rows i, j
-        return norm_block(rows.take(i + t, axis=0) - rows.take(j + t, axis=0), s)
+    def at_slice(i, j, t):  # the distances at time t of the pairs of rows i, j
+        return norm_block(slabs[t].take(i, axis=0) - slabs[t].take(j, axis=0), s)
 
     step = max(1, BLOCK_ELEMS // dim)
     n = n_values[0]
     slices = [n - 1, 0][: min(n, 2)] + list(range(n - 2, 0, -1))
     for a in range(0, len(I), step):
         kept = np.arange(a, min(a + step, len(I)))
-        i, j, radius = I[a : a + step] * steps, J[a : a + step] * steps, R[a : a + step]
+        i, j, radius = I[a : a + step], J[a : a + step], R[a : a + step]
         for k, t in enumerate(slices):
             D = at_slice(i, j, t) if k == 0 else np.maximum(D, at_slice(i, j, t))
             close = D <= radius
@@ -499,9 +515,9 @@ def _carried_pairs(orbits: np.ndarray, n_values, r: float, s: SpaceSpec, plan, r
     One loop over blocks of 2 min(2 PAIR_BLOCK, BLOCK_ELEMS / dim)
     candidates counted both ways: each block is filtered by the filter keys
     of its rows' plans (`_neighbours`), and its pairs go through
-    `_pairs_within`, which bounds every distance temporary.  The next
-    block's reach is read once the consumer has taken every block before
-    it.
+    `_pairs_within`, which bounds every distance temporary and reads the
+    orbits' time-major slabs.  The next block's reach is read once the
+    consumer has taken every block before it.
     """
     plans = [plan]
 
@@ -516,12 +532,13 @@ def _carried_pairs(orbits: np.ndarray, n_values, r: float, s: SpaceSpec, plan, r
             return np.full(stop - row, r), np.zeros(stop - row, dtype=np.intp)
 
     size = 2 * max(1, min(2 * PAIR_BLOCK, BLOCK_ELEMS // orbits.shape[2]))
+    slabs = _time_major(orbits)
     for I, J, R, E in _candidate_blocks(cells, reach, size):
         for k, (_, filters) in enumerate(plans):
             if filters.shape[1]:
                 near = (E != k) | _neighbours(filters, I, J)
                 I, J, R, E = I[near], J[near], R[near], E[near]
-        for kept, levels in _pairs_within(orbits, I, J, n_values, R, r, s):
+        for kept, levels in _pairs_within(slabs, I, J, n_values, R, r, s):
             yield I[kept], J[kept], levels
 
 
@@ -599,10 +616,13 @@ def _carried_marks(orbits: np.ndarray, n_values, eps: np.ndarray, s: SpaceSpec, 
 
     for I, J, levels in _carried_pairs(orbits, n_values, float(eps.max()), s, plan, reach):
         hits = np.zeros((I.size, words), dtype="<u8")
-        for (w, bits), (at, D) in zip(spans, levels):
+        for k, ((w, bits), (at, D)) in enumerate(zip(spans, levels)):
             q = np.searchsorted(order, D)
             for c, word in enumerate(bits, w):  # word c of level k's bits, by distance rank q
-                hits[:, c][at] |= word[q]
+                if k == 0:  # every pair, into zeroed words
+                    hits[:, c] = word[q]
+                else:
+                    hits[:, c][at] |= word[q]
         # single words sweep as 1-D arrays, 1.6x faster than rows of one word
         h, m = (hits[:, 0], marked[:, 0]) if words == 1 else (hits, marked)
         starts = np.flatnonzero(np.diff(I, prepend=-1)).tolist()
@@ -648,22 +668,22 @@ def _pair_layout(count: int):
 def _conflict_graphs(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec) -> list:
     """Conflict graphs (Bowen distance <= eps) of every (n, eps) cell, as
     graphs[k][j][row], one bitmask of neighbours per row, for the ascending
-    `n_values`: every pair's distances over t < max(n), BLOCK_ELEMS
-    coordinates a `norm_block` call (one call when they fit), their running
-    maximum read at each n (that is `bowen_distances` bit for bit:
-    `norm_block` works row by row), and each cell's masks one integer
-    product, its symmetric 0/1 adjacency times the rows' bit weights
-    (`_pair_layout`)."""
-    orbits = orbits[:, : n_values[-1]]
-    count = orbits.shape[0]
+    `n_values`: every pair's distances over t < max(n), gathered from the
+    orbits' time-major slabs BLOCK_ELEMS coordinates a `norm_block` call
+    (one call when they fit), their running maximum over t read at each n
+    (that is `bowen_distances` bit for bit: `norm_block` works row by row),
+    and each cell's masks one integer product, its symmetric 0/1 adjacency
+    times the rows' bit weights (`_pair_layout`)."""
+    slabs = _time_major(orbits[:, : n_values[-1]])
+    steps, count, dim = slabs.shape
     I, J, where, weights = _pair_layout(count)
-    step = max(1, BLOCK_ELEMS // orbits[0].size)
-    D = np.empty((I.size, orbits.shape[1]))
+    step = max(1, BLOCK_ELEMS // (steps * dim))
+    D = np.empty((steps, I.size))
     for a in range(0, I.size, step):
         i, j = I[a : a + step], J[a : a + step]
-        D[a : a + step] = norm_block(orbits.take(i, axis=0) - orbits.take(j, axis=0), s)
+        D[:, a : a + step] = norm_block(slabs.take(i, axis=1) - slabs.take(j, axis=1), s)
     square = np.full((len(n_values), I.size + 1), np.inf)  # `where` sends the diagonal to inf
-    square[:, :-1] = fold(np.maximum, D, running=True)[:, np.subtract(n_values, 1)].T
+    square[:, :-1] = np.maximum.accumulate(D, axis=0)[np.subtract(n_values, 1)]
     square = square.take(where, axis=1).reshape(-1, 1, count, count)
     adjacent = square <= np.array(eps_values)[:, np.newaxis, np.newaxis]
     masks = adjacent.astype(np.uint64) @ weights

@@ -508,16 +508,19 @@ def apply(T: Operator, x: Vector) -> Vector:
 
 
 def orbit_block(T: Operator, block: np.ndarray, steps: int) -> np.ndarray:
-    """Stack of T^i applied to each row, i = 0..steps-1; shape (count, steps, dim)."""
+    """Stack of T^i applied to each row, i = 0..steps-1; shape (count, steps,
+    dim), laid out time-major: the points of every row at one step are one
+    contiguous (count, dim) slab, each step applied to the slab before it,
+    and `entropy._pairs_within` reads the slabs without a copy."""
     if steps < 1:
         raise ValidationError("orbit needs at least one step")
     block = np.asarray(block, dtype=complex)
-    out = np.empty((block.shape[0], steps, block.shape[1]), dtype=complex)
-    out[:, 0, :] = block
+    slabs = np.empty((steps,) + block.shape, dtype=complex)
+    slabs[0] = block
     for i in range(1, steps):
-        out[:, i, :] = batch_apply(T, out[:, i - 1, :])
-    require_finite(out)
-    return out
+        slabs[i] = batch_apply(T, slabs[i - 1])
+    require_finite(slabs)
+    return slabs.transpose(1, 0, 2)
 
 
 def require_finite(orbits: np.ndarray, what: str = "orbit") -> None:

@@ -128,16 +128,22 @@ def zero_vector(dim: int) -> Vector:
 
 def fold(ufunc: np.ufunc, a: np.ndarray, running: bool = False) -> np.ndarray:
     """`ufunc.reduce` (`ufunc.accumulate` when `running`) along the last
-    axis of `a`, for np.maximum or np.logical_and: on an axis of 2-16 and at
-    least 32 rows per column, an elementwise fold over the columns, 10-30
-    times faster than numpy's row by row reduction ((4096, 7): 0.02 against
-    0.26 ms); longer axes and fewer rows, where the fold's per-column calls
-    and strided reads lose, keep numpy's (BENCH_18.json).  Max and and are
-    exact in any order: same bits but for the sign of a tie of -0.0 with
-    0.0, which numpy leaves to its order (norms are never -0.0).  Sums are
-    not folded: numpy adds 8 or more terms pairwise."""
+    axis of `a`, for np.maximum, np.logical_and or np.add: on a short axis
+    (2-16 terms, 2-7 for np.add) and at least 32 rows per column, an
+    elementwise fold over the columns, 4-30 times faster than numpy's row
+    by row reduction ((4096, 7) maxima: 0.02 against 0.26 ms; (6000, 2)
+    sums: 4.3 against 91 us, (6000, 7): 25 against 116 us); longer axes and
+    fewer rows, where the fold's per-column calls and strided reads lose,
+    keep numpy's (BENCH_18.json).  Max and and are exact in any order: same
+    bits but for the sign of a tie of -0.0 with 0.0, which numpy leaves to
+    its order (norms are never -0.0).  A sum is not.  numpy 2.4.6 adds
+    fewer than 8 terms left to right, as the fold does, bit for bit (checked
+    on 200,000 rows at each length 1-7), and 8 or more in eight interleaved
+    partial sums (its pairwise summation), which round differently; so the
+    limit for sums is 7 terms.
+    """
     length = a.shape[-1] if a.ndim else 0
-    if not 2 <= length <= 16 or a.size < 32 * length * length:
+    if not 2 <= length <= (7 if ufunc is np.add else 16) or a.size < 32 * length * length:
         return ufunc.accumulate(a, axis=-1) if running else ufunc.reduce(a, axis=-1)
     if running:
         out = np.empty_like(a)
@@ -162,15 +168,28 @@ def norm_block(block: np.ndarray, space: SpaceSpec) -> np.ndarray:
     recomputed scaled by a power of two; under the aggregated norm the same
     holds for every partial sum, each redone at its own prefix's scale.
     Every other row keeps the plain arithmetic bit for bit.  l^inf and l^1
-    need no scaling; l^inf maxima are `fold`s, 10x numpy's speed on 7 columns.
+    need no scaling.  l^inf maxima (10x numpy's speed on 7 columns) and the
+    l^1 and l^p sums of 2-7 coordinates (20x on 2, 4.6x on 7) are `fold`s.
+    A one-coordinate row's l^1, l^2 or l^inf norm is its modulus: in binary
+    floating point sqrt(x x) = |x| whenever x x neither underflows nor
+    overflows, and the scaled redo takes |x| = m 2^e with m in [1/2, 1),
+    where m m is normal, so the power-sum path would return |x| bit for bit
+    too.  Other p round (x^p)^(1/p) and keep the power sum.
+
+    The norms are taken along the last axis, whatever the leading axes
+    hold: the carried pass hands in one time slice of every pair,
+    (pairs, dim), gathered from the time-major slabs (steps, count, dim)
+    of `entropy._pairs_within`.
     """
     a = np.abs(np.asarray(block))
     if isinstance(space, Lp):
         p = space.p
+        if a.shape[-1] == 1 and p in (1.0, 2.0, math.inf) and a.dtype == float:
+            return a[..., 0] if a.ndim > 1 else a[0]
         if math.isinf(p):
             return fold(np.maximum, a)
         if p == 1.0:
-            return a.sum(axis=-1)
+            return fold(np.add, a)
         return _lp_norms(a, p, cumulative=False)
     p = space.base.p
     if math.isinf(p):
@@ -187,7 +206,7 @@ def _power_roots(a: np.ndarray, p: float, cumulative: bool) -> tuple[np.ndarray,
     """(Partial) l^p norms of the rows of a = |block| and their (partial)
     power sums."""
     power = a * a if p == 2.0 else a**p
-    sums = np.cumsum(power, axis=-1) if cumulative else power.sum(axis=-1)
+    sums = np.cumsum(power, axis=-1) if cumulative else fold(np.add, power)
     roots = np.sqrt(sums) if p == 2.0 else sums ** (1.0 / p)
     return roots, sums
 

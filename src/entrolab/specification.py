@@ -45,6 +45,7 @@ from .entropy import (
     BLOCK_ELEMS,
     CompactSample,
     _pairs_within,
+    _time_major,
     bowen_distances,
     near_pairs,
 )
@@ -553,8 +554,8 @@ def _certificate_min_pairwise(
     if regrown.size:  # anchor c is row regrown.size + c, beside the regrown rows
         I = np.repeat(regrown.size + np.arange(len(near)), [rows.size for rows in near])
         J = np.searchsorted(regrown, np.concatenate(near))
-        orbits, bound = np.concatenate((grow(regrown), anchors)), np.full(I.size, global_bound)
-        for _, ((_, d),) in _pairs_within(orbits, I, J, (anchors.shape[1],), bound, global_bound, space):
+        slabs, bound = _time_major(np.concatenate((grow(regrown), anchors))), np.full(I.size, global_bound)
+        for _, ((_, d),) in _pairs_within(slabs, I, J, (anchors.shape[1],), bound, global_bound, space):
             best_direct = min(best_direct, float(d.min()))
     if not (best_direct > epsilon):
         raise ValidationError(

@@ -33,6 +33,7 @@ from entrolab.operators import (
     DirectSum,
     Scaled,
     SpectralData,
+    batch_apply,
     orbit_block,
     rotation_matrix,
     spectrum,
@@ -709,6 +710,20 @@ def test_faggregate_saturated_key():
         assert got == {(int(i), int(j)) for i, j in zip(I[d <= r], J[d <= r])}
 
 
+def test_sample_orbits_are_time_major_slabs():
+    # orbit_block grows each step's slab from the one before, so the slabs
+    # that `_pairs_within` reads are a view, real or complex, with the
+    # values of stepping every row on its own
+    T = rotation_matrix(0.7)
+    for coords, dtype in ((np.arange(10.0).reshape(5, 2), float), (np.arange(10.0).reshape(5, 2) * 1j, complex)):
+        orbits = en._sample_orbits(T, CompactSample(coords, 0.1), 4)
+        slabs = en._time_major(orbits)
+        assert orbits.dtype == dtype and np.shares_memory(slabs, orbits)
+        assert slabs.flags.c_contiguous and slabs.shape == (4, 5, 2)
+        for t in range(1, 4):
+            assert np.array_equal(orbits[:, t], batch_apply(T, orbits[:, t - 1]))
+
+
 def pass_work(monkeypatch, T, K, n_values, eps_values, s):
     """The pairs whose Bowen distance a greedy table's carried pass takes
     (all at the first n), and the pairs it carries from there."""
@@ -746,7 +761,8 @@ def test_pairs_within_keeps_exactly_the_close_pairs(seed, kind, s, n_values, sma
     # or the float just below it (dropped), in pairs of random order; r is
     # random or one pair's exact distance at a random n; every block comes
     # from one chunk of BLOCK_ELEMS // dim pairs, 16-element blocks when
-    # small_blocks
+    # small_blocks.  The kernel reads the orbits' time-major slabs, the
+    # reference the orbits themselves
     rng = np.random.default_rng(seed)
     pts = np.unique(rng.integers(0, 64, size=(60, 2)) / 32.0, axis=0)
     orbits = en._sample_orbits(N0_OPERATORS[kind], CompactSample(pts, 0.1), n_values[-1])
@@ -758,7 +774,7 @@ def test_pairs_within_keeps_exactly_the_close_pairs(seed, kind, s, n_values, sma
     r = float(rng.random() * 2 * D[-1].max() if rng.random() < 0.5 else rng.choice(D[rng.integers(len(D))]))
     elems = 16 if small_blocks else en.BLOCK_ELEMS
     with mock.patch.object(en, "BLOCK_ELEMS", elems):
-        blocks = list(en._pairs_within(orbits, I, J, n_values, R, r, s))
+        blocks = list(en._pairs_within(en._time_major(orbits), I, J, n_values, R, r, s))
     step = elems // orbits.shape[2]
     assert all(kept.size and kept[0] // step == kept[-1] // step for kept, _ in blocks)
     at = np.concatenate([kept for kept, _ in blocks]) if blocks else np.empty(0, dtype=np.intp)

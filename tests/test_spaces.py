@@ -55,6 +55,42 @@ def test_norm_linf():
     assert norm(vector([1, -3, 2]), LINF) == 3.0
 
 
+BASES = (L1, Lp(1.5), L2, Lp(3.0), LINF)
+NORM_SPACES = BASES + tuple(FAggregate(b) for b in BASES)
+MAGNITUDES = (5e-324, 1e-310, 1e-300, 1e-200, 1e-160, 1e-100, 1.0, 1e200, 1e300)
+
+
+def _lp_formula(a, p, cumulative):
+    """The plain (partial) l^p norms of the magnitude rows a, numpy's own
+    reductions, no scaling."""
+    if math.isinf(p):
+        return np.maximum.accumulate(a, axis=-1) if cumulative else a.max(axis=-1)
+    power = a if p == 1.0 else a * a if p == 2.0 else a**p
+    sums = np.cumsum(power, axis=-1) if cumulative else power.sum(axis=-1)
+    return sums if p == 1.0 else np.sqrt(sums) if p == 2.0 else sums ** (1.0 / p)
+
+
+def plain_norms(a, s):
+    """Each norm of `norm_block` by its formula over |block| = a."""
+    if isinstance(s, Lp):
+        return _lp_formula(a, s.p, False)
+    partial = _lp_formula(a, s.base.p, True)
+    return (2.0 ** -np.arange(1, a.shape[-1] + 1) * np.minimum(1.0, partial)).sum(axis=-1)
+
+
+def scaled_norm(a, s):
+    """Reference norm of one magnitude row a: every (partial) power sum
+    taken at the scale 2^e of its largest term, so none under- or
+    overflows."""
+    def lp(head, p):
+        e = math.frexp(float(head.max()))[1] if head.max() > 0 else 0
+        return math.ldexp(float(_lp_formula(np.ldexp(head, -e), p, False)), e)
+
+    if isinstance(s, Lp):
+        return lp(a, s.p)
+    return sum(2.0**-i * min(1.0, lp(a[:i], s.base.p)) for i in range(1, a.size + 1))
+
+
 def test_norm_block_scale_safe():
     assert norm(vector([1.75e-258j]), L2) == 1.75e-258
     assert norm(vector([1e200, 1e200]), L2) == pytest.approx(math.hypot(1e200, 1e200), rel=1e-15)
@@ -64,32 +100,54 @@ def test_norm_block_scale_safe():
     assert norm(vector([1e-160, 1e-160]), L2) == pytest.approx(math.sqrt(2) * 1e-160, rel=1e-15)
     # the first partial norm underflows although the full power sum does not
     assert norm(vector([1e-4, 0.5]), FAggregate(Lp(100.0))) == pytest.approx(0.12505, rel=1e-15)
-    # a 1-D row is its (1, dim) block bit for bit, redone or not
-    for row in ([1e-200, 0.0], [1e200, 1e200], [0.5, 0.25]):
-        for s in (L2, Lp(3.0), FAggregate(Lp(3.0))):
-            got, want = norm_block(np.array(row), s), norm_block(np.array([row]), s)[0]
-            assert same_bits(got, want) and got > 0.0
+    # 1-9 coordinates of every magnitude, real and complex, 36 rows of each
+    # (enough to fold sums of up to 7 terms): every norm is the scaled
+    # reference, so rows whose power sums underflow or overflow are redone
+    # (within 5e-14: an unscaled sum s near 1e-300 takes s^(1/p) with 1/p
+    # rounded, off by |ln s| ulps of the exponent, about 100 ulps at p = 1.5),
+    # and no overflow inside a fold escapes as a warning (an error here).  A
+    # one-coordinate row's l^1, l^2 and l^inf norm is its modulus, bit for
+    # bit; a 1-D row is its (1, dim) block bit for bit, redone or not
+    rng = np.random.default_rng(11)
+    for dim in range(1, 10):
+        scale = np.repeat(MAGNITUDES, 36)[:, np.newaxis]
+        for block in (
+            scale * rng.uniform(0.5, 2.0, (scale.size, dim)) * rng.choice([-1.0, 1.0], (scale.size, dim)),
+            scale * (rng.normal(size=(scale.size, dim)) + 1j * rng.normal(size=(scale.size, dim))),
+        ):
+            a = np.abs(block)
+            for s in NORM_SPACES:
+                got = norm_block(block, s)
+                want = [scaled_norm(row, s) for row in a]
+                assert got.tolist() == pytest.approx(want, rel=5e-14, abs=0.0)
+                if dim == 1 and s in (L1, L2, LINF):
+                    assert same_bits(got, a[:, 0])
+                for row in block[:: 36 * 4]:
+                    one, want = norm_block(row, s), norm_block(row[np.newaxis], s)[0]
+                    assert same_bits(one, want)
 
 
 def test_norm_block_in_range_rows_unchanged():
-    """Rows whose power sum is normal keep the plain arithmetic bit for bit."""
+    """Rows whose power sums are normal keep the plain arithmetic bit for
+    bit: numpy's reductions, folded or not, at 1-9 coordinates, real and
+    complex, for every l^p and aggregated norm."""
     rng = np.random.default_rng(7)
-    block = (rng.normal(size=(50, 3, 9)) + 1j * rng.normal(size=(50, 3, 9))) * 1e-3
-    block[0, 0] = 0.0
-    block[1, 1] = 1e-200  # its power sum underflows: the one row redone
-    a = np.abs(block)
-    plain = {
-        L2: np.sqrt((a * a).sum(axis=-1)),
-        Lp(3.0): (a**3.0).sum(axis=-1) ** (1.0 / 3.0),
-        FAGG2: (2.0 ** -np.arange(1, 10) * np.minimum(1.0, np.sqrt(np.cumsum(a * a, axis=-1)))).sum(axis=-1),
-    }
-    for s, want in plain.items():
-        got = norm_block(block, s)
-        same = np.ones(got.shape, dtype=bool)
-        same[1, 1] = False
-        assert np.array_equal(got[same], want[same])
-        assert got[1, 1] > 0.0
-        assert got[0, 0] == 0.0
+    for dim in range(1, 10):
+        for cplx in (False, True):
+            block = rng.normal(size=(100, 3, dim)) * 1e-3
+            if cplx:
+                block = block + 1j * rng.normal(size=(100, 3, dim)) * 1e-3
+            block[0, 0] = 0.0
+            block[1, 1] *= 1e-197  # its power sums underflow at p >= 2: the one row redone
+            a = np.abs(block)
+            for s in NORM_SPACES:
+                got, want = norm_block(block, s), plain_norms(a, s)
+                same = np.ones(got.shape, dtype=bool)
+                p = s.p if isinstance(s, Lp) else s.base.p
+                same[1, 1] = not 2.0 <= p < math.inf
+                assert np.array_equal(got[same], want[same])
+                assert got[1, 1] > 0.0
+                assert got[0, 0] == 0.0
 
 
 def same_bits(got, want) -> bool:
@@ -102,13 +160,24 @@ def same_bits(got, want) -> bool:
     )
 
 
-@pytest.mark.parametrize("length", [1, 2, 7, 16, 17, 40])
+def left_sum(a):
+    """Sums along the last axis, added strictly left to right."""
+    out = a[..., 0].copy()
+    for k in range(1, a.shape[-1]):
+        out = out + a[..., k]
+    return out
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 40])
 def test_fold_matches_numpy_reductions(length):
     # -0.0 is the only zero drawn in the first block and +0.0 the only one
     # in the complex magnitudes, so no maximum is a tie of -0.0 with 0.0,
     # whose sign numpy's reductions leave to their order.  The first four
     # shapes have fewer than 32 rows per column and keep numpy's reduction,
-    # the last two fold an axis of 2-16 (a longer one keeps numpy's)
+    # the last two fold an axis of 2-16 (2-7 for sums; a longer one keeps
+    # numpy's).  numpy sums fewer than 8 terms left to right, as the fold
+    # does, and 8 or more otherwise: at 8 and 9 terms a left-to-right sum
+    # differs from numpy's on some rows, so folding them would change bits
     rng = np.random.default_rng(length)
     values = np.array([-0.0, 5e-324, 1e-310, 0.25, 1.0, 3.5, 1e300, math.inf])
     for shape in ((length,), (1, length), (6, length), (3, 5, length), (32 * length, length), (3, 11 * length, length)):
@@ -118,6 +187,11 @@ def test_fold_matches_numpy_reductions(length):
             assert same_bits(fold(np.maximum, a, running=True), np.maximum.accumulate(a, axis=-1))
             flags = a > 1e-300
             assert same_bits(fold(np.logical_and, flags), flags.all(axis=-1))
+            assert same_bits(fold(np.add, a), a.sum(axis=-1))
+            assert same_bits(fold(np.add, a, running=True), np.cumsum(a, axis=-1))
+        if len(shape) > 1 and shape[-2] > 6:
+            b = np.abs(complex_block)
+            assert np.array_equal(left_sum(b), b.sum(axis=-1)) == (length < 8)
     assert same_bits(fold(np.logical_and, np.ones((4, 0), dtype=bool)), np.ones(4, dtype=bool))
 
 

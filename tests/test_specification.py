@@ -487,17 +487,22 @@ def test_certificate_anchor_query_matches_full_scan(data):
     "bound,regrown_rows", [(0.5, [2]), (0.9375 * (1 - 5e-10), [0, 1, 2]), (1.0, [0, 1, 2])],
     ids=["0.5", "0.9375", "1.0"],
 )
-def test_certificate_anchor_pair_decides(bound, regrown_rows):
+def test_certificate_anchor_pair_decides(bound, regrown_rows, monkeypatch):
     # anchors 0 and e_1 (rows 0 and 1, 0.9375 apart), and row 2 = e_3,
     # 0.1875 from anchor 0 (n = 1: the deviation is the distance), which
     # decides.  The anchors clear each other while 0.9375 > bound * (1 + 1e-9),
-    # row 2 clears e_1 while 0.9375 > (bound + 0.1875) * (1 + 1e-9)
+    # row 2 clears e_1 while 0.9375 > (bound + 0.1875) * (1 + 1e-9).  The
+    # regrown rows and both anchors reach `_pairs_within` as one contiguous
+    # time-major copy, shape (steps, rows, dim)
+    slabs, within = [], spec._pairs_within
+    monkeypatch.setattr(spec, "_pairs_within", lambda o, *a: slabs.append(o) or within(o, *a))
     rows = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]], dtype=complex)
     args, regrown = _certificate_args(rows, [0, 1], [[0], [1], [0]], 1, bound, 0.1)
     global_bound, best, want = _full_scan_certificate(rows, args)
     assert args[2].tolist() == [[0.0], [0.0], [0.1875]] and best == 0.1875 < global_bound
     assert spec._certificate_min_pairwise(*args).hex() == want.hex()
     assert sorted(regrown) == regrown_rows
+    assert [(o.shape, o.flags.c_contiguous) for o in slabs] == [((1, len(regrown_rows) + 2, 4), True)]
 
 
 def test_certificate_margin_covers_rounding():
