@@ -29,7 +29,8 @@ pairs fit one block (count(count - 1)/2 <= PAIR_BLOCK: at most 91 rows,
 every exact table) skips hashing: one running maximum over all pairs gives
 each (n, eps) cell a neighbour bitmask per row (`_conflict_graphs`), swept
 greedily (`_greedy_sweep`) or searched for a maximum set
-(`_max_independent_set`).  A larger greedy table is one carried pass
+(`_max_independent_set`), each giving its set as one Python-int bitmask,
+bit i for row i.  A larger greedy table is one carried pass
 (`_carried_pairs`), one loop over blocks of candidate rows: each row gets
 only its candidates j > i, as runs of its neighbouring cells' rows, and
 each block's pairs go through `_pairs_within`, the one kernel that takes
@@ -48,7 +49,10 @@ at the smallest n enters at the second n, with its candidates from the
 key plan there.  `near_pairs` is the same pass at one n, with every row
 reaching r.  Maxima and ands over a short axis of many rows are
 elementwise folds (`spaces.fold`).
-`_kept_rows` chooses the path of every count from the table's size.
+`_kept_rows` chooses the path of every count from the table's size, and
+hands on every cell's kept rows in that one form, the search's bitmask (the
+carried pass's marks are packed into one per cell): a count is the mask's
+`int.bit_count()`, and a set's rows are its set bits.
 
 Spectral side: sum of multiplicity * log|lambda| over eigenvalues of
 modulus > 1 (zero if none), and the n*log(r) lower bound carried by n
@@ -92,7 +96,7 @@ class CompactSample:
     the intended compact set; it is recorded, not verified.
 
     The sample is its block `rows`: the points (Vectors or 1-D coordinate
-    arrays, so a (count, dim) array will do) zero-padded by `padded_block`
+    arrays, or one (count, dim) array) zero-padded by `padded_block`
     and sorted by the interleaved (Re, Im) coordinates, so mixed dimensions
     sort by padded row ((1, -1) before (1)).  Equal rows are refused.
     `points` are the rows as Vectors, built on first use and kept.
@@ -645,8 +649,8 @@ def greedy_separated(
     n = _bowen_time(n)
     if not eps > 0:
         raise ValidationError("separation scale eps must be positive")
-    kept = _kept_rows(_sample_orbits(T, K, n), (n,), (eps,), s, "greedy")[0, 0]
-    return [K.points[i] for i in np.flatnonzero(kept)]
+    kept = _kept_rows(_sample_orbits(T, K, n), (n,), (eps,), s, "greedy")[0][0]
+    return [p for i, p in enumerate(K.points) if kept >> i & 1]
 
 
 @lru_cache(maxsize=None)
@@ -670,10 +674,12 @@ def _conflict_graphs(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec) -> 
     graphs[k][j][row], one bitmask of neighbours per row, for the ascending
     `n_values`: every pair's distances over t < max(n), gathered from the
     orbits' time-major slabs BLOCK_ELEMS coordinates a `norm_block` call
-    (one call when they fit), their running maximum over t read at each n
-    (that is `bowen_distances` bit for bit: `norm_block` works row by row),
-    and each cell's masks one integer product, its symmetric 0/1 adjacency
-    times the rows' bit weights (`_pair_layout`)."""
+    (one call when they fit), their running maximum over t (that is
+    `bowen_distances` bit for bit: `norm_block` works row by row), and each
+    cell's masks one integer product, its symmetric 0/1 adjacency times the
+    rows' bit weights (`_pair_layout`).  The running maximum is one
+    `np.maximum` per time slice, written straight into the pair table's
+    row of the next requested n, so no other n is kept."""
     slabs = _time_major(orbits[:, : n_values[-1]])
     steps, count, dim = slabs.shape
     I, J, where, weights = _pair_layout(count)
@@ -682,8 +688,15 @@ def _conflict_graphs(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec) -> 
     for a in range(0, I.size, step):
         i, j = I[a : a + step], J[a : a + step]
         D[:, a : a + step] = norm_block(slabs.take(i, axis=1) - slabs.take(j, axis=1), s)
-    square = np.full((len(n_values), I.size + 1), np.inf)  # `where` sends the diagonal to inf
-    square[:, :-1] = np.maximum.accumulate(D, axis=0)[np.subtract(n_values, 1)]
+    square = np.empty((len(n_values), I.size + 1))
+    square[:, -1] = np.inf  # `where` sends the diagonal here
+    running, done = D[0], 1
+    for out, n in zip(square[:, :-1], n_values):
+        if n == done:  # n = 1: the first slice alone
+            out[:] = running
+        for t in range(done, n):
+            running = np.maximum(running, D[t], out=out)
+        done = n
     square = square.take(where, axis=1).reshape(-1, 1, count, count)
     adjacent = square <= np.array(eps_values)[:, np.newaxis, np.newaxis]
     masks = adjacent.astype(np.uint64) @ weights
@@ -753,33 +766,36 @@ def max_separated_exact(
     n = _bowen_time(n)
     if not eps > 0:
         raise ValidationError("separation scale eps must be positive")
-    kept = _kept_rows(_sample_orbits(T, K, n), (n,), (eps,), s, "exact")[0, 0]
-    return [K.points[i] for i in np.flatnonzero(kept)]
+    kept = _kept_rows(_sample_orbits(T, K, n), (n,), (eps,), s, "exact")[0][0]
+    return [p for i, p in enumerate(K.points) if kept >> i & 1]
 
 
-def _kept_rows(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec, method: str) -> np.ndarray:
-    """kept[k, j, row]: the rows of the separated set of the cell
-    (n_values[k], eps_values[j]), for the ascending `n_values`.
+def _kept_rows(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec, method: str) -> list[list[int]]:
+    """kept[k][j]: the rows of the separated set of the cell
+    (n_values[k], eps_values[j]), for the ascending `n_values`, as one
+    Python-int bitmask, bit i for row i: the form the searches make, so a
+    count is `int.bit_count()` and a set's rows are its set bits.
 
     The one place that chooses how a table is counted, from its size alone.
     A greedy table of more than 91 rows (count(count - 1)/2 > PAIR_BLOCK)
     is one carried pass (`_carried_marks`) over the key plan at
     (n_values[0], max eps), and at (n_values[1], max eps) for the rows
-    that enter there.  Every other table, every exact one included,
-    takes its cells from `_conflict_graphs`: a greedy cell is a bitmask
-    sweep (`_greedy_sweep`), an exact one the maximum independent set.
-    This cut the `exact-oracle` benchmark pass from 0.93 to 0.65 s
-    (BENCH_16.json), and integer masks by a further 18% (BENCH_25.json).
+    that enter there; its kept rows, the complement of the marks, are
+    packed into one mask per cell.  Every other table, every exact one
+    included, takes its cells from `_conflict_graphs`: a greedy cell is a
+    bitmask sweep (`_greedy_sweep`), an exact one the maximum independent
+    set.  This cut the `exact-oracle` benchmark pass from 0.93 to 0.65 s
+    (BENCH_16.json), integer masks by a further 18% (BENCH_25.json), and
+    handing the masks on undecoded a further share (BENCH_29.json).
     """
     count = orbits.shape[0]
     if method == "greedy" and count * (count - 1) // 2 > PAIR_BLOCK:
         plan, _ = _plan_keys(orbits, n_values[0], max(eps_values), s)
-        return ~_carried_marks(orbits, n_values, np.array(eps_values), s, plan)
+        marks = _carried_marks(orbits, n_values, np.array(eps_values), s, plan)
+        kept = np.packbits(~marks, axis=-1, bitorder="little")
+        return [[int.from_bytes(cell, "little") for cell in cells] for cells in kept]
     search = _max_independent_set if method == "exact" else _greedy_sweep
-    sets = [[search(masks) for masks in cells] for cells in _conflict_graphs(orbits, n_values, eps_values, s)]
-    size = -(-count // 8)
-    chosen = np.frombuffer(b"".join(best.to_bytes(size, "little") for cells in sets for best in cells), np.uint8)
-    return np.unpackbits(chosen.reshape(len(sets), -1, size), axis=-1, count=count, bitorder="little").view(bool)
+    return [[search(masks) for masks in cells] for cells in _conflict_graphs(orbits, n_values, eps_values, s)]
 
 
 @dataclass(frozen=True)
@@ -823,7 +839,8 @@ def sn_table(
 
     Every cell comes from `_kept_rows` over the orbits of the sample's rows,
     in their canonical order: the conflict graphs of all pairs for at most
-    91 rows, else one carried pass (see the module docstring).  Bowen times
+    91 rows, else one carried pass (see the module docstring).  Its count
+    is the `int.bit_count()` of the cell's kept-row bitmask.  Bowen times
     are integers (or integral floats) >= 1 and every eps is positive (NaN is
     refused).
     Greedy counts can violate the monotonicity laws (nondecreasing in n,
@@ -842,7 +859,7 @@ def sn_table(
         raise SampleSizeError(f"exact search is capped at {EXACT_SAMPLE_CAP} points, got {len(K)}")
 
     orbits = _sample_orbits(T, K, max(n_values))
-    counts = _kept_rows(orbits, n_values, eps_values, s, method).sum(axis=2).tolist()
+    counts = [[kept.bit_count() for kept in cells] for cells in _kept_rows(orbits, n_values, eps_values, s, method)]
 
     entries: dict[tuple[int, float], int] = {}
     repaired: list[tuple[int, float]] = []

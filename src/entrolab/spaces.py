@@ -259,18 +259,24 @@ def norm_tail_bound(dim: int, s: SpaceSpec) -> float:
 
 
 def padded_block(points, dim: int | None = None) -> np.ndarray:
-    """The points (Vectors or 1-D coordinate arrays, so a (count, dim)
-    array will do) as the rows of a (count, dim) complex block, zero-padded
+    """The points (Vectors or 1-D coordinate arrays, or one (count, dim)
+    numeric array) as the rows of a (count, dim) complex block, zero-padded
     to `dim` (default: the longest point's dimension).  Validated once, as
-    a whole: every point 1-D and nonempty, every coordinate finite."""
-    rows = [p.coords if isinstance(p, Vector) else np.asarray(p) for p in points]
-    if any(r.ndim != 1 or r.size == 0 for r in rows):
+    a whole: every point 1-D and nonempty, every coordinate finite.  A
+    numeric 2-D array is cast whole, with no list of its rows."""
+    if isinstance(points, np.ndarray) and points.ndim == 2 and points.dtype.kind in "biufc":
+        flat, sizes = points.astype(complex).ravel(), np.full(len(points), points.shape[1])
+    else:
+        rows = [p.coords if isinstance(p, Vector) else np.asarray(p) for p in points]
+        if any(r.ndim != 1 for r in rows):
+            raise ValidationError("a point needs a one-dimensional, nonempty coordinate list")
+        sizes = np.array([r.size for r in rows])
+        flat = np.concatenate(rows, dtype=complex, casting="unsafe") if rows else np.zeros(0, dtype=complex)
+    if (sizes == 0).any():
         raise ValidationError("a point needs a one-dimensional, nonempty coordinate list")
-    sizes = np.array([r.size for r in rows])
     dim = int(sizes.max()) if dim is None else dim
     if (sizes > dim).any():
         raise ValidationError("vector longer than the working truncation")
-    flat = np.concatenate(rows, dtype=complex, casting="unsafe") if rows else np.zeros(0, dtype=complex)
     if flat.size == sizes.size * dim:  # no row is padded: the rows joined are the block
         block = flat.reshape(sizes.size, dim)
     else:  # scatter the rows by their lengths

@@ -533,12 +533,26 @@ def _certificate_min_pairwise(
     global bound as radius, row by row those of a full scan.  A pair it
     drops lies beyond the bound, so it can lower neither the result nor
     the separation below epsilon.
+
+    One segment (n = 1) with no deviation needs no anchor query.  The
+    Bowen window is the one step t = 0, so drift_max is 0 and the global
+    bound is d_min_anchor.  A zero deviation alone does not make a row its
+    anchor (under the aggregated norm a subnormal difference can round to
+    0), so the rows, grown one step (a copy), are compared with their
+    anchors exactly.  When every row is its anchor, twins being refused,
+    the rows are distinct anchors, and each distance the query would take
+    is the `norm_block` of a difference of two anchors, the same number
+    (up to an exact negation) as in the anchors' own minimum d_min_anchor.
+    So best_direct >= d_min_anchor, the result min(global bound,
+    best_direct) is d_min_anchor, and the m^2 query is skipped.
     """
     drift_max = float(norm_block(anchors - anchors[:, :1], space).max())
     global_bound = d_min_anchor - 2.0 * float(dev.max()) - 2.0 * drift_max
     if not (global_bound > epsilon):
         # certificate too weak: fall back to the exact (slow) scan
         return _direct_min_pairwise(space, grow(slice(None)))
+    if tuples.shape[1] == 1 and not dev.any() and (grow(slice(None))[:, 0] == anchors[tuples[:, 0], 0]).all():
+        return global_bound  # every row is its anchor: d_min_anchor
 
     # anchors against the rows the triangle inequality leaves within global_bound
     segments, at = anchors[:, :: gap + 1], np.arange(tuples.shape[1])

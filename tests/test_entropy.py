@@ -597,15 +597,21 @@ def witness_scan(orbits, eps, s):
     return kept_idx
 
 
+def row_mask(rows):
+    """The bitmask of a bool row vector: bit i set where rows[i] is True."""
+    return sum(1 << int(i) for i in np.flatnonzero(rows))
+
+
 def assert_pair_path_matches_scan(T, K, n_values, eps_values, s):
     """Every cell's count and kept rows from the carried pass, from the
-    single-n pass at each n and from `_kept_rows` (the dense path for at
-    most 91 rows) equal the witness scan's."""
+    single-n pass at each n and from `_kept_rows` (its masks; the dense
+    path for at most 91 rows) equal the witness scan's."""
     orbits = en._sample_orbits(T, K, max(n_values))
     eps = np.array(eps_values)
     plan, _ = en._plan_keys(orbits, n_values[0], eps_values[0], s)
     carried = en._carried_marks(orbits, n_values, eps, s, plan)
-    assert (en._kept_rows(orbits, n_values, eps_values, s, "greedy") == ~carried).all()
+    kept = en._kept_rows(orbits, n_values, eps_values, s, "greedy")
+    assert kept == [[row_mask(~row) for row in cell] for cell in carried]
     for n, cell in zip(n_values, carried):
         plan, _ = en._plan_keys(orbits, n, eps_values[0], s)
         single = en._carried_marks(orbits[:, :n], (n,), eps, s, plan)[0]
@@ -864,8 +870,8 @@ def test_conflict_masks_match_per_row_graph(seed, s, dim, rotate, count):
 
 
 def test_kept_rows_decode_every_bit_across_the_word_boundary():
-    # each cell's chosen set, read bit by bit, is the kept rows of the
-    # dense path, around the 64-row word boundary and for both methods
+    # each cell's kept rows are the dense path's chosen set, as its mask,
+    # around the 64-row word boundary and for both methods
     T = Diagonal(ExplicitRule((2.0,)))
     for count in (63, 64, 65):
         orbits = en._sample_orbits(T, sample_of(np.arange(count) * 0.25), 2)
@@ -873,9 +879,45 @@ def test_kept_rows_decode_every_bit_across_the_word_boundary():
         graphs = en._conflict_graphs(orbits, n_values, eps_values, L2)
         for method, search in (("exact", en._max_independent_set), ("greedy", en._greedy_sweep)):
             kept = en._kept_rows(orbits, n_values, eps_values, L2, method)
-            bits = [[[search(masks) >> i & 1 for i in range(count)] for masks in cells] for cells in graphs]
-            assert kept.dtype == bool and kept.tolist() == np.array(bits, dtype=bool).tolist()
-            assert kept[:, :, count - 1].any() and not kept.all()
+            assert kept == [[search(masks) for masks in cells] for cells in graphs]
+            masks = [mask for cells in kept for mask in cells]
+            assert any(mask >> count - 1 & 1 for mask in masks)
+            assert not all(mask == (1 << count) - 1 for mask in masks)
+
+
+@pytest.mark.parametrize("count", [63, 64, 65, 91, 92])
+def test_oracle_answers_match_brute_force_sets_at_word_boundaries(count, monkeypatch):
+    # clusters of 1-5 points on a line, 4 apart: under doubling no pair of
+    # clusters comes within eps at n <= 2, so the maximum set is the union
+    # of the clusters' own, each found by trying every subset.  The exact
+    # cap is lifted so the public oracle reaches the second and third
+    # 64-bit words; 92 rows take the carried pass for greedy counts
+    monkeypatch.setattr(en, "EXACT_SAMPLE_CAP", count)
+    rng = np.random.default_rng(count)
+    sizes = []
+    while sum(sizes) < count - 1:
+        sizes.append(min(int(rng.integers(1, 6)), count - 1 - sum(sizes)))
+    sizes.append(1)  # the last row is kept by every set: the top bit is read
+    starts = np.cumsum([0] + sizes)
+    values = np.concatenate([4.0 * c + np.sort(rng.choice(24, k, replace=False)) / 40 for c, k in enumerate(sizes)])
+    K = sample_of(values)
+    n_values, eps_values = (1, 2), (0.3, 0.15)
+    orbits = en._sample_orbits(DOUBLING_1D, K, 2)
+    greedy = sn_table(DOUBLING_1D, K, n_values, eps_values, L2)
+    exact = sn_table(DOUBLING_1D, K, n_values, eps_values, L2, method="exact")
+    for n in n_values:
+        for e in eps_values:
+            best = 0
+            for a, b in zip(starts, starts[1:]):
+                best |= brute_force_independent_set(old_conflict_masks(orbits[a:b, :n], e, L2)) << int(a)
+            rows = witness_scan(orbits[:, :n], e, L2)
+            assert greedy.s(n, e) == len(rows) and exact.s(n, e) == best.bit_count()
+            assert greedy_separated(DOUBLING_1D, K, n, e, L2) == [K.points[i] for i in rows]
+            chosen = [i for i in range(count) if best >> i & 1]
+            assert max_separated_exact(DOUBLING_1D, K, n, e, L2) == [K.points[i] for i in chosen]
+            assert rows[-1] == chosen[-1] == count - 1
+    if count > 91:  # the carried pass's kept rows are exactly ~marks, packed
+        assert_pair_path_matches_scan(DOUBLING_1D, K, n_values, eps_values, L2)
 
 
 def test_dense_path_size_rule(monkeypatch):
@@ -910,9 +952,8 @@ def test_exact_tables_match_brute_force_sets(seed, s, dim, rotate):
     orbits = en._sample_orbits(T, K, 9)
     kept = en._kept_rows(orbits, n_values, eps_values, s, "exact")
     for n, cells in zip(n_values, kept):
-        for e, row in zip(eps_values, cells):
-            best = brute_force_independent_set(old_conflict_masks(orbits[:, :n], e, s))
-            assert row.tolist() == [bool(best >> i & 1) for i in range(12)]
+        for e, mask in zip(eps_values, cells):
+            assert mask == brute_force_independent_set(old_conflict_masks(orbits[:, :n], e, s))
 
 
 @settings(max_examples=20, deadline=None)

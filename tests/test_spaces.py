@@ -308,12 +308,16 @@ def test_padded_block_matches_row_by_row_padding():
     ragged = [vector(rng.normal(size=k)) for k in (3, 1, 4, 2, 4)] + [rng.normal(size=2), [1j, -0.0]]
     whole = np.arange(6).reshape(2, 3)  # integer rows, and object rows cast as a row write casts them
     mixed = [np.array([1, Fraction(1, 2)], dtype=object), [3, 4]]
-    cases = ((equal, None), (equal, 6), (list(equal), 3), (ragged, None), (ragged, 7), (whole, None), (mixed, 3))
+    narrow = equal.real.astype(np.float32)  # whole arrays are cast as a row write casts them
+    cases = ((equal, None), (equal, 6), (list(equal), 3), (ragged, None), (ragged, 7), (whole, None), (mixed, 3),
+             (narrow, None), (narrow, 4), (whole > 2, 5))
     for points, dim in cases:
         block = padded_block(points, dim)
         want = looped_padded_block(points, dim)
         assert block.shape == want.shape and block.tobytes() == want.tobytes()
-    assert padded_block([], 2).shape == (0, 2)
+    assert padded_block([], 2).shape == (0, 2) == padded_block(np.zeros((0, 2)), 2).shape
+    with pytest.raises(ValidationError, match="nonempty"):
+        padded_block(np.zeros((2, 0)), 2)
     for points, dim in ((equal, 2), (ragged, 3)):
         with pytest.raises(ValidationError, match="longer than the working truncation"):
             padded_block(points, dim)

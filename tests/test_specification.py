@@ -469,6 +469,12 @@ def test_certificate_anchor_query_matches_full_scan(data):
         symbol = st.integers(0, len(anchor_rows) - 1)
         tuples = data.draw(st.lists(st.lists(symbol, min_size=n, max_size=n), min_size=len(rows), max_size=len(rows)))
     bound = data.draw(st.floats(0.05, 1.5), label="bound")
+    # when every row is its anchor at n = 1 the query is skipped, which
+    # rests on d_min_anchor being the anchors' smallest distance, as the
+    # family builder passes it: the bound is capped there
+    own = n == 1 and all(anchor_rows[c] == r for r, (c,) in enumerate(tuples))
+    if own:
+        bound = min(bound, min(float(norm_block(rows[:j] - rows[j], FA).min()) for j in range(1, len(rows))))
     eps = min(bound, 1.0) * data.draw(st.floats(0.05, 0.95), label="eps share")
     args, regrown = _certificate_args(rows, anchor_rows, tuples, gap, bound, eps)
     global_bound, best, want = _full_scan_certificate(rows, args)
@@ -481,6 +487,8 @@ def test_certificate_anchor_query_matches_full_scan(data):
     else:
         assert spec._certificate_min_pairwise(*args).hex() == want.hex()
     assert len(regrown) == len(set(regrown))  # each uncleared row once
+    if own:  # one copy of every row, compared with its anchor
+        assert regrown == list(range(len(rows))) and want == args[7]
 
 
 @pytest.mark.parametrize(
@@ -503,6 +511,37 @@ def test_certificate_anchor_pair_decides(bound, regrown_rows, monkeypatch):
     assert spec._certificate_min_pairwise(*args).hex() == want.hex()
     assert sorted(regrown) == regrown_rows
     assert [(o.shape, o.flags.c_contiguous) for o in slabs] == [((1, len(regrown_rows) + 2, 4), True)]
+
+
+def test_certificate_skips_the_anchor_query_when_rows_are_anchors(monkeypatch):
+    # n = 1 (one Bowen step, so no drift): the collinear anchors j x1 are
+    # their own shadows, so every row is its anchor and the result is
+    # d_min_anchor, the direct scan's minimum, without the anchor query.  A
+    # far e_40 moves every shadow off its anchor (dev > 0), the anchors
+    # join as extra rows 2^-40 from their shadows, and the query still
+    # runs and refuses the family
+    x1, e40 = fixed_vector(B2, 64), basis_vector(40, 64)
+    collinear = [Vector(j * x1.coords) for j in range(7)]
+    direct = sp_separated_family(B2, collinear, 1, 0.1)
+    calls, within = [], spec._pairs_within
+    monkeypatch.setattr(spec, "_pairs_within", lambda *a: calls.append(a[1].size) or within(*a))
+    monkeypatch.setattr(spec, "DIRECT_VERIFY_CAP", 4)
+    cert = sp_separated_family(B2, collinear, 1, 0.1)
+    assert (direct.verification, cert.verification, calls) == ("direct", "certificate", [])
+    assert cert.min_pairwise.hex() == direct.min_pairwise.hex() == (1.0).hex()
+    assert cert.sample.rows.tobytes() == direct.sample.rows.tobytes()
+    with pytest.raises(ValidationError, match="anchor-related distance 1.8"):
+        sp_separated_family(B2, [Vector(v.coords + e40.coords) for v in collinear], 1, 0.1)
+    assert len(calls) == 1 and calls[0] > 0
+    # a zero deviation alone is not enough: row 2 lies 5e-324 off anchor 0,
+    # a difference whose norm rounds to 0, so the query runs and finds it
+    rows = np.array([[0, 0, 0], [1, 0, 0], [5e-324, 0, 0]], dtype=complex)
+    bound = float(norm_block(rows[1:2] - rows[0], FA)[0])
+    args, _ = _certificate_args(rows, [0, 1], [[0], [1], [0]], 1, bound, 0.1)
+    assert not args[2].any()
+    with pytest.raises(ValidationError, match="anchor-related distance 0"):
+        spec._certificate_min_pairwise(*args)
+    assert len(calls) == 2
 
 
 def test_certificate_margin_covers_rounding():
