@@ -113,8 +113,6 @@ def _sample_from(params: dict, space) -> CompactSample:
     if spec["kind"] == "grid":
         shape = ser.container_from_json(spec.get("shape", []), "grid shape")
         shape = tuple(ser.number_from_json(v, "shape entry", int) for v in shape)
-        if not shape:
-            raise ValidationError("grid sample needs a nonempty 'shape'")
         return grid_sample(
             space,
             shape,
@@ -321,6 +319,8 @@ def _task_shadow(cfg: ExperimentConfig) -> int:
         rng = np.random.default_rng(cfg.seed)
         max_segments = ser.number_from_json(spec.get("max_segments", 3), "max_segments", int)
         count = ser.number_from_json(spec.get("count", 1), "count", int)
+        if max_segments < 1 or count < 1:
+            raise ValidationError("random_schedules needs count >= 1 and max_segments >= 1")
         schedules = [_random_schedule(rng, eps, max_segments) for _ in range(count)]
     else:
         raise ValidationError("shadow task needs a schedule or random_schedules spec")

@@ -51,8 +51,8 @@ reaching r.  Maxima and ands over a short axis of many rows are
 elementwise folds (`spaces.fold`).
 `_kept_rows` chooses the path of every count from the table's size, and
 hands on every cell's kept rows in that one form, the search's bitmask (the
-carried pass's marks are packed into one per cell): a count is the mask's
-`int.bit_count()`, and a set's rows are its set bits.
+carried pass gives its cells' kept rows as such masks too): a count is the
+mask's `int.bit_count()`, and a set's rows are its set bits.
 
 Spectral side: sum of multiplicity * log|lambda| over eigenvalues of
 modulus > 1 (zero if none), and the n*log(r) lower bound carried by n
@@ -136,6 +136,8 @@ def grid_sample(
     label: str = "",
 ) -> CompactSample:
     """Uniform product grid on [low, high]^d, endpoints included."""
+    if not points_per_axis or min(points_per_axis) < 1:
+        raise ValidationError(f"a grid needs one or more axes of at least one point, got {points_per_axis}")
     axes = [np.linspace(low, high, k) for k in points_per_axis]
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=-1).astype(complex)
@@ -546,9 +548,10 @@ def _carried_pairs(orbits: np.ndarray, n_values, r: float, s: SpaceSpec, plan, r
             yield I[kept], J[kept], levels
 
 
-def _carried_marks(orbits: np.ndarray, n_values, eps: np.ndarray, s: SpaceSpec, plan) -> np.ndarray:
+def _carried_marks(orbits: np.ndarray, n_values, eps: np.ndarray, s: SpaceSpec, plan) -> list[list[int]]:
     """Greedy scans of every (n, eps) cell in one carried pass: returns
-    marked[n, eps, row], True where the row is excluded.
+    kept[k][j], the rows kept in the cell (n_values[k], eps[j]) as one
+    Python-int bitmask, bit i for row i (the rows its marks leave).
 
     For each cell, rows are walked in lexicographic order; a row unmarked
     for it is kept and marks its later neighbours within that eps.  Marks
@@ -632,8 +635,11 @@ def _carried_marks(orbits: np.ndarray, n_values, eps: np.ndarray, s: SpaceSpec, 
         starts = np.flatnonzero(np.diff(I, prepend=-1)).tolist()
         for a, b in zip(starts, starts[1:] + [I.size]):
             m[J[a:b]] |= h[a:b] & ~m[I[a]]
-    flat = np.unpackbits(marked.view(np.uint8), axis=-1, count=K * E, bitorder="little")
-    return np.moveaxis(flat.reshape(count, K, E), 0, -1).astype(bool)
+    # cell (k, j) keeps the rows whose bit k * E + j is clear; the transposed
+    # bits are copied before packing, which packs them 3x faster
+    kept = np.unpackbits((~marked).view(np.uint8), axis=-1, count=K * E, bitorder="little").T.copy()
+    cells = [int.from_bytes(cell, "little") for cell in np.packbits(kept, axis=-1, bitorder="little")]
+    return [cells[k * E : (k + 1) * E] for k in range(K)]
 
 
 def greedy_separated(
@@ -780,20 +786,17 @@ def _kept_rows(orbits: np.ndarray, n_values, eps_values, s: SpaceSpec, method: s
     A greedy table of more than 91 rows (count(count - 1)/2 > PAIR_BLOCK)
     is one carried pass (`_carried_marks`) over the key plan at
     (n_values[0], max eps), and at (n_values[1], max eps) for the rows
-    that enter there; its kept rows, the complement of the marks, are
-    packed into one mask per cell.  Every other table, every exact one
-    included, takes its cells from `_conflict_graphs`: a greedy cell is a
-    bitmask sweep (`_greedy_sweep`), an exact one the maximum independent
-    set.  This cut the `exact-oracle` benchmark pass from 0.93 to 0.65 s
+    that enter there, which gives every cell's kept rows as its mask.
+    Every other table, every exact one included, takes its cells from
+    `_conflict_graphs`: a greedy cell is a bitmask sweep (`_greedy_sweep`),
+    an exact one the maximum independent set.  This cut the `exact-oracle` benchmark pass from 0.93 to 0.65 s
     (BENCH_16.json), integer masks by a further 18% (BENCH_25.json), and
     handing the masks on undecoded a further share (BENCH_29.json).
     """
     count = orbits.shape[0]
     if method == "greedy" and count * (count - 1) // 2 > PAIR_BLOCK:
         plan, _ = _plan_keys(orbits, n_values[0], max(eps_values), s)
-        marks = _carried_marks(orbits, n_values, np.array(eps_values), s, plan)
-        kept = np.packbits(~marks, axis=-1, bitorder="little")
-        return [[int.from_bytes(cell, "little") for cell in cells] for cells in kept]
+        return _carried_marks(orbits, n_values, np.array(eps_values), s, plan)
     search = _max_independent_set if method == "exact" else _greedy_sweep
     return [[search(masks) for masks in cells] for cells in _conflict_graphs(orbits, n_values, eps_values, s)]
 

@@ -26,10 +26,14 @@ periodicity from its last slice continued to the period.  A family of at
 most DIRECT_VERIFY_CAP rows is grown once into one orbit cube, which also
 gives the separation by a direct scan.  A larger one never holds its cube:
 the anchors are grown once and the shadows in row blocks, each block kept
-only as its deviations and periodicity flags; the separation certificate
-clears anchor pairs by the triangle inequality of its global bound, and
-grows again only the rows it leaves uncleared.  `shadow_point` grows its
-one shadow once, to the period.
+only as its deviations and periodicity flags.  Its separation is certified
+by the construction lemma: two rows whose tuples differ at some segment are
+apart there by at least the anchors' smallest distance, less twice the
+largest deviation and twice the largest drift of an anchor's orbit.  That
+leaves only each constant tuple's shadow against its own anchor, which are
+grown again and measured; when the bound does not clear epsilon, the whole
+family is grown again and scanned directly.  `shadow_point` grows its one
+shadow once, to the period.
 """
 
 from __future__ import annotations
@@ -386,11 +390,10 @@ def sp_separated_family(
     Up to a size cap the rows are grown once into one orbit cube, and
     separation is verified by pairwise dynamical distances taken directly
     from it.  Above the cap no cube is held: the anchors are grown once,
-    the shadows block by block, each block kept only as its certification.
-    A certified triangle-inequality lower bound stands in for the shadow
-    pairs (`_certificate_min_pairwise`), and each anchor is checked exactly
-    against the rows the same inequality leaves within that bound, regrown
-    for it.
+    the shadows block by block, each block kept only as its certification,
+    and the construction lemma's lower bound stands in for every pair but
+    a constant tuple's shadow and its own anchor, which are measured
+    (`_certificate_min_pairwise`).
     """
     if not isinstance(B_w, BackwardShift):
         raise ValidationError("families are built over weighted backward shifts")
@@ -445,7 +448,7 @@ def sp_separated_family(
         tuples = np.concatenate((combos, np.repeat(extra[:, np.newaxis], n, axis=1)))
         dev = np.concatenate((dev, np.zeros((extra.size, n))))
         min_pair = _certificate_min_pairwise(
-            space, tuples, dev, grow, anchor_orbits, anchor_rows, N, d_min_anchor, epsilon
+            space, tuples, dev, grow, anchor_orbits, anchor_rows, d_min_anchor, epsilon
         )
         verification = "certificate"
     if not (min_pair > epsilon):
@@ -501,74 +504,45 @@ def _certificate_min_pairwise(
     grow,
     anchors: np.ndarray,
     anchor_rows: list[int],
-    gap: int,
     d_min_anchor: float,
     epsilon: float,
 ) -> float:
     """Certified lower bound on every pairwise dynamical distance of the
     family's rows over the Bowen window.
 
-    Row r follows anchor tuples[r, i] at segment i, the Bowen step
-    i*(gap+1), within the deviation dev[r, i] (shapes (rows, n)).
+    Row r follows anchor tuples[r, i] at segment i (its Bowen step) within
+    the deviation dev[r, i] (shapes (rows, n)).
     grow(rows) grows the orbits of the family rows `rows`, and `anchors`
     holds the anchors' orbits (anchor c is family row anchor_rows[c]).
 
-    Two shadows with tuples differing at segment i satisfy, at that time,
-    d >= d(anchor, anchor') - dev - dev' - drift - drift', every term a
-    computed number (d_min_anchor is the smallest anchor distance).  The
-    family-wide bound uses the worst of each term.  When it fails, the
-    result is the exact minimum from the full direct scan over the regrown
-    orbit cube, which the caller judges.
-
-    Anchor pairs are checked exactly where they can lower the result
-    min(global bound, closest anchor pair).  By the same inequality row r
-    is at least apart - dev[r, i] from anchor c, where apart is the
-    distance of anchors tuples[r, i] and c at segment i; r is cleared
-    against c when some segment has apart > (global bound + dev[r, i]) *
-    (1 + 1e-9).  Every computed norm is a sum of nonnegative terms within
-    a relative few dim ulps of the exact norm of its stored difference
-    (scaled, not underflowed), far inside that margin, so a cleared pair's
-    computed distance stays beyond the bound.  The uncleared rows are
-    regrown, and `_pairs_within` takes their Bowen distances with the
-    global bound as radius, row by row those of a full scan.  A pair it
-    drops lies beyond the bound, so it can lower neither the result nor
-    the separation below epsilon.
-
-    One segment (n = 1) with no deviation needs no anchor query.  The
-    Bowen window is the one step t = 0, so drift_max is 0 and the global
-    bound is d_min_anchor.  A zero deviation alone does not make a row its
-    anchor (under the aggregated norm a subnormal difference can round to
-    0), so the rows, grown one step (a copy), are compared with their
-    anchors exactly.  When every row is its anchor, twins being refused,
-    the rows are distinct anchors, and each distance the query would take
-    is the `norm_block` of a difference of two anchors, the same number
-    (up to an exact negation) as in the anchors' own minimum d_min_anchor.
-    So best_direct >= d_min_anchor, the result min(global bound,
-    best_direct) is d_min_anchor, and the m^2 query is skipped.
+    The construction lemma: two rows whose tuples differ at segment i are
+    at that step at least d(anchor, anchor') - dev - dev', and two anchors
+    are there at least d_min_anchor (their smallest distance at step 0)
+    less twice the largest drift of an anchor's orbit from its start.  So
+    every such pair is at least the global bound d_min_anchor - 2 dev_max -
+    2 drift_max, every term a computed number.  An anchor that is no shadow
+    is a row of constant tuple (c, .., c) with deviations 0, so it too is at
+    least that far from every row whose tuple is not (c, .., c).  The lemma
+    leaves one pair per constant tuple: its shadow and anchor c, when they
+    are different rows.  Those shadows are regrown, and `_pairs_within`
+    takes their Bowen distances to their anchors with the global bound as
+    radius; a pair it drops can lower neither the result min(global bound,
+    closest such pair) nor the separation below epsilon.  When the global
+    bound fails, the result is the exact minimum from the full direct scan
+    over the regrown orbit cube, which the caller judges.
     """
     drift_max = float(norm_block(anchors - anchors[:, :1], space).max())
     global_bound = d_min_anchor - 2.0 * float(dev.max()) - 2.0 * drift_max
     if not (global_bound > epsilon):
         # certificate too weak: fall back to the exact (slow) scan
         return _direct_min_pairwise(space, grow(slice(None)))
-    if tuples.shape[1] == 1 and not dev.any() and (grow(slice(None))[:, 0] == anchors[tuples[:, 0], 0]).all():
-        return global_bound  # every row is its anchor: d_min_anchor
 
-    # anchors against the rows the triangle inequality leaves within global_bound
-    segments, at = anchors[:, :: gap + 1], np.arange(tuples.shape[1])
-    clear_above = (global_bound + dev) * (1 + 1e-9)
-    near = []
-    for c, row in enumerate(anchor_rows):
-        apart = norm_block(segments - segments[c], space)  # (anchors, n)
-        uncleared = ~(apart[tuples, at] > clear_above).any(axis=1)
-        uncleared[row] = False
-        near.append(np.flatnonzero(uncleared))
-    regrown = np.unique(np.concatenate(near))
+    shadows = np.flatnonzero((tuples == tuples[:, :1]).all(axis=1))
+    shadows = shadows[shadows != np.take(anchor_rows, tuples[shadows, 0])]
     best_direct = math.inf
-    if regrown.size:  # anchor c is row regrown.size + c, beside the regrown rows
-        I = np.repeat(regrown.size + np.arange(len(near)), [rows.size for rows in near])
-        J = np.searchsorted(regrown, np.concatenate(near))
-        slabs, bound = _time_major(np.concatenate((grow(regrown), anchors))), np.full(I.size, global_bound)
+    if shadows.size:  # anchor c is row shadows.size + c, after the shadows
+        I, J = shadows.size + tuples[shadows, 0], np.arange(shadows.size)
+        slabs, bound = _time_major(np.concatenate((grow(shadows), anchors))), np.full(I.size, global_bound)
         for _, ((_, d),) in _pairs_within(slabs, I, J, (anchors.shape[1],), bound, global_bound, space):
             best_direct = min(best_direct, float(d.min()))
     if not (best_direct > epsilon):

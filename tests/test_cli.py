@@ -226,6 +226,13 @@ def test_validation_exit_codes(tmp_path):
         ("estimate-entropy", {**estimate, "sample": {"kind": "explicit", "points": 5}}),
         ("embed-shift", {"N": 2, "depth": 2, "eps_list": 0.1}),
         ("shadow", {"random_schedules": 3}, "--seed", "1"),
+        # zero schedules made a vacuous certificate ("all_certified": true, exit
+        # 0), and no segments a numpy ValueError
+        ("shadow", {"random_schedules": {"count": 0}}, "--seed", "1", "--require-certified"),
+        ("shadow", {"random_schedules": {"count": -2}}, "--seed", "1"),
+        ("shadow", {"random_schedules": {"max_segments": 0}}, "--seed", "1"),
+        ("estimate-entropy", {**estimate, "sample": {"kind": "grid", "shape": [-3]}}),
+        ("estimate-entropy", {**estimate, "sample": {"kind": "grid", "shape": []}}),
         ("sp-lower-bound", {"N": 4, "m": 2, "build_family": 3}),
     ]
     for task, config, *extra in malformed:

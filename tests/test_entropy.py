@@ -492,6 +492,16 @@ def test_contraction_slope_exactly_zero():
         assert est.h_estimate == 0.0
 
 
+def test_grid_sample_refuses_axes_without_points():
+    # numpy would end these in its own ValueError ("Number of samples, -3,
+    # must be non-negative") or in an empty sample
+    for shape in ((-3,), (0,), (4, 0), ()):
+        with pytest.raises(ValidationError, match="one or more axes of at least one point"):
+            grid_sample(L2, shape)
+    K = grid_sample(L2, (1, 3))
+    assert len(K) == 3 and K.rows[:, 0].tolist() == [0, 0, 0]
+
+
 def test_metric_uniformity_l2_vs_linf():
     T = Diagonal(ExplicitRule((2.0, 3.0)))
     K2 = grid_sample(L2, (64, 64))
@@ -610,15 +620,14 @@ def assert_pair_path_matches_scan(T, K, n_values, eps_values, s):
     eps = np.array(eps_values)
     plan, _ = en._plan_keys(orbits, n_values[0], eps_values[0], s)
     carried = en._carried_marks(orbits, n_values, eps, s, plan)
-    kept = en._kept_rows(orbits, n_values, eps_values, s, "greedy")
-    assert kept == [[row_mask(~row) for row in cell] for cell in carried]
+    assert en._kept_rows(orbits, n_values, eps_values, s, "greedy") == carried
     for n, cell in zip(n_values, carried):
         plan, _ = en._plan_keys(orbits, n, eps_values[0], s)
         single = en._carried_marks(orbits[:, :n], (n,), eps, s, plan)[0]
-        for e, row, alone in zip(eps_values, cell, single):
-            kept = witness_scan(orbits[:, :n], e, s)
-            assert np.flatnonzero(~row).tolist() == kept
-            assert np.flatnonzero(~alone).tolist() == kept
+        for e, mask, alone in zip(eps_values, cell, single):
+            kept = np.zeros(len(orbits), dtype=bool)
+            kept[witness_scan(orbits[:, :n], e, s)] = True
+            assert mask == alone == row_mask(kept)
 
 
 @settings(max_examples=60, deadline=None)
@@ -916,7 +925,7 @@ def test_oracle_answers_match_brute_force_sets_at_word_boundaries(count, monkeyp
             chosen = [i for i in range(count) if best >> i & 1]
             assert max_separated_exact(DOUBLING_1D, K, n, e, L2) == [K.points[i] for i in chosen]
             assert rows[-1] == chosen[-1] == count - 1
-    if count > 91:  # the carried pass's kept rows are exactly ~marks, packed
+    if count > 91:  # the carried pass's masks are the witness scan's sets
         assert_pair_path_matches_scan(DOUBLING_1D, K, n_values, eps_values, L2)
 
 

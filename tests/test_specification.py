@@ -239,9 +239,9 @@ def test_family_names_uncertified_tuple_before_equal_shadows():
 def test_family_grows_its_orbits_once(monkeypatch, cap):
     # on the direct path one orbit cube certifies the shadows and verifies
     # separation; on the certificate path the anchors are grown once, each
-    # shadow once in the block pass, and then only the rows the anchor
-    # query leaves uncleared: the shadows of (1, 1) and (2, 2) against
-    # their own anchors, which they follow at every segment
+    # shadow once in the block pass, and then only the pairs the lemma
+    # leaves: the shadows of (1, 1) and (2, 2) against their own anchors,
+    # which they follow at every segment
     calls = []
     grow = spec.orbit_block
 
@@ -264,8 +264,8 @@ def test_family_grows_its_orbits_once(monkeypatch, cap):
 def test_family_block_pass_grows_each_shadow_once(monkeypatch):
     # the m = 13, n = 3 family (2,197 shadows, 11 steps, dim 64) is grown in
     # blocks of BLOCK_ELEMS // (steps * dim) = 93 rows, after its 13 anchors;
-    # the anchor query then regrows the 12 constant tuples' shadows that are
-    # not anchors, uncleared against their own anchors
+    # the certificate then regrows the 12 constant tuples' shadows that are
+    # not anchors, to measure them against their own anchors
     calls = []
     grow = spec.orbit_block
     monkeypatch.setattr(spec, "orbit_block", lambda T, b, s: calls.append(b.shape[0]) or grow(T, b, s))
@@ -413,32 +413,33 @@ def test_weight_admissibility_geometric_moduli():
         sp_separated_family(BackwardShift(GeometricRule(0.5, first=3.0)), [zero_vector(64)], 1, 0.1)
 
 
-def _certificate_args(rows, anchor_rows, tuples, gap, bound, eps):
-    """The arguments of `_certificate_min_pairwise` for global bound `bound`:
-    row r follows anchor tuples[r][i] at Bowen step i*(gap+1), within the
-    distance of their orbits there, and grow records the rows it regrows
-    (the returned list)."""
+def _certificate_args(rows, anchor_rows, tuples, gap, eps):
+    """The arguments of `_certificate_min_pairwise` as `sp_separated_family`
+    passes them: row r follows anchor tuples[r][i] at Bowen step
+    i*(gap+1), within the distance of their orbits there, d_min_anchor is
+    the anchors' smallest distance at step 0, and grow records the rows it
+    regrows (the returned list)."""
     tuples = np.array(tuples, dtype=np.intp)
     steps = (tuples.shape[1] - 1) * (gap + 1) + 1
     anchors = orbit_block(B2, rows[anchor_rows], steps)
     at = np.arange(tuples.shape[1]) * (gap + 1)
     dev = norm_block(orbit_block(B2, rows, steps)[:, at] - anchors[tuples, at], FA)
+    d_min_anchor = spec._direct_min_pairwise(FA, rows[anchor_rows][:, np.newaxis])
     regrown = []
 
     def grow(which):
         regrown.extend(np.arange(len(rows))[which].tolist())
         return orbit_block(B2, rows[which], steps)
 
-    drift_max = float(norm_block(anchors - anchors[:, :1], FA).max())
-    d_min_anchor = bound + 2.0 * float(dev.max()) + 2.0 * drift_max
-    return (FA, tuples, dev, grow, anchors, anchor_rows, gap, d_min_anchor, eps), regrown
+    return (FA, tuples, dev, grow, anchors, anchor_rows, d_min_anchor, eps), regrown
 
 
 def _full_scan_certificate(rows, args):
     """The certificate of `args` with its anchors checked against every
     row, one full norm_block over the orbit cube per anchor: the reference
-    for the anchor query.  Returns (global_bound, anchor minimum, result)."""
-    _, _, dev, _, anchors, anchor_rows, _, d_min_anchor, _ = args
+    for the constant tuples' pairs.  Returns (global_bound, anchor minimum,
+    result)."""
+    _, _, dev, _, anchors, anchor_rows, d_min_anchor, _ = args
     orbits = orbit_block(B2, rows, anchors.shape[1])
     drift_max = float(norm_block(anchors - anchors[:, :1], FA).max())
     global_bound = d_min_anchor - 2.0 * float(dev.max()) - 2.0 * drift_max
@@ -450,76 +451,115 @@ def _full_scan_certificate(rows, args):
     return global_bound, best, min(global_bound, best)
 
 
+def _constant_shadows(tuples, anchor_rows):
+    """The rows of constant tuple (c, .., c) that are not anchor c's row."""
+    return [r for r, t in enumerate(tuples) if len(set(t)) == 1 and anchor_rows[t[0]] != r]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_certificate_anchor_query_matches_full_scan(data):
-    dim = data.draw(st.integers(3, 6), label="dim")
-    coord = st.integers(-4, 4).map(lambda v: v / 4)
-    rows = np.array(
-        data.draw(st.lists(st.tuples(*[coord] * dim), min_size=2, max_size=12, unique=True)), dtype=complex
-    )
+    # rows from a drawn family: anchors q/2 x1, some moved by a bump 2^-k
+    # at coordinate j (a bump drifts under the shift), the shadows of some
+    # tuples, some of them bumped too, and the anchors that are no shadow.
+    # Every input is computed as `sp_separated_family` computes it, so the
+    # construction lemma holds and the anchors' full scan is the reference
     n, gap = data.draw(st.integers(1, 3), label="n"), data.draw(st.integers(1, 2), label="gap")
-    # every row an anchor following itself, so no deviation (and with n = 1
-    # no drift): each row's clearing bound is the global bound itself; or
-    # any anchors and tuples
-    if data.draw(st.booleans(), label="rows are anchors"):
-        anchor_rows, tuples = list(range(len(rows))), [[r] * n for r in range(len(rows))]
-    else:
-        anchor_rows = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=len(rows), unique=True))
-        symbol = st.integers(0, len(anchor_rows) - 1)
-        tuples = data.draw(st.lists(st.lists(symbol, min_size=n, max_size=n), min_size=len(rows), max_size=len(rows)))
-    bound = data.draw(st.floats(0.05, 1.5), label="bound")
-    # when every row is its anchor at n = 1 the query is skipped, which
-    # rests on d_min_anchor being the anchors' smallest distance, as the
-    # family builder passes it: the bound is capped there
-    own = n == 1 and all(anchor_rows[c] == r for r, (c,) in enumerate(tuples))
-    if own:
-        bound = min(bound, min(float(norm_block(rows[:j] - rows[j], FA).min()) for j in range(1, len(rows))))
-    eps = min(bound, 1.0) * data.draw(st.floats(0.05, 0.95), label="eps share")
-    args, regrown = _certificate_args(rows, anchor_rows, tuples, gap, bound, eps)
+    times = tuple(i * (gap + 1) for i in range(n))
+    dim = 2 * (times[-1] + gap) + data.draw(st.integers(0, 4), label="extra dim")
+    x1 = fixed_vector(B2, dim).coords
+    bump = st.tuples(st.integers(0, dim - 1), st.integers(0, 20)).map(lambda jk: 2.0 ** -jk[1] * np.eye(dim)[jk[0]])
+    scales = data.draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4, unique=True), label="q")
+    block = np.array([q / 2 * x1 for q in scales], dtype=complex)
+    for c in data.draw(st.lists(st.integers(0, len(scales) - 1), unique=True), label="bumped anchors"):
+        block[c] += data.draw(bump, label="anchor bump")
+    combos, xi = _family_shadows(B2, block, times, gap)
+    keep = data.draw(st.lists(st.integers(0, len(combos) - 1), min_size=1, unique=True), label="tuples")
+    combos, xi = combos[sorted(keep)], xi[sorted(keep)]
+    for r in data.draw(st.lists(st.integers(0, len(combos) - 1), unique=True), label="bumped shadows"):
+        xi[r] += data.draw(bump, label="shadow bump")
+    rows, anchor_rows, _ = spec._family_rows(combos, xi, block)
+    extra = [c for c, row in enumerate(anchor_rows) if row >= len(combos)]
+    tuples = np.concatenate((combos, np.repeat(np.array(extra, dtype=np.intp)[:, np.newaxis], n, axis=1)))
+    args, regrown = _certificate_args(rows, anchor_rows, tuples, gap, 0.0)
     global_bound, best, want = _full_scan_certificate(rows, args)
-    assert global_bound > eps  # the certificate path, not the direct fallback
-    event("an anchor pair decides" if best < global_bound else "the global bound decides")
-    event("dev_max = 0" if args[2].max() == 0 else "dev_max > 0")
-    if not best > eps:
-        with pytest.raises(ValidationError, match="anchor-related distance"):
-            spec._certificate_min_pairwise(*args)
-    else:
-        assert spec._certificate_min_pairwise(*args).hex() == want.hex()
-    assert len(regrown) == len(set(regrown))  # each uncleared row once
-    if own:  # one copy of every row, compared with its anchor
-        assert regrown == list(range(len(rows))) and want == args[7]
+    share = data.draw(st.floats(0.05, 0.95), label="eps share")
+    if global_bound > 0:  # the certificate path
+        eps = min(global_bound, 1.0) * share
+        args = args[:-1] + (eps,)
+        event("an anchor pair decides" if best < global_bound else "the global bound decides")
+        event("dev_max = 0" if args[2].max() == 0 else "dev_max > 0")
+        if not best > eps:
+            with pytest.raises(ValidationError, match="anchor-related distance"):
+                spec._certificate_min_pairwise(*args)
+        else:
+            assert spec._certificate_min_pairwise(*args).hex() == want.hex()
+        assert regrown == _constant_shadows(tuples.tolist(), anchor_rows)
+    else:  # too weak: the direct scan over the whole regrown family
+        event("the weak-bound fallback")
+        args = args[:-1] + (share,)
+        direct = spec._direct_min_pairwise(FA, orbit_block(B2, rows, args[4].shape[1]))
+        assert spec._certificate_min_pairwise(*args).hex() == direct.hex()
+        assert regrown == list(range(len(rows)))
 
 
-@pytest.mark.parametrize(
-    "bound,regrown_rows", [(0.5, [2]), (0.9375 * (1 - 5e-10), [0, 1, 2]), (1.0, [0, 1, 2])],
-    ids=["0.5", "0.9375", "1.0"],
-)
-def test_certificate_anchor_pair_decides(bound, regrown_rows, monkeypatch):
+def test_certificate_anchor_pair_decides(monkeypatch):
     # anchors 0 and e_1 (rows 0 and 1, 0.9375 apart), and row 2 = e_3,
-    # 0.1875 from anchor 0 (n = 1: the deviation is the distance), which
-    # decides.  The anchors clear each other while 0.9375 > bound * (1 + 1e-9),
-    # row 2 clears e_1 while 0.9375 > (bound + 0.1875) * (1 + 1e-9).  The
-    # regrown rows and both anchors reach `_pairs_within` as one contiguous
-    # time-major copy, shape (steps, rows, dim)
+    # 0.1875 from anchor 0 (n = 1: the deviation is the distance): the
+    # global bound is 0.9375 - 2 * 0.1875, and row 2, of constant tuple (0)
+    # but not anchor 0's row, is the one row regrown and decides.  It and
+    # both anchors reach `_pairs_within` as one contiguous time-major copy,
+    # shape (steps, rows, dim)
     slabs, within = [], spec._pairs_within
     monkeypatch.setattr(spec, "_pairs_within", lambda o, *a: slabs.append(o) or within(o, *a))
     rows = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]], dtype=complex)
-    args, regrown = _certificate_args(rows, [0, 1], [[0], [1], [0]], 1, bound, 0.1)
+    args, regrown = _certificate_args(rows, [0, 1], [[0], [1], [0]], 1, 0.1)
     global_bound, best, want = _full_scan_certificate(rows, args)
-    assert args[2].tolist() == [[0.0], [0.0], [0.1875]] and best == 0.1875 < global_bound
+    assert args[2].tolist() == [[0.0], [0.0], [0.1875]] and best == 0.1875 < global_bound == 0.5625
     assert spec._certificate_min_pairwise(*args).hex() == want.hex()
-    assert sorted(regrown) == regrown_rows
-    assert [(o.shape, o.flags.c_contiguous) for o in slabs] == [((1, len(regrown_rows) + 2, 4), True)]
+    assert regrown == [2]
+    assert [(o.shape, o.flags.c_contiguous) for o in slabs] == [((1, 3, 4), True)]
+
+
+def test_certificate_regrows_only_constant_tuple_shadows(monkeypatch):
+    # the construction lemma clears every pair whose tuples differ at some
+    # segment, so the certificate regrows only the shadows of constant
+    # tuples (c, .., c) that are not anchor c's own row, and measures each
+    # against anchor c: the collinear families from 0 leave every shadow
+    # but the zero anchor's own, and the anchors j x1 + e_60 (n = 1) are
+    # no shadows, so all m shadows are measured and refused
+    regrown, certificate = [], spec._certificate_min_pairwise
+
+    def spy(space, tuples, dev, grow, anchors, anchor_rows, *rest):
+        def spy_grow(which):
+            rows = np.arange(len(tuples))[which]
+            regrown.append(rows.tolist())
+            assert rows.tolist() == _constant_shadows(tuples.tolist(), anchor_rows)
+            return grow(which)
+
+        return certificate(space, tuples, dev, spy_grow, anchors, anchor_rows, *rest)
+
+    monkeypatch.setattr(spec, "_certificate_min_pairwise", spy)
+    for m, n, count in ((13, 3, 12), (10, 4, 9)):
+        anchors, _, _, _ = _anchor_family(B2, m, n, 1)
+        assert sp_separated_family(B2, anchors, n, 0.1).verification == "certificate"
+        ones = (m**n - 1) // (m - 1)  # tuple (c, .., c) is row c * ones
+        assert regrown == [[c * ones for c in range(1, m)]] and len(regrown[0]) == count
+        regrown.clear()
+    x1, e60 = fixed_vector(B2, 64), basis_vector(60, 64)
+    m = 3_000
+    with pytest.raises(ValidationError, match="anchor-related distance"):
+        sp_separated_family(B2, [Vector(j * x1.coords + e60.coords) for j in range(m)], 1, 0.1)
+    assert regrown == [list(range(m))]
 
 
 def test_certificate_skips_the_anchor_query_when_rows_are_anchors(monkeypatch):
     # n = 1 (one Bowen step, so no drift): the collinear anchors j x1 are
-    # their own shadows, so every row is its anchor and the result is
-    # d_min_anchor, the direct scan's minimum, without the anchor query.  A
-    # far e_40 moves every shadow off its anchor (dev > 0), the anchors
-    # join as extra rows 2^-40 from their shadows, and the query still
-    # runs and refuses the family
+    # their own shadows, so no row has a constant tuple without being its
+    # anchor's row, and the result is the global bound d_min_anchor, the
+    # direct scan's minimum, with no distance taken.  A far e_40 moves
+    # every shadow off its anchor (dev > 0), the anchors join as extra rows
+    # 2^-40 from their shadows, and those pairs refuse the family
     x1, e40 = fixed_vector(B2, 64), basis_vector(40, 64)
     collinear = [Vector(j * x1.coords) for j in range(7)]
     direct = sp_separated_family(B2, collinear, 1, 0.1)
@@ -532,37 +572,23 @@ def test_certificate_skips_the_anchor_query_when_rows_are_anchors(monkeypatch):
     assert cert.sample.rows.tobytes() == direct.sample.rows.tobytes()
     with pytest.raises(ValidationError, match="anchor-related distance 1.8"):
         sp_separated_family(B2, [Vector(v.coords + e40.coords) for v in collinear], 1, 0.1)
-    assert len(calls) == 1 and calls[0] > 0
-    # a zero deviation alone is not enough: row 2 lies 5e-324 off anchor 0,
-    # a difference whose norm rounds to 0, so the query runs and finds it
+    assert calls == [7]
+    # a zero deviation alone does not make a row its anchor's: row 2 lies
+    # 5e-324 off anchor 0, a difference whose norm rounds to 0, so it is
+    # measured and refused
     rows = np.array([[0, 0, 0], [1, 0, 0], [5e-324, 0, 0]], dtype=complex)
-    bound = float(norm_block(rows[1:2] - rows[0], FA)[0])
-    args, _ = _certificate_args(rows, [0, 1], [[0], [1], [0]], 1, bound, 0.1)
+    args, regrown = _certificate_args(rows, [0, 1], [[0], [1], [0]], 1, 0.1)
     assert not args[2].any()
     with pytest.raises(ValidationError, match="anchor-related distance 0"):
         spec._certificate_min_pairwise(*args)
-    assert len(calls) == 2
-
-
-def test_certificate_margin_covers_rounding():
-    # row 2 = 0.3 x lies between anchors 0 and x (rows 0, 1), where the
-    # triangle inequality is tight: its distance D to anchor 0 is apart - dev
-    # exactly, but the computed apart - dev exceeds D.  One float above D,
-    # the bound would clear row 2 against anchor 0 without the margin
-    x = np.array([1 / 16, 1 / 16, 0])
-    rows = np.array([0 * x, x, 0.3 * x], dtype=complex)
-    D, apart, dev = (float(norm_block(v, FA)) for v in (rows[2], rows[1], rows[2] - rows[1]))
-    bound = float(np.nextafter(D, 1))
-    args, regrown = _certificate_args(rows, [0, 1], [[0], [1], [1]], 1, bound, 0.01)
-    assert bound + dev < apart and _full_scan_certificate(rows, args)[0] == bound
-    assert spec._certificate_min_pairwise(*args) == D < bound and regrown == [2]
+    assert calls == [7, 1] and regrown == [2]
 
 
 def test_certificate_refuses_close_anchor_pair():
-    # the global bound (0.9) clears eps, but anchor row 0 and row 1 are
-    # 2^-8 apart: the anchor query finds the pair and refuses the family
+    # one anchor, so the global bound is infinite, but row 1, of constant
+    # tuple (0), lies 2^-8 from anchor row 0: the pair refuses the family
     rows = np.array([[0, 0, 0, 0], [0, 0, 0, 1 / 16]], dtype=complex)
-    args, regrown = _certificate_args(rows, [0], [[0], [0]], 1, 0.9, 0.1)
+    args, regrown = _certificate_args(rows, [0], [[0], [0]], 1, 0.1)
     with pytest.raises(ValidationError, match="anchor-related distance 0.0039"):
         spec._certificate_min_pairwise(*args)
     assert regrown == [1]
